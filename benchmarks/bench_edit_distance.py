@@ -1,4 +1,4 @@
-"""Benchmark the njit and pure-numpy Levenshtein kernels side by side.
+"""Benchmark the Levenshtein kernel.
 
 Workload mirrors real evaluation: pairs of template-like strings (mixed
 literal tokens and short alphanumeric values) at benchmark scale, 2000 pairs
@@ -14,7 +14,7 @@ import random
 import string
 import time
 
-from logblend._kernels import HAS_NUMBA, levenshtein
+from logblend._kernels import levenshtein
 
 WORDS = [
     "worker", "session", "cache", "request", "timeout", "error", "node",
@@ -48,14 +48,14 @@ def make_pairs(n: int, seed: int = 0) -> list[tuple[str, str]]:
     return pairs
 
 
-def run(pairs: list[tuple[str, str]], use_numba: bool, rounds: int) -> tuple[float, int]:
+def run(pairs: list[tuple[str, str]], rounds: int) -> tuple[float, int]:
     best = float("inf")
     checksum = 0
     for _ in range(rounds):
         start = time.perf_counter()
         checksum = 0
         for a, b in pairs:
-            checksum += levenshtein(a, b, use_numba=use_numba)
+            checksum += levenshtein(a, b)
         best = min(best, time.perf_counter() - start)
     return best, checksum
 
@@ -68,18 +68,8 @@ def main() -> None:
 
     pairs = make_pairs(args.pairs)
     print(f"{args.pairs} template pairs, best of {args.rounds} rounds")
-
-    numpy_time, numpy_sum = run(pairs, use_numba=False, rounds=args.rounds)
-    print(f"numpy : {numpy_time * 1e3:8.1f} ms  ({args.pairs / numpy_time:,.0f} pairs/s)")
-
-    if HAS_NUMBA:
-        run(pairs[:10], use_numba=True, rounds=1)  # JIT warmup
-        numba_time, numba_sum = run(pairs, use_numba=True, rounds=args.rounds)
-        assert numba_sum == numpy_sum, "kernel paths disagree"
-        print(f"numba : {numba_time * 1e3:8.1f} ms  ({args.pairs / numba_time:,.0f} pairs/s)")
-        print(f"speedup: {numpy_time / numba_time:.1f}x")
-    else:
-        print("numba : not installed")
+    elapsed, checksum = run(pairs, rounds=args.rounds)
+    print(f"{elapsed * 1e3:8.1f} ms  ({args.pairs / elapsed:,.0f} pairs/s)  checksum {checksum}")
 
 
 if __name__ == "__main__":

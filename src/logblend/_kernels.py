@@ -1,129 +1,46 @@
-"""JIT-compiled inner loops with a pure-numpy fallback.
+"""Exact bit-parallel Levenshtein distance.
 
 The only hot numeric kernel in this package is the Levenshtein distance:
-a benchmark run compares thousands of template pairs per dataset per run,
-so the O(len*len) dynamic program dominates evaluation time.
+evaluation compares one predicted and one ground-truth template per record.
 
-Kernel selection:
-    * numba is used when importable (the default),
-    * setting the environment variable ``LOGBLEND_NO_NUMBA=1`` forces the
-      vectorized numpy path,
-    * both paths are exact and produce identical integers.
-
-``benchmarks/bench_edit_distance.py`` times the two paths side by side.
+The kernel is Myers' bit-vector algorithm ("A fast bit-vector algorithm for
+approximate string matching based on dynamic programming", JACM 1999) in
+Hyyrö's edit-distance form (2001). It keeps one column of the dynamic
+program as vertical +1/-1 delta bit-vectors over the shorter string and
+advances it one character of the longer string per step, so the cost is
+O(len(b)) big-integer operations. Python ints grow as needed, so patterns
+longer than a machine word need no blocking.
 """
 
 from __future__ import annotations
 
-import os
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return decorator
-
-
-def _env_disabled() -> bool:
-    return os.environ.get("LOGBLEND_NO_NUMBA", "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-    )
-
-
-#: True when the njit path is active for this process.
-NUMBA_ENABLED = HAS_NUMBA and not _env_disabled()
-
-
-def codepoints(s: str) -> np.ndarray:
-    """Code points of `s` as a uint32 array (one entry per character)."""
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-
-
-@njit(cache=True)
-def _levenshtein_njit(a, b):
-    """Rolling two-row Levenshtein over code-point arrays.
-
-    Parameters
-    ----------
-    a, b : ndarray of uint32
-        Code points of the two strings, both non-empty.
-
-    Returns
-    -------
-    int
-        Minimum number of single-character edits turning `a` into `b`.
-    """
-    n = b.size
-    prev = np.arange(n + 1, dtype=np.int64)
-    cur = np.empty(n + 1, dtype=np.int64)
-    for i in range(1, a.size + 1):
-        cur[0] = i
-        ai = a[i - 1]
-        for j in range(1, n + 1):
-            sub = prev[j - 1]
-            if b[j - 1] != ai:
-                sub += 1
-            dele = prev[j] + 1
-            ins = cur[j - 1] + 1
-            best = sub
-            if dele < best:
-                best = dele
-            if ins < best:
-                best = ins
-            cur[j] = best
-        prev, cur = cur, prev
-    return prev[n]
-
-
-def _levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """Row-vectorized Levenshtein; same contract as the njit kernel.
-
-    The in-row insertion chain ``cur[j] = min(cur[j-1] + 1, ...)`` is resolved
-    with a prefix minimum over ``value - index``, keeping every row a handful
-    of numpy ops.
-    """
-    n = b.size
-    offsets = np.arange(n + 1, dtype=np.int64)
-    prev = offsets.copy()
-    cur = np.empty(n + 1, dtype=np.int64)
-    for i in range(1, a.size + 1):
-        cost = (b != a[i - 1]).astype(np.int64)
-        cur[0] = i
-        np.minimum(prev[1:] + 1, prev[:-1] + cost, out=cur[1:])
-        cur = offsets + np.minimum.accumulate(cur - offsets)
-        prev, cur = cur, prev
-    return int(prev[n])
-
-
-def levenshtein(a: str, b: str, use_numba: bool | None = None) -> int:
-    """Levenshtein distance between two strings, counted in code points.
-
-    `use_numba` overrides the process-wide kernel selection (used by the
-    benchmark and the equivalence tests).
-    """
+def levenshtein(a: str, b: str) -> int:
+    """Levenshtein distance between two strings, counted in code points."""
     if a == b:
         return 0
+    if len(a) > len(b):
+        a, b = b, a
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    ca = codepoints(a)
-    cb = codepoints(b)
-    if use_numba is None:
-        use_numba = NUMBA_ENABLED
-    if use_numba and HAS_NUMBA:
-        return int(_levenshtein_njit(ca, cb))
-    return _levenshtein_numpy(ca, cb)
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv & mask
+    return score

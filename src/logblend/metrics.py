@@ -91,14 +91,22 @@ def mean_edit_distance(predicted: ParseResult, truth: ParseResult) -> float:
 
     The summation order is fixed (ascending line id) and the per-pair
     distances are integers, so the result is bit-identical however the
-    distances were computed.
+    distances were computed. Parsers emit few distinct templates, so each
+    distinct (predicted, truth) pair is scored once; the memo lives only for
+    this call.
     """
     _check_lengths(predicted, truth)
     if not truth:
         raise EmptyDatasetError("mean edit distance is undefined on empty input")
+    memo: dict[tuple[str, str], int] = {}
     total = 0
-    for p, t in zip(predicted, truth):
-        total += levenshtein(canonicalize_template(p), canonicalize_template(t))
+    for pair in zip(predicted, truth):
+        distance = memo.get(pair)
+        if distance is None:
+            p, t = pair
+            distance = levenshtein(canonicalize_template(p), canonicalize_template(t))
+            memo[pair] = distance
+        total += distance
     return total / len(truth)
 
 

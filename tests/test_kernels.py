@@ -1,18 +1,9 @@
-"""Kernel selection and the numpy fallback path."""
+"""Edge cases of the bit-parallel Levenshtein kernel."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
-from logblend._kernels import HAS_NUMBA, NUMBA_ENABLED, codepoints, levenshtein
-
-
-def test_codepoints_one_entry_per_character():
-    arr = codepoints("ab<*>")
-    assert arr.tolist() == [ord(c) for c in "ab<*>"]
-    assert codepoints("").size == 0
+from logblend._kernels import levenshtein
+from test_metrics import dp_edit_distance
 
 
 def test_empty_string_edges():
@@ -21,32 +12,10 @@ def test_empty_string_edges():
     assert levenshtein("xyz", "") == 3
 
 
-def test_numba_enabled_by_default_when_installed():
-    if HAS_NUMBA and not os.environ.get("LOGBLEND_NO_NUMBA"):
-        assert NUMBA_ENABLED
-
-
-def test_env_flag_selects_numpy_path():
-    code = (
-        "from logblend._kernels import NUMBA_ENABLED, levenshtein;"
-        "assert not NUMBA_ENABLED;"
-        "assert levenshtein('kitten', 'sitting') == 3;"
-        "print('fallback-ok')"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "LOGBLEND_NO_NUMBA": "1"},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "fallback-ok" in proc.stdout
-
-
 def test_paths_agree_on_long_asymmetric_strings():
+    # The shorter string becomes the bit-vector pattern whichever side it is on.
     a = "x" * 300 + " tail of the message 42"
     b = "x" * 120 + " tail of the <*> 42 extended"
-    numpy_result = levenshtein(a, b, use_numba=False)
-    assert numpy_result == levenshtein(b, a, use_numba=False)
-    if HAS_NUMBA:
-        assert levenshtein(a, b, use_numba=True) == numpy_result
+    expected = dp_edit_distance(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected

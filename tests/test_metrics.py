@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logblend._kernels import HAS_NUMBA, levenshtein
+from logblend import metrics
+from logblend._kernels import levenshtein
 from logblend.errors import EmptyDatasetError, ShapeError
 from logblend.metrics import (
     edit_distance,
@@ -66,10 +67,7 @@ def test_edit_distance_unicode_code_points():
 )
 @settings(max_examples=300)
 def test_edit_distance_matches_oracle_on_both_kernels(a, b):
-    expected = dp_edit_distance(a, b)
-    assert levenshtein(a, b, use_numba=False) == expected
-    if HAS_NUMBA:
-        assert levenshtein(a, b, use_numba=True) == expected
+    assert levenshtein(a, b) == dp_edit_distance(a, b)
 
 
 @given(
@@ -88,9 +86,56 @@ def test_kernel_paths_agree_on_template_like_strings():
     for _ in range(100):
         a = " ".join(rng.choices(words, k=rng.randint(0, 12)))
         b = " ".join(rng.choices(words, k=rng.randint(0, 12)))
-        assert levenshtein(a, b, use_numba=False) == dp_edit_distance(a, b)
-        if HAS_NUMBA:
-            assert levenshtein(a, b, use_numba=True) == dp_edit_distance(a, b)
+        assert levenshtein(a, b) == dp_edit_distance(a, b)
+
+
+@st.composite
+def unicode_pairs(draw):
+    """Two strings over a shared alphabet of arbitrary code points.
+
+    Lengths run to 200 independently, so pairs are often very unequal and
+    patterns cross the 30-bit digit and 64-bit word boundaries of Python
+    ints; an alphabet of 1-20 characters plus one astral-plane character
+    ranges from mostly matching to mostly distinct.
+    """
+    alphabet = draw(st.lists(st.characters(), min_size=1, max_size=20, unique=True))
+    chars = st.sampled_from(alphabet + ["\U0001F600"])
+    len_a, len_b = draw(st.integers(0, 200)), draw(st.integers(0, 200))
+    return (
+        draw(st.text(chars, min_size=len_a, max_size=len_a)),
+        draw(st.text(chars, min_size=len_b, max_size=len_b)),
+    )
+
+
+@given(unicode_pairs())
+@settings(max_examples=150, deadline=None)
+def test_bit_parallel_kernel_matches_oracle_on_unicode(pair):
+    a, b = pair
+    expected = dp_edit_distance(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        pytest.param("a", "bbbabbb", id="one-char-pattern-matched"),
+        pytest.param("a", "b" * 70, id="one-char-pattern-unmatched"),
+        pytest.param("\U0001F600", "x\U0001F600y", id="astral-one-char-pattern"),
+        pytest.param(
+            "same prefix " * 6 + "A" + " same suffix" * 6,
+            "same prefix " * 6 + "BC" + " same suffix" * 6,
+            id="shared-prefix-and-suffix",
+        ),
+        pytest.param("head " * 20 + "tail", "head " * 20, id="shared-prefix-ragged-end"),
+        pytest.param("x" * 70 + "ab", "ab", id="first-argument-longer"),
+        pytest.param("ab" * 40, "ba" * 40, id="pattern-past-64-bits"),
+    ],
+)
+def test_bit_parallel_kernel_edge_cases(a, b):
+    expected = dp_edit_distance(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected
 
 
 # --- the figure-3-style scenario --------------------------------------------
@@ -186,6 +231,27 @@ def test_mean_edit_distance_2000_records_against_summation_oracle():
     for p, t in zip(predicted, truth):
         total += dp_edit_distance(p, t)
     assert mean_edit_distance(predicted, truth) == pytest.approx(total / 2000)
+
+
+def test_mean_edit_distance_scores_each_distinct_pair_once(monkeypatch):
+    rng = random.Random(4)
+    predicted = [rng.choice(["open <*>", "open  <*> ", "close <*>", "flush"]) for _ in range(2000)]
+    truth = [rng.choice(["open <*>", "close <*> now", "flush"]) for _ in range(2000)]
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return levenshtein(a, b)
+
+    monkeypatch.setattr(metrics, "levenshtein", counting)
+    # "open  <*> " canonicalizes to "open <*>" but is its own memo key.
+    expected = sum(dp_edit_distance(" ".join(p.split()), t) for p, t in zip(predicted, truth))
+    expected /= 2000
+    assert mean_edit_distance(predicted, truth) == expected
+    assert len(calls) == len(set(zip(predicted, truth)))
+    # The memo lives for one call only: a second call scores every pair again.
+    mean_edit_distance(predicted, truth)
+    assert len(calls) == 2 * len(set(zip(predicted, truth)))
 
 
 def test_mean_edit_distance_empty_is_undefined():
