@@ -69,15 +69,6 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text)
 
 
-def _add_common(sub: argparse.ArgumentParser, seed: bool = False) -> None:
-    sub.add_argument("--out", help="output file (default: stdout for JSON)")
-    sub.add_argument(
-        "--format", choices=["json"], default="json", help="output format"
-    )
-    if seed:
-        sub.add_argument("--seed", type=int, default=0, help="random seed")
-
-
 def _reference_from(args: argparse.Namespace) -> ReferenceStats:
     if args.ref_nuw or args.ref_nuc or args.ref_nuldl:
         return ReferenceStats(
@@ -108,7 +99,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="proxy statistics of a dataset")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--raw", action="store_true", help="input is newline-delimited text")
-    _add_common(p)
+    p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("heterogeneity", help="heterogeneity score of a dataset")
     p.add_argument("--in", dest="input", required=True)
@@ -116,7 +107,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-nuw", type=int, default=0)
     p.add_argument("--ref-nuc", type=int, default=0)
     p.add_argument("--ref-nuldl", type=int, default=0)
-    _add_common(p)
+    p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("pool", help="build synthesis pools")
     pool_sub = p.add_subparsers(dest="pool_command", required=True)
@@ -164,16 +155,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="metrics of a parse result against labels")
     p.add_argument("--truth", required=True, help="structured dataset with labels")
     p.add_argument("--predicted", required=True, help="LineId,EventTemplate file")
-    _add_common(p)
+    p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("benchmark", help="run an experiment plan")
     p.add_argument("--plan", required=True, help="plan JSON file")
     p.add_argument("--runs", type=int, help="override plan run count")
     p.add_argument("--seed", type=int, help="override plan base seed")
-    p.add_argument("--workers", type=int, help="override plan worker count")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--out", help="report file (default: stdout)")
-    p.add_argument("--format", choices=["json"], default="json")
 
     return top
 
@@ -278,8 +267,6 @@ def _cmd_benchmark(args) -> None:
         plan.runs = args.runs
     if args.seed is not None:
         plan.base_seed = args.seed
-    if args.workers is not None:
-        plan.workers = args.workers
     report: EvaluationReport = run_experiment(plan)
     _emit(report.to_dict(include_timings=args.timings), args.out)
 

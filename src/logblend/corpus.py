@@ -4,6 +4,10 @@ A dataset is an ordered list of log records. Each record carries the free-text
 message content (no timestamp/level/PID header) and, when available, a
 ground-truth template whose variable positions are marked with the ``<*>``
 wildcard token.
+
+Templates are canonicalized once, where they are read (:func:`load_structured`
+here, ``read_parse_result`` and ``OutlierPool.load`` elsewhere); every other
+function expects canonical templates and compares them as given.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import csv
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import AlignmentError, DataFormatError, LabelingError
@@ -25,8 +29,8 @@ _WS_RUN = re.compile(r"\s+")
 def canonicalize_template(text: str) -> str:
     """Collapse whitespace runs to single spaces and trim the ends.
 
-    Ground-truth files vary in incidental spacing; metric comparisons must
-    not hinge on it.
+    Template files vary in incidental spacing; metric comparisons must not
+    hinge on it. Applied where templates are read, nowhere else.
     """
     return _WS_RUN.sub(" ", text).strip()
 
@@ -45,6 +49,7 @@ class LogRecord:
 
     line_id: int
     content: str
+    #: Canonical template (see :func:`canonicalize_template`), or None.
     ground_truth: str | None = None
     source: str = ""
 
@@ -87,33 +92,25 @@ class Dataset:
                 raise DataFormatError(
                     f"dataset {self.name!r}: line {i} contains a line break"
                 )
+            gt = rec.ground_truth
+            if gt is not None and canonicalize_template(gt) != gt:
+                raise DataFormatError(
+                    f"dataset {self.name!r}: line {i} ground truth {gt!r} "
+                    f"is not canonical"
+                )
 
 
-def load_structured(path: str | Path, name: str | None = None) -> Dataset:
-    """Load a comma-separated dataset with `Content` and `EventTemplate` columns.
+def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
+    """Header and non-empty rows, each with its row number, of a CSV file.
 
-    `LineId` is honored when present (must be contiguous from 1), otherwise
-    line ids follow row order. An optional `Source` column overrides the
-    per-record source tag; an empty `EventTemplate` field means unlabeled.
+    Bad quoting, or a row whose field count differs from the header's,
+    raises DataFormatError naming the file and the row.
     """
-    path = Path(path)
-    if name is None:
-        name = path.stem
-    records: list[LogRecord] = []
+    rows: list[tuple[int, list[str]]] = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f, strict=True)
         try:
             header = next(reader, None)
-            if header is None:
-                raise DataFormatError(f"{path}: empty file, expected a header row")
-            cols = {col: idx for idx, col in enumerate(header)}
-            for required in ("Content", "EventTemplate"):
-                if required not in cols:
-                    raise DataFormatError(f"{path}: missing column {required!r}")
-            content_idx = cols["Content"]
-            template_idx = cols["EventTemplate"]
-            line_idx = cols.get("LineId")
-            source_idx = cols.get("Source")
             for row in reader:
                 if not row:
                     continue
@@ -122,32 +119,64 @@ def load_structured(path: str | Path, name: str | None = None) -> Dataset:
                         f"{path}: row {reader.line_num} has {len(row)} fields, "
                         f"expected {len(header)}"
                     )
-                content = row[content_idx]
-                if "\n" in content or "\r" in content:
-                    raise DataFormatError(
-                        f"{path}: row {reader.line_num} content contains a line break"
-                    )
-                template = canonicalize_template(row[template_idx])
-                if line_idx is not None:
-                    try:
-                        line_id = int(row[line_idx])
-                    except ValueError as exc:
-                        raise DataFormatError(
-                            f"{path}: row {reader.line_num} has non-integer LineId "
-                            f"{row[line_idx]!r}"
-                        ) from exc
-                else:
-                    line_id = len(records) + 1
-                records.append(
-                    LogRecord(
-                        line_id=line_id,
-                        content=content,
-                        ground_truth=template or None,
-                        source=row[source_idx] if source_idx is not None else name,
-                    )
-                )
+                rows.append((reader.line_num, row))
         except csv.Error as exc:
             raise DataFormatError(f"{path}: row {reader.line_num}: {exc}") from exc
+    return header, rows
+
+
+def parse_line_id(path: Path, row_num: int, text: str) -> int:
+    """A `LineId` field as an int; DataFormatError naming the file and row if not."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise DataFormatError(
+            f"{path}: row {row_num} has non-integer LineId {text!r}"
+        ) from exc
+
+
+def load_structured(path: str | Path, name: str | None = None) -> Dataset:
+    """Load a comma-separated dataset with `Content` and `EventTemplate` columns.
+
+    `LineId` is honored when present (must be contiguous from 1), otherwise
+    line ids follow row order. An optional `Source` column overrides the
+    per-record source tag; an empty `EventTemplate` field means unlabeled.
+    Templates are canonicalized here.
+    """
+    path = Path(path)
+    if name is None:
+        name = path.stem
+    header, rows = read_csv_rows(path)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file, expected a header row")
+    cols = {col: idx for idx, col in enumerate(header)}
+    for required in ("Content", "EventTemplate"):
+        if required not in cols:
+            raise DataFormatError(f"{path}: missing column {required!r}")
+    content_idx = cols["Content"]
+    template_idx = cols["EventTemplate"]
+    line_idx = cols.get("LineId")
+    source_idx = cols.get("Source")
+    records: list[LogRecord] = []
+    for row_num, row in rows:
+        content = row[content_idx]
+        if "\n" in content or "\r" in content:
+            raise DataFormatError(
+                f"{path}: row {row_num} content contains a line break"
+            )
+        template = canonicalize_template(row[template_idx])
+        if line_idx is not None:
+            line_id = parse_line_id(path, row_num, row[line_idx])
+        else:
+            line_id = len(records) + 1
+        records.append(
+            LogRecord(
+                line_id=line_id,
+                content=content,
+                ground_truth=template or None,
+                source=row[source_idx] if source_idx is not None else name,
+            )
+        )
     ds = Dataset(name=name, records=records)
     ds.validate()
     return ds
@@ -230,7 +259,6 @@ def extract_variables(content: str, template: str) -> list[str]:
     absorbs whole tokens), character-level as fallback. Every wildcard must
     absorb at least one character and the full content must be consumed.
     """
-    template = canonicalize_template(template)
     token_pat, char_pat = _matchers(template)
     if token_pat is not None:
         m = token_pat.fullmatch(content)
@@ -266,28 +294,6 @@ def matches_template(content: str, template: str) -> bool:
 
 
 def template_frequency_map(ds: Dataset) -> dict[str, int]:
-    """Count records per canonical ground-truth template."""
-    missing = [r.line_id for r in ds.records if r.ground_truth is None]
-    if missing:
-        raise LabelingError(
-            f"dataset {ds.name!r} has unlabeled records", missing
-        )
-    counts: Counter[str] = Counter(
-        canonicalize_template(r.ground_truth) for r in ds.records  # type: ignore[arg-type]
-    )
-    return dict(counts)
+    """Count records per ground-truth template."""
+    return dict(Counter(ds.labels()))
 
-
-def relabel(ds: Dataset, templates: list[str]) -> Dataset:
-    """Copy of `ds` with ground truths replaced by `templates` (index-aligned)."""
-    if len(templates) != len(ds.records):
-        raise ValueError(
-            f"{len(templates)} templates for {len(ds.records)} records"
-        )
-    return Dataset(
-        name=ds.name,
-        records=[
-            replace(rec, ground_truth=canonicalize_template(t) or None)
-            for rec, t in zip(ds.records, templates)
-        ],
-    )

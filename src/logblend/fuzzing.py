@@ -15,7 +15,6 @@ from ._rng import record_generator
 from .corpus import (
     Dataset,
     LogRecord,
-    canonicalize_template,
     count_wildcards,
     extract_variables,
     substitute_variables,
@@ -67,9 +66,9 @@ def fuzz(
             raise ShapeError(
                 f"parse result has {len(parsed)} entries for {len(ds.records)} records"
             )
-        templates = [canonicalize_template(t) for t in parsed]
+        templates = parsed
     else:
-        templates = [canonicalize_template(t) for t in ds.labels()]
+        templates = ds.labels()
 
     values = vpool.values
     records: list[LogRecord] = []

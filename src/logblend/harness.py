@@ -3,10 +3,11 @@
 An experiment plan names datasets, parsers (built-in configurations or
 external output files), an optional mix/fuzz synthesis pipeline, and a run
 count. Each run re-applies synthesis with seed ``base_seed + run`` and
-evaluates every parser on the synthesized data; per-run metrics are
-aggregated into mean and sample standard deviation. Reports serialize to a
-single JSON document with a stable field order; wall-clock timings are
-recorded in a section that byte-for-byte comparisons leave out.
+evaluates every parser on the synthesized data, one (parser, run) cell after
+another in plan order; per-run metrics are aggregated into mean and sample
+standard deviation. Reports serialize to a single JSON document with a
+stable field order; wall-clock timings are recorded in a section that
+byte-for-byte comparisons leave out.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import mean, stdev
@@ -84,14 +84,11 @@ class ExperimentPlan:
     synthesis: SynthesisPlan | None = None
     runs: int = 10
     base_seed: int = 0
-    workers: int = 1
     reference: ReferenceStats = INDUSTRY_REFERENCE
 
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -205,10 +202,9 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
 def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
     """Execute the plan and aggregate per-run metrics.
 
-    Cells that fail keep their error message in the report; the remaining
-    cells still aggregate. (parser, run) cells may be evaluated by a worker
-    pool, but aggregation follows plan order, so the report does not depend
-    on scheduling.
+    Cells are evaluated serially: the work is pure Python, so threads would
+    only contend for the interpreter lock. Cells that fail keep their error
+    message in the report; the remaining cells still aggregate.
     """
     started = time.perf_counter()
     datasets_doc: dict[str, dict] = {}
@@ -264,25 +260,13 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
                 return RunOutcome(run, seeds[run], None, f"{type(exc).__name__}: {exc}")
 
         eval_start = time.perf_counter()
-        cells: dict[tuple[int, int], RunOutcome] = {}
-        jobs = [
-            (p_idx, run) for p_idx in range(len(plan.parsers)) for run in range(plan.runs)
+        cells = [
+            [cell(spec, run) for run in range(plan.runs)] for spec in plan.parsers
         ]
-        if plan.workers > 1:
-            with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-                outcomes = pool.map(
-                    lambda pr: cell(plan.parsers[pr[0]], pr[1]), jobs
-                )
-                for key, outcome in zip(jobs, outcomes):
-                    cells[key] = outcome
-        else:
-            for p_idx, run in jobs:
-                cells[(p_idx, run)] = cell(plan.parsers[p_idx], run)
         timings[f"{ds.name}.evaluation"] = time.perf_counter() - eval_start
 
         parsers_doc: dict[str, dict] = {}
-        for p_idx, spec in enumerate(plan.parsers):
-            outcomes = [cells[(p_idx, run)] for run in range(plan.runs)]
+        for spec, outcomes in zip(plan.parsers, cells):
             ok = [o.metrics for o in outcomes if o.metrics is not None]
             doc: dict = {
                 "config": _parser_summary(spec),
@@ -446,6 +430,5 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
         synthesis=synthesis,
         runs=doc.get("runs", 10),
         base_seed=doc.get("base_seed", 0),
-        workers=doc.get("workers", 1),
         reference=reference,
     )

@@ -6,9 +6,12 @@ Three metrics, one legacy and two template-quality:
   exactly equals the ground-truth cluster. Blind to the template text itself,
   so a parser can score 1.0 while emitting wrong templates.
 * template accuracy: fraction of records whose predicted template string
-  equals the ground-truth template string (canonical forms).
+  equals the ground-truth template string.
 * mean edit distance: average per-record Levenshtein distance between the
   predicted and ground-truth templates, counted in characters.
+
+Templates arrive canonical (they are canonicalized where they are read) and
+are compared exactly as given.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._kernels import levenshtein
-from .corpus import canonicalize_template
 from .errors import EmptyDatasetError, ShapeError
 
-#: One predicted template per record, index-aligned with the dataset.
+#: One canonical template per record, index-aligned with the dataset.
 ParseResult = list[str]
 
 
@@ -57,27 +59,23 @@ def grouping_accuracy(predicted: ParseResult, truth: ParseResult) -> float:
     """Fraction of records whose predicted group equals their truth group.
 
     Invariant under any renaming of the predicted template strings; empty
-    input is vacuously 1.0.
+    input is vacuously 1.0. Templates are grouped as given.
     """
     _check_lengths(predicted, truth)
     if not truth:
         return 1.0
-    pred_groups = _groups([canonicalize_template(t) for t in predicted])
-    truth_groups = _groups([canonicalize_template(t) for t in truth])
+    pred_groups = _groups(predicted)
+    truth_groups = _groups(truth)
     correct = sum(1 for p, t in zip(pred_groups, truth_groups) if p == t)
     return correct / len(truth)
 
 
 def template_accuracy(predicted: ParseResult, truth: ParseResult) -> float:
-    """Fraction of records whose predicted template string matches the truth."""
+    """Fraction of records whose predicted template string equals the truth's."""
     _check_lengths(predicted, truth)
     if not truth:
         return 1.0
-    correct = sum(
-        1
-        for p, t in zip(predicted, truth)
-        if canonicalize_template(p) == canonicalize_template(t)
-    )
+    correct = sum(1 for p, t in zip(predicted, truth) if p == t)
     return correct / len(truth)
 
 
@@ -93,7 +91,7 @@ def mean_edit_distance(predicted: ParseResult, truth: ParseResult) -> float:
     distances are integers, so the result is bit-identical however the
     distances were computed. Parsers emit few distinct templates, so each
     distinct (predicted, truth) pair is scored once; the memo lives only for
-    this call.
+    this call. Templates are compared as given.
     """
     _check_lengths(predicted, truth)
     if not truth:
@@ -104,7 +102,7 @@ def mean_edit_distance(predicted: ParseResult, truth: ParseResult) -> float:
         distance = memo.get(pair)
         if distance is None:
             p, t = pair
-            distance = levenshtein(canonicalize_template(p), canonicalize_template(t))
+            distance = levenshtein(p, t)
             memo[pair] = distance
         total += distance
     return total / len(truth)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from ._rng import generator
-from .corpus import Dataset, LogRecord, canonicalize_template
+from .corpus import Dataset, LogRecord
 from .errors import EmptyPoolError, ShapeError
 from .pool import OutlierPool
 
@@ -90,8 +90,7 @@ def mix(ds: Dataset, pool: OutlierPool, cfg: MixConfig) -> Dataset:
     Replaced records adopt the pool entry's content, ground truth, and source;
     everything else is untouched and the output has the input's size.
     """
-    labels = [canonicalize_template(t) for t in ds.labels()]
-    return _mix(ds, labels, pool, cfg)
+    return _mix(ds, ds.labels(), pool, cfg)
 
 
 def mix_with_parser_labels(
@@ -106,5 +105,4 @@ def mix_with_parser_labels(
         raise ShapeError(
             f"parse result has {len(parsed)} entries for {len(ds.records)} records"
         )
-    labels = [canonicalize_template(t) for t in parsed]
-    return _mix(ds, labels, pool, cfg)
+    return _mix(ds, parsed, pool, cfg)

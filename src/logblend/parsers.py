@@ -13,6 +13,9 @@ Two baselines are built in, enough to exercise the synthesis/evaluation loop:
 
 Any other parser integrates by writing a `LineId,EventTemplate` file,
 index-aligned with the input dataset (see :func:`read_parse_result`).
+
+Built-in parsers emit canonical templates: tokens from ``str.split`` joined
+by single spaces.
 """
 
 from __future__ import annotations
@@ -23,8 +26,14 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import WILDCARD, Dataset, canonicalize_template
-from .errors import DataFormatError, EmptyDatasetError, LabelingError, ShapeError
+from .corpus import (
+    WILDCARD,
+    Dataset,
+    canonicalize_template,
+    parse_line_id,
+    read_csv_rows,
+)
+from .errors import DataFormatError, EmptyDatasetError, ShapeError
 from .metrics import ParseResult
 
 
@@ -195,12 +204,7 @@ def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResul
 
 def identity_parser(ds: Dataset) -> ParseResult:
     """Return each record's stored ground truth."""
-    missing = [r.line_id for r in ds.records if r.ground_truth is None]
-    if missing:
-        raise LabelingError(
-            f"dataset {ds.name!r} has unlabeled records", missing
-        )
-    return [canonicalize_template(r.ground_truth) for r in ds.records]  # type: ignore[arg-type]
+    return ds.labels()
 
 
 def parse(ds: Dataset, cfg: ParserConfig) -> ParseResult:
@@ -226,27 +230,24 @@ def write_parse_result(result: ParseResult, path: str | Path) -> None:
 
 
 def read_parse_result(path: str | Path, expected_len: int | None = None) -> ParseResult:
-    """Read a parser-output file; how external parsers plug into the harness."""
+    """Read a parser-output file; how external parsers plug into the harness.
+
+    Templates are canonicalized here, where they enter the program.
+    """
     path = Path(path)
+    header, csv_rows = read_csv_rows(path)
+    if header is None or "EventTemplate" not in header:
+        raise DataFormatError(f"{path}: missing column 'EventTemplate'")
+    cols = {col: idx for idx, col in enumerate(header)}
+    template_idx = cols["EventTemplate"]
+    line_idx = cols.get("LineId")
     rows: list[tuple[int, str]] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f, strict=True)
-        try:
-            header = next(reader, None)
-            if header is None or "EventTemplate" not in header:
-                raise DataFormatError(f"{path}: missing column 'EventTemplate'")
-            cols = {col: idx for idx, col in enumerate(header)}
-            template_idx = cols["EventTemplate"]
-            line_idx = cols.get("LineId")
-            for row in reader:
-                if not row:
-                    continue
-                line_id = int(row[line_idx]) if line_idx is not None else len(rows) + 1
-                rows.append((line_id, canonicalize_template(row[template_idx])))
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}: row {reader.line_num}: {exc}") from exc
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: non-integer LineId: {exc}") from exc
+    for row_num, row in csv_rows:
+        if line_idx is not None:
+            line_id = parse_line_id(path, row_num, row[line_idx])
+        else:
+            line_id = len(rows) + 1
+        rows.append((line_id, canonicalize_template(row[template_idx])))
     rows.sort(key=lambda r: r[0])
     ids = [line_id for line_id, _ in rows]
     if ids != list(range(1, len(ids) + 1)):

@@ -19,6 +19,7 @@ from .corpus import (
     Dataset,
     canonicalize_template,
     extract_variables,
+    read_csv_rows,
     template_frequency_map,
 )
 from .errors import AlignmentError, DataFormatError, LabelingError
@@ -52,22 +53,21 @@ class OutlierPool:
 
     @classmethod
     def load(cls, path: str | Path) -> "OutlierPool":
-        entries: list[PoolEntry] = []
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f, strict=True)
-            header = next(reader, None)
-            expected = ["LineId", "Content", "EventTemplate", "Source"]
-            if header != expected:
-                raise DataFormatError(
-                    f"{path}: expected header {expected}, got {header}"
+        """Read a saved pool; templates are canonicalized here."""
+        header, rows = read_csv_rows(Path(path))
+        expected = ["LineId", "Content", "EventTemplate", "Source"]
+        if header != expected:
+            raise DataFormatError(f"{path}: expected header {expected}, got {header}")
+        return cls(
+            entries=[
+                PoolEntry(
+                    content=row[1],
+                    ground_truth=canonicalize_template(row[2]),
+                    source=row[3],
                 )
-            for row in reader:
-                if not row:
-                    continue
-                entries.append(
-                    PoolEntry(content=row[1], ground_truth=row[2], source=row[3])
-                )
-        return cls(entries=entries)
+                for _, row in rows
+            ]
+        )
 
 
 @dataclass
@@ -125,7 +125,7 @@ def build_outlier_pool(
         take = math.ceil(round(outlier_fraction * len(ds.records), 9))
         ranked = sorted(
             ds.records,
-            key=lambda r: (freq[canonicalize_template(r.ground_truth)], r.line_id),  # type: ignore[arg-type]
+            key=lambda r: (freq[r.ground_truth], r.line_id),  # type: ignore[index]
         )
         for rec in ranked[:take]:
             if rec.content in seen:
@@ -134,7 +134,7 @@ def build_outlier_pool(
             entries.append(
                 PoolEntry(
                     content=rec.content,
-                    ground_truth=canonicalize_template(rec.ground_truth),  # type: ignore[arg-type]
+                    ground_truth=rec.ground_truth,  # type: ignore[arg-type]
                     source=rec.source,
                 )
             )
@@ -164,7 +164,8 @@ def build_variable_pool(datasets: list[Dataset]) -> VariablePool:
                 skipped.setdefault(ds.name, []).append(rec.line_id)
                 continue
             for value in captured:
-                if not value or "\n" in value or "\r" in value:
+                # A tab, CR or LF would split the value in the saved file.
+                if not value or "\t" in value or "\n" in value or "\r" in value:
                     continue
                 if value not in sources:
                     sources[value] = [rec.source]

@@ -133,6 +133,18 @@ def test_parse_then_evaluate(cli_workspace, tmp_path, capsys):
     assert doc["grouping_accuracy"] > 0.9
 
 
+def test_evaluate_canonicalizes_templates_where_read(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("LineId,Content,EventTemplate\n1,a 1,a  <*>\n", encoding="utf-8")
+    predicted = tmp_path / "predicted.csv"
+    predicted.write_text("LineId,EventTemplate\n1,a <*> \n", encoding="utf-8")
+    rc = main(["evaluate", "--truth", str(truth), "--predicted", str(predicted)])
+    assert rc == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["template_accuracy"] == 1.0
+    assert doc["mean_edit_distance"] == 0.0
+
+
 def test_parsed_mode_fuzz_via_cli(cli_workspace, tmp_path):
     parsed = tmp_path / "parsed.csv"
     main(
@@ -241,3 +253,38 @@ def test_exit_code_data_error(tmp_path):
 
 def test_exit_code_missing_file():
     assert main(["stats", "--in", "/no/such/file.csv"]) == EXIT_DATA
+
+
+def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"datasets": [], "parsers": []}), encoding="utf-8")
+    assert main(["benchmark", "--plan", str(plan), "--workers", "2"]) == EXIT_USAGE
+    stats = ["stats", "--in", str(cli_workspace / "apacheish.csv")]
+    assert main(stats + ["--format", "json"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command, header, rows",
+    [
+        ("mix", "LineId,Content,EventTemplate,Source", "1,x 1,x <*>,a\n2,x 2\n"),
+        ("mix", "LineId,Content,EventTemplate,Source", '1,x 1,x <*>,a\n2,"x"2,x,a\n'),
+        ("evaluate", "LineId,EventTemplate", "1,a\n2\n"),
+        ("evaluate", "LineId,EventTemplate", "1,a\nx,b\n"),
+    ],
+    ids=["pool-short-row", "pool-bad-quote", "parsed-short-row", "parsed-bad-line-id"],
+)
+def test_malformed_pool_or_parser_output_exits_2(
+    cli_workspace, tmp_path, capsys, command, header, rows
+):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(header + "\n" + rows, encoding="utf-8")
+    dataset = str(cli_workspace / "apacheish.csv")
+    if command == "mix":
+        argv = ["mix", "--in", dataset, "--pool", str(bad), "--strength", "1.0",
+                "--out", str(tmp_path / "mixed.csv")]
+    else:
+        argv = ["evaluate", "--truth", dataset, "--predicted", str(bad)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "row 3" in err

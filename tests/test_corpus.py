@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logblend import corpus
 from logblend.corpus import (
     Dataset,
     LogRecord,
@@ -19,8 +20,23 @@ from logblend.corpus import (
     write_dataset,
 )
 from logblend.errors import AlignmentError, DataFormatError, LabelingError
+from logblend.fuzzing import FuzzConfig, fuzz
+from logblend.metrics import evaluate
+from logblend.mixing import MixConfig, mix, mix_with_parser_labels
+from logblend.parsers import (
+    IdentityParserConfig,
+    TokenFrequencyParserConfig,
+    TreeParserConfig,
+    parse,
+)
+from logblend.pool import (
+    OutlierPool,
+    VariablePool,
+    build_outlier_pool,
+    build_variable_pool,
+)
 
-from helpers import apacheish
+from helpers import apacheish, source_datasets
 
 
 # --- canonicalization -------------------------------------------------------
@@ -35,6 +51,58 @@ def test_canonicalize_collapses_whitespace():
 def test_canonicalize_idempotent(text):
     once = canonicalize_template(text)
     assert canonicalize_template(once) == once
+
+
+class _CountingPattern:
+    """Stands in for ``corpus._WS_RUN`` and counts canonicalizations."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def sub(self, *args):
+        self.calls += 1
+        return self.pattern.sub(*args)
+
+
+def test_nothing_after_the_read_boundary_canonicalizes_again(tmp_path, monkeypatch):
+    paths = []
+    for ds in source_datasets(200)[:4]:
+        paths.append(tmp_path / f"{ds.name}.csv")
+        write_dataset(ds, paths[-1])
+    datasets = [load_structured(p) for p in paths]
+    build_outlier_pool(datasets).save(tmp_path / "outliers.csv")
+    build_variable_pool(datasets).save(tmp_path / "vars.tsv")
+    opool = OutlierPool.load(tmp_path / "outliers.csv")
+    vpool = VariablePool.load(tmp_path / "vars.tsv")
+
+    counter = _CountingPattern(corpus._WS_RUN)
+    monkeypatch.setattr(corpus, "_WS_RUN", counter)
+    build_outlier_pool(datasets)
+    build_variable_pool(datasets)
+    parsers = (TreeParserConfig(), TokenFrequencyParserConfig(), IdentityParserConfig())
+    for ds in datasets:
+        cfg = MixConfig(strength=1.0, seed=1)
+        mix_with_parser_labels(ds, parse(ds, TreeParserConfig()), opool, cfg)
+        mixed = mix(ds, opool, cfg)
+        labeled = fuzz(mixed, vpool, FuzzConfig(seed=1)).dataset
+        surrogate = parse(labeled, TreeParserConfig())
+        fuzzed = fuzz(labeled, vpool, FuzzConfig(seed=2, mode="parsed"), surrogate)
+        truth = fuzzed.dataset.labels()
+        for parser in parsers:
+            evaluate(parse(fuzzed.dataset, parser), truth)
+    assert counter.calls == 0
+    canonicalize_template("a  b")  # the counter does see a call
+    assert counter.calls == 1
+
+
+def test_validate_rejects_non_canonical_ground_truth():
+    ds = Dataset(
+        "hand",
+        [LogRecord(1, "a 1", "a <*>", "hand"), LogRecord(2, "a 2", "a  <*>", "hand")],
+    )
+    with pytest.raises(DataFormatError, match=r"'hand'.*line 2.*'a  <\*>'"):
+        ds.validate()
 
 
 # --- structured load/write --------------------------------------------------

@@ -125,22 +125,24 @@ def test_harness_metrics_equal_direct_module_invocation(workspace):
     assert cell == direct.as_dict()
 
 
-def test_report_is_deterministic_and_worker_count_invariant(workspace):
-    def make_plan(workers: int) -> ExperimentPlan:
+def test_report_is_deterministic_and_parser_order_invariant(workspace):
+    def make_plan(parsers) -> ExperimentPlan:
         return ExperimentPlan(
             datasets=[workspace / "apacheish.csv"],
-            parsers=[TreeParserConfig(), IdentityParserConfig()],
+            parsers=parsers,
             synthesis=_synthesis(workspace, strength=0.6, fuzz_mode="labeled"),
             runs=3,
             base_seed=5,
-            workers=workers,
         )
 
-    first = run_experiment(make_plan(1)).to_json()
-    second = run_experiment(make_plan(1)).to_json()
-    pooled = run_experiment(make_plan(4)).to_json()
+    parsers = [TreeParserConfig(), IdentityParserConfig()]
+    first = run_experiment(make_plan(parsers)).to_json()
+    second = run_experiment(make_plan(parsers)).to_json()
     assert first == second
-    assert first == pooled
+    # No cell sees another's work: each parser scores the same in either order.
+    reordered = run_experiment(make_plan(parsers[::-1])).to_dict()
+    cells = json.loads(first)["datasets"]["apacheish"]["parsers"]
+    assert reordered["datasets"]["apacheish"]["parsers"] == cells
 
 
 def test_synthesis_degrades_accuracy_and_raises_h(workspace):

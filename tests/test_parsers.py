@@ -7,7 +7,12 @@ import random
 import pytest
 
 from logblend.corpus import Dataset, LogRecord, substitute_variables
-from logblend.errors import EmptyDatasetError, LabelingError, ShapeError
+from logblend.errors import (
+    DataFormatError,
+    EmptyDatasetError,
+    LabelingError,
+    ShapeError,
+)
 from logblend.metrics import grouping_accuracy, template_accuracy
 from logblend.parsers import (
     IdentityParserConfig,
@@ -237,9 +242,24 @@ def test_parse_result_length_check(tmp_path):
 
 
 def test_parse_result_rejects_duplicate_line_ids(tmp_path):
-    from logblend.errors import DataFormatError
-
     p = tmp_path / "dup.csv"
     p.write_text("LineId,EventTemplate\n1,a\n1,b\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="contiguous"):
         read_parse_result(p)
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ("1,a\n2\n", "row 3 has 1 fields, expected 2"),
+        ("1,a\nx,b\n", "row 3 has non-integer LineId 'x'"),
+        ('1,a\n2,"b"c\n', "row 3"),
+    ],
+    ids=["short-row", "non-integer-line-id", "bad-quote"],
+)
+def test_parse_result_names_malformed_row(tmp_path, rows, match):
+    p = tmp_path / "parsed.csv"
+    p.write_text("LineId,EventTemplate\n" + rows, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=match) as exc:
+        read_parse_result(p)
+    assert str(p) in str(exc.value)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from logblend.corpus import Dataset, LogRecord
-from logblend.errors import LabelingError
+from logblend.errors import DataFormatError, LabelingError
 from logblend.pool import (
     OutlierPool,
+    PoolEntry,
     VariablePool,
     build_outlier_pool,
     build_variable_pool,
@@ -107,6 +108,30 @@ def test_outlier_pool_file_round_trip(tmp_path):
     assert again.entries == pool.entries
 
 
+def test_outlier_pool_load_canonicalizes_templates(tmp_path):
+    p = tmp_path / "outliers.csv"
+    p.write_text(
+        "LineId,Content,EventTemplate,Source\n1,x 1,x   <*> ,a\n", encoding="utf-8"
+    )
+    assert OutlierPool.load(p).entries == [PoolEntry("x 1", "x <*>", "a")]
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ("1,x 1,x <*>,a\n2,x 2,x <*>\n", "row 3 has 3 fields, expected 4"),
+        ('1,x 1,x <*>,a\n2,"x" 2,x <*>,a\n', "row 3"),
+    ],
+    ids=["short-row", "bad-quote"],
+)
+def test_outlier_pool_load_names_malformed_row(tmp_path, rows, match):
+    p = tmp_path / "outliers.csv"
+    p.write_text("LineId,Content,EventTemplate,Source\n" + rows, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=match) as exc:
+        OutlierPool.load(p)
+    assert str(p) in str(exc.value)
+
+
 def test_outlier_pool_build_is_deterministic(tmp_path):
     datasets = list(source_datasets())
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -163,6 +188,17 @@ def test_variable_pool_has_no_empty_values():
 
 def test_variable_pool_file_round_trip(tmp_path):
     _, vpool = standard_pools()
+    p = tmp_path / "vars.tsv"
+    vpool.save(p)
+    again = VariablePool.load(p)
+    assert again.values == vpool.values
+    assert again.sources == vpool.sources
+
+
+def test_variable_pool_with_tab_in_a_value_round_trips(tmp_path):
+    ds = _labeled("t", [("set a\tb", "set <*>"), ("set c", "set <*>")])
+    vpool = build_variable_pool([ds])
+    assert vpool.values == ["c"]
     p = tmp_path / "vars.tsv"
     vpool.save(p)
     again = VariablePool.load(p)
