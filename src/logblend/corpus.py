@@ -135,6 +135,13 @@ def parse_line_id(path: Path, row_num: int, text: str) -> int:
         ) from exc
 
 
+def parse_content(path: Path, row_num: int, text: str) -> str:
+    """A `Content` field; DataFormatError naming file and row if it has a line break."""
+    if "\n" in text or "\r" in text:
+        raise DataFormatError(f"{path}: row {row_num} content contains a line break")
+    return text
+
+
 def load_structured(path: str | Path, name: str | None = None) -> Dataset:
     """Load a comma-separated dataset with `Content` and `EventTemplate` columns.
 
@@ -159,11 +166,7 @@ def load_structured(path: str | Path, name: str | None = None) -> Dataset:
     source_idx = cols.get("Source")
     records: list[LogRecord] = []
     for row_num, row in rows:
-        content = row[content_idx]
-        if "\n" in content or "\r" in content:
-            raise DataFormatError(
-                f"{path}: row {row_num} content contains a line break"
-            )
+        content = parse_content(path, row_num, row[content_idx])
         template = canonicalize_template(row[template_idx])
         if line_idx is not None:
             line_id = parse_line_id(path, row_num, row[line_idx])
@@ -252,6 +255,15 @@ def _matchers(template: str) -> tuple[re.Pattern | None, re.Pattern]:
     return _token_pattern(template), _char_pattern(template)
 
 
+def _alignment(content: str, template: str) -> re.Match | None:
+    token_pat, char_pat = _matchers(template)
+    if token_pat is not None:
+        m = token_pat.fullmatch(content)
+        if m is not None:
+            return m
+    return char_pat.fullmatch(content)
+
+
 def extract_variables(content: str, template: str) -> list[str]:
     """Return the substring captured by each ``<*>`` of `template`, in order.
 
@@ -259,15 +271,10 @@ def extract_variables(content: str, template: str) -> list[str]:
     absorbs whole tokens), character-level as fallback. Every wildcard must
     absorb at least one character and the full content must be consumed.
     """
-    token_pat, char_pat = _matchers(template)
-    if token_pat is not None:
-        m = token_pat.fullmatch(content)
-        if m is not None:
-            return list(m.groups())
-    m = char_pat.fullmatch(content)
-    if m is not None:
-        return list(m.groups())
-    raise AlignmentError(content, template)
+    m = _alignment(content, template)
+    if m is None:
+        raise AlignmentError(content, template)
+    return list(m.groups())
 
 
 def substitute_variables(template: str, variables: list[str]) -> str:
@@ -286,11 +293,8 @@ def substitute_variables(template: str, variables: list[str]) -> str:
 
 
 def matches_template(content: str, template: str) -> bool:
-    try:
-        extract_variables(content, template)
-        return True
-    except AlignmentError:
-        return False
+    """Whether :func:`extract_variables` would align `content` with `template`."""
+    return _alignment(content, template) is not None
 
 
 def template_frequency_map(ds: Dataset) -> dict[str, int]:

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rng import record_generator
+from ._rng import record_picks
 from .corpus import (
     Dataset,
     LogRecord,
     count_wildcards,
-    extract_variables,
+    matches_template,
     substitute_variables,
 )
-from .errors import AlignmentError, EmptyPoolError, ShapeError
+from .errors import EmptyPoolError, ShapeError
 from .pool import VariablePool
 
 MODE_LABELED = "labeled"
@@ -73,9 +73,11 @@ def fuzz(
     values = vpool.values
     records: list[LogRecord] = []
     skipped: list[int] = []
+    refill: list[int] = []  # positions of the lines whose slots are refilled
+    slots: list[int] = []
     for rec, template in zip(ds.records, templates):
-        slots = count_wildcards(template)
-        if slots == 0:
+        count = count_wildcards(template)
+        if count == 0:
             records.append(
                 LogRecord(
                     line_id=rec.line_id,
@@ -85,22 +87,22 @@ def fuzz(
                 )
             )
             continue
-        try:
-            extract_variables(rec.content, template)
-        except AlignmentError:
+        if matches_template(rec.content, template):
+            refill.append(len(records))
+            slots.append(count)
+        else:
             skipped.append(rec.line_id)
-            records.append(rec)
-            continue
-        rng = record_generator(cfg.seed, rec.line_id)
-        picks = rng.integers(0, len(values), size=slots)
-        content = substitute_variables(template, [values[i] for i in picks])
-        records.append(
-            LogRecord(
-                line_id=rec.line_id,
-                content=content,
-                ground_truth=template,
-                source=rec.source,
-            )
+        records.append(rec)
+    picks = record_picks(
+        cfg.seed, [records[i].line_id for i in refill], len(values), slots
+    )
+    for i, chosen in zip(refill, picks):
+        rec = records[i]
+        records[i] = LogRecord(
+            line_id=rec.line_id,
+            content=substitute_variables(templates[i], [values[j] for j in chosen]),
+            ground_truth=templates[i],
+            source=rec.source,
         )
     return FuzzResult(
         dataset=Dataset(name=ds.name, records=records), skipped_line_ids=skipped

@@ -25,7 +25,7 @@ from .fuzzing import MODE_LABELED, MODE_PARSED, FuzzConfig, fuzz
 from .heterogeneity import (
     INDUSTRY_REFERENCE,
     ReferenceStats,
-    dataset_h,
+    h_score,
     proxy_stats,
 )
 from .metrics import MetricReport, evaluate
@@ -239,8 +239,9 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
                 stats_per_run.append(None)
                 truths.append(None)
                 continue
-            h_per_run.append(dataset_h(data, plan.reference).h)
-            stats_per_run.append(proxy_stats(data).as_dict())
+            stats = proxy_stats(data)
+            h_per_run.append(h_score(stats, plan.reference).h)
+            stats_per_run.append(stats.as_dict())
             try:
                 truths.append(data.labels())
             except LogblendError:

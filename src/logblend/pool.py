@@ -19,6 +19,7 @@ from .corpus import (
     Dataset,
     canonicalize_template,
     extract_variables,
+    parse_content,
     read_csv_rows,
     template_frequency_map,
 )
@@ -54,18 +55,19 @@ class OutlierPool:
     @classmethod
     def load(cls, path: str | Path) -> "OutlierPool":
         """Read a saved pool; templates are canonicalized here."""
-        header, rows = read_csv_rows(Path(path))
+        path = Path(path)
+        header, rows = read_csv_rows(path)
         expected = ["LineId", "Content", "EventTemplate", "Source"]
         if header != expected:
             raise DataFormatError(f"{path}: expected header {expected}, got {header}")
         return cls(
             entries=[
                 PoolEntry(
-                    content=row[1],
+                    content=parse_content(path, row_num, row[1]),
                     ground_truth=canonicalize_template(row[2]),
                     source=row[3],
                 )
-                for _, row in rows
+                for row_num, row in rows
             ]
         )
 

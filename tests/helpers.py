@@ -13,7 +13,16 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from logblend.corpus import Dataset, LogRecord, substitute_variables
+import numpy as np
+
+from logblend.corpus import (
+    Dataset,
+    LogRecord,
+    count_wildcards,
+    extract_variables,
+    substitute_variables,
+)
+from logblend.errors import AlignmentError
 from logblend.pool import OutlierPool, VariablePool, build_outlier_pool, build_variable_pool
 
 _ADJ = [
@@ -303,3 +312,32 @@ def small_labeled_dataset(name: str = "tiny") -> Dataset:
         LogRecord(4, "scheduler heartbeat ok", "scheduler heartbeat ok", name),
     ]
     return Dataset(name=name, records=records)
+
+
+def numpy_loop_fuzz(ds, vpool, seed, templates):
+    """Fuzzing with one numpy generator per record, the reference for `fuzz`.
+
+    Returns (contents, ground truths, skipped line ids).
+    """
+    values = vpool.values
+    contents, truths, skipped = [], [], []
+    for rec, template in zip(ds.records, templates):
+        slots = count_wildcards(template)
+        if slots == 0:
+            contents.append(rec.content)
+            truths.append(template or None)
+            continue
+        try:
+            extract_variables(rec.content, template)
+        except AlignmentError:
+            skipped.append(rec.line_id)
+            contents.append(rec.content)
+            truths.append(rec.ground_truth)
+            continue
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(rec.line_id,))
+        )
+        picks = rng.integers(0, len(values), size=slots)
+        contents.append(substitute_variables(template, [values[i] for i in picks]))
+        truths.append(template)
+    return contents, truths, skipped

@@ -268,10 +268,17 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
     [
         ("mix", "LineId,Content,EventTemplate,Source", "1,x 1,x <*>,a\n2,x 2\n"),
         ("mix", "LineId,Content,EventTemplate,Source", '1,x 1,x <*>,a\n2,"x"2,x,a\n'),
+        ("mix", "LineId,Content,EventTemplate,Source", '1,"x\n1",x <*>,a\n'),
         ("evaluate", "LineId,EventTemplate", "1,a\n2\n"),
         ("evaluate", "LineId,EventTemplate", "1,a\nx,b\n"),
     ],
-    ids=["pool-short-row", "pool-bad-quote", "parsed-short-row", "parsed-bad-line-id"],
+    ids=[
+        "pool-short-row",
+        "pool-bad-quote",
+        "pool-line-break",
+        "parsed-short-row",
+        "parsed-bad-line-id",
+    ],
 )
 def test_malformed_pool_or_parser_output_exits_2(
     cli_workspace, tmp_path, capsys, command, header, rows

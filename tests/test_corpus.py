@@ -365,6 +365,31 @@ def test_matches_template_predicate():
     assert not matches_template("a b", "a <*> c")
 
 
+@given(
+    content=st.text(alphabet="ab <>*\n", max_size=12),
+    template=st.text(alphabet="ab <>*", max_size=12),
+)
+@settings(max_examples=300)
+def test_matches_template_agrees_with_extraction(content, template):
+    try:
+        extract_variables(content, template)
+        aligned = True
+    except AlignmentError:
+        aligned = False
+    assert matches_template(content, template) is aligned
+
+
+def test_matches_template_builds_no_captures(monkeypatch):
+    # A boolean check: it neither calls extract_variables nor raises.
+    def fail(*_):
+        raise AssertionError("extract_variables called")
+
+    monkeypatch.setattr(corpus, "extract_variables", fail)
+    assert matches_template("a b c", "a <*> c")
+    assert matches_template("a  b c", "a <*> c")  # character-level fallback
+    assert not matches_template("a b", "a <*> c")
+
+
 # --- frequency map ----------------------------------------------------------
 
 def test_frequency_map_counts():

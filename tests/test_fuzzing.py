@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from logblend.corpus import (
@@ -13,10 +14,11 @@ from logblend.corpus import (
 from logblend.errors import EmptyPoolError
 from logblend.fuzzing import MODE_PARSED, FuzzConfig, fuzz
 from logblend.metrics import template_accuracy
+from logblend.mixing import MixConfig, mix
 from logblend.parsers import identity_parser
 from logblend.pool import VariablePool
 
-from helpers import apacheish, standard_pools
+from helpers import apacheish, numpy_loop_fuzz, source_datasets, standard_pools
 
 
 def _vpool(values: list[str]) -> VariablePool:
@@ -152,3 +154,55 @@ def test_empty_pool_rejected():
 def test_mode_validated():
     with pytest.raises(ValueError):
         FuzzConfig(seed=0, mode="surprise")
+
+
+def _as_oracle_output(result):
+    out = result.dataset
+    return (
+        [r.content for r in out.records],
+        [r.ground_truth for r in out.records],
+        result.skipped_line_ids,
+    )
+
+
+def test_fuzz_equals_numpy_loop_on_mixed_corpus():
+    opool, vpool = standard_pools()
+    for i, ds in enumerate(source_datasets()):
+        mixed = mix(ds, opool, MixConfig(strength=1.0, seed=i))
+        seed = -i if i % 2 else 2**63 + i
+        labels = mixed.labels()
+        labeled = fuzz(mixed, vpool, FuzzConfig(seed=seed))
+        assert _as_oracle_output(labeled) == numpy_loop_fuzz(
+            mixed, vpool, seed, labels
+        ), ds.name
+        # Each line paired with the next line's template: lines that do not
+        # align are skipped, the rest are refilled under the other template.
+        shifted = labels[1:] + labels[:1]
+        result = fuzz(mixed, vpool, FuzzConfig(seed=seed, mode=MODE_PARSED), shifted)
+        assert 0 < len(result.skipped_line_ids) < len(labels)
+        assert _as_oracle_output(result) == numpy_loop_fuzz(mixed, vpool, seed, shifted)
+
+
+def test_duplicate_line_ids_each_draw_the_line_id_stream():
+    ds = Dataset(
+        "t",
+        [
+            LogRecord(7, "a 1 b 2", "a <*> b <*>", "t"),
+            LogRecord(3, "no match", "x <*> y", "t"),
+            LogRecord(7, "c 1", "c <*>", "t"),
+        ],
+    )
+    vpool = _vpool([f"v{i}" for i in range(1000)])
+    result = fuzz(ds, vpool, FuzzConfig(seed=21))
+    assert result.skipped_line_ids == [3]
+    assert _as_oracle_output(result) == numpy_loop_fuzz(ds, vpool, 21, ds.labels())
+
+
+def test_fuzz_builds_no_numpy_generator(monkeypatch):
+    def fail(*_, **__):
+        raise AssertionError("numpy generator built")
+
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    monkeypatch.setattr(np.random, "SeedSequence", fail)
+    _, vpool = standard_pools()
+    assert fuzz(apacheish(), vpool, FuzzConfig(seed=1)).skipped_line_ids == []
