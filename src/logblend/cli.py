@@ -30,6 +30,7 @@ from .heterogeneity import (
 from .metrics import evaluate
 from .mixing import MixConfig, mix, mix_with_parser_labels
 from .parsers import (
+    PARSER_CONFIGS,
     IdentityParserConfig,
     TokenFrequencyParserConfig,
     TreeParserConfig,
@@ -136,13 +137,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="run a built-in parser")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--raw", action="store_true")
+    tree, tokenfreq = TreeParserConfig, TokenFrequencyParserConfig
+    p.add_argument("--parser", choices=list(PARSER_CONFIGS), default=tree.name)
+    p.add_argument("--depth", type=int, default=tree.depth)
     p.add_argument(
-        "--parser", choices=["tree", "tokenfreq", "identity"], default="tree"
+        "--st", type=float, default=tree.similarity_threshold, help="minimum similarity"
     )
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--st", type=float, default=0.4, help="similarity threshold")
-    p.add_argument("--max-children", type=int, default=100)
-    p.add_argument("--tf-threshold", type=float, default=0.6)
+    p.add_argument("--max-children", type=int, default=tree.max_children)
+    p.add_argument("--tf-threshold", type=float, default=tokenfreq.threshold)
     p.add_argument("--mask", action="append", help="regex replaced by <*> pre-parse")
     p.add_argument("--out", required=True, help="LineId,EventTemplate output file")
 

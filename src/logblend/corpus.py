@@ -101,7 +101,7 @@ class Dataset:
 
 
 def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
-    """Header and non-empty rows, each with its row number, of a CSV file.
+    """Header and non-empty rows of a CSV file, each with the line it starts on.
 
     Bad quoting, or a row whose field count differs from the header's,
     raises DataFormatError naming the file and the row.
@@ -109,19 +109,22 @@ def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[st
     rows: list[tuple[int, list[str]]] = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f, strict=True)
+        next_row = 1
         try:
             header = next(reader, None)
+            next_row = reader.line_num + 1
             for row in reader:
+                row_num, next_row = next_row, reader.line_num + 1
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise DataFormatError(
-                        f"{path}: row {reader.line_num} has {len(row)} fields, "
+                        f"{path}: row {row_num} has {len(row)} fields, "
                         f"expected {len(header)}"
                     )
-                rows.append((reader.line_num, row))
+                rows.append((row_num, row))
         except csv.Error as exc:
-            raise DataFormatError(f"{path}: row {reader.line_num}: {exc}") from exc
+            raise DataFormatError(f"{path}: row {next_row}: {exc}") from exc
     return header, rows
 
 

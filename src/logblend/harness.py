@@ -2,12 +2,13 @@
 
 An experiment plan names datasets, parsers (built-in configurations or
 external output files), an optional mix/fuzz synthesis pipeline, and a run
-count. Each run re-applies synthesis with seed ``base_seed + run`` and
-evaluates every parser on the synthesized data, one (parser, run) cell after
-another in plan order; per-run metrics are aggregated into mean and sample
-standard deviation. Reports serialize to a single JSON document with a
-stable field order; wall-clock timings are recorded in a section that
-byte-for-byte comparisons leave out.
+count. Each dataset is one loop over its seeds: run ``r`` synthesizes the
+data with seed ``base_seed + r``, takes its proxy statistics, H and labels,
+then scores every parser on it in plan order and appends that cell to the
+parser's runs; the runs are then aggregated into mean and sample standard
+deviation. Reports serialize to one JSON document with a stable field order;
+wall-clock timings, per (dataset, seed) stage and parser, sit in a section
+that byte-for-byte comparisons leave out.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from statistics import mean, stdev
+from typing import get_type_hints
 
 from .corpus import Dataset, LogRecord, load_structured
 from .errors import AllocationError, InsufficientDataError, LogblendError
@@ -28,12 +30,11 @@ from .heterogeneity import (
     h_score,
     proxy_stats,
 )
-from .metrics import MetricReport, evaluate
+from .metrics import evaluate
 from .mixing import MixConfig, mix, mix_with_parser_labels
 from .parsers import (
-    IdentityParserConfig,
+    PARSER_CONFIGS,
     ParserConfig,
-    TokenFrequencyParserConfig,
     TreeParserConfig,
     parse,
     read_parse_result,
@@ -77,6 +78,16 @@ class SynthesisPlan:
     variable_pool_path: Path | None = None
 
 
+#: The settings a plan's synthesis section holds besides its pools, with the
+#: type and default of each; the report's plan summary repeats them.
+_SYNTHESIS_SETTINGS = {
+    "mix_strength": (float, None),
+    "exclude_source": (bool, SynthesisPlan.exclude_source),
+    "fuzz_mode": ((MODE_LABELED, MODE_PARSED), None),
+    "labels": ((LABELS_GROUND_TRUTH, LABELS_PARSED), SynthesisPlan.labels),
+}
+
+
 @dataclass
 class ExperimentPlan:
     datasets: list[Path]
@@ -88,15 +99,13 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-
-
-@dataclass
-class RunOutcome:
-    run: int
-    seed: int
-    metrics: MetricReport | None
-    error: str | None = None
+            raise LogblendError(f"runs must be >= 1, got {self.runs}")
+        # The report keys parsers and datasets by name; a repeat would overwrite.
+        names = [f"parser {spec.name!r}" for spec in self.parsers]
+        names += [f"dataset {Path(path).stem!r}" for path in self.datasets]
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise LogblendError(f"plan names {repeated[0]} twice")
 
 
 @dataclass
@@ -126,28 +135,16 @@ def _digest(path: Path) -> str:
 def _parser_summary(spec: ParserSpec) -> dict:
     if isinstance(spec, ExternalParser):
         return {"kind": "external", "path": str(spec.path)}
-    if isinstance(spec, TreeParserConfig):
-        return {
-            "kind": "tree",
-            "depth": spec.depth,
-            "similarity_threshold": spec.similarity_threshold,
-            "max_children": spec.max_children,
-            "masks": list(spec.masks),
-        }
-    if isinstance(spec, TokenFrequencyParserConfig):
-        return {"kind": "tokenfreq", "threshold": spec.threshold}
-    return {"kind": "identity"}
+    summary = {"kind": spec.name, **asdict(spec)}
+    if "masks" in summary:
+        summary["masks"] = list(summary["masks"])
+    return summary
 
 
 def _synthesis_summary(plan: SynthesisPlan | None) -> dict | None:
     if plan is None:
         return None
-    summary: dict = {
-        "mix_strength": plan.mix_strength,
-        "exclude_source": plan.exclude_source,
-        "fuzz_mode": plan.fuzz_mode,
-        "labels": plan.labels,
-    }
+    summary = {name: getattr(plan, name) for name in _SYNTHESIS_SETTINGS}
     if plan.labels == LABELS_PARSED:
         summary["label_parser"] = _parser_summary(plan.label_parser)
     pool_digests = {}
@@ -163,8 +160,6 @@ def _synthesis_summary(plan: SynthesisPlan | None) -> dict | None:
 def _synthesize(ds: Dataset, plan: SynthesisPlan, seed: int) -> Dataset:
     data = ds
     if plan.mix_strength is not None:
-        if plan.outlier_pool is None:
-            raise LogblendError("synthesis plan mixes but has no outlier pool")
         cfg = MixConfig(
             strength=plan.mix_strength, seed=seed, exclude_source=plan.exclude_source
         )
@@ -174,131 +169,89 @@ def _synthesize(ds: Dataset, plan: SynthesisPlan, seed: int) -> Dataset:
         else:
             data = mix(data, plan.outlier_pool, cfg)
     if plan.fuzz_mode is not None:
-        if plan.variable_pool is None:
-            raise LogblendError("synthesis plan fuzzes but has no variable pool")
+        surrogate = (
+            parse(data, plan.label_parser) if plan.fuzz_mode == MODE_PARSED else None
+        )
         cfg = FuzzConfig(seed=seed, mode=plan.fuzz_mode)
-        if plan.fuzz_mode == MODE_PARSED:
-            surrogate = parse(data, plan.label_parser)
-            data = fuzz(data, plan.variable_pool, cfg, surrogate).dataset
-        else:
-            data = fuzz(data, plan.variable_pool, cfg).dataset
+        data = fuzz(data, plan.variable_pool, cfg, surrogate).dataset
     return data
 
 
-def _evaluate_cell(data: Dataset, truth: list[str], spec: ParserSpec) -> MetricReport:
+def _evaluate_cell(data: Dataset, truth: list[str], spec: ParserSpec) -> dict:
     if isinstance(spec, ExternalParser):
         predicted = read_parse_result(spec.path, expected_len=len(data.records))
     else:
         predicted = parse(data, spec)
-    return evaluate(predicted, truth)
+    return evaluate(predicted, truth).as_dict()
 
 
-def _aggregate(values: list[float]) -> tuple[float, float]:
-    if len(values) == 1:
-        return values[0], 0.0
-    return mean(values), stdev(values)
+def _parser_doc(spec: ParserSpec, cells: list[dict]) -> dict:
+    """One parser's report entry: its config, its runs and their aggregates."""
+    doc: dict = {"config": _parser_summary(spec), "runs": cells}
+    ok = [cell["metrics"] for cell in cells if cell["metrics"] is not None]
+    if ok:
+        values = {key: [m[key] for m in ok] for key in ok[0]}
+        doc["mean"] = {key: mean(v) for key, v in values.items()}
+        doc["std"] = {key: stdev(v) if len(v) > 1 else 0.0 for key, v in values.items()}
+    failures = [cell["error"] for cell in cells if cell["error"] is not None]
+    if failures:
+        doc["failures"] = failures
+    return doc
 
 
 def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
     """Execute the plan and aggregate per-run metrics.
 
-    Cells are evaluated serially: the work is pure Python, so threads would
-    only contend for the interpreter lock. Cells that fail keep their error
-    message in the report; the remaining cells still aggregate.
+    Cells that fail keep their error message in the report; the remaining
+    cells still aggregate. A synthesis plan without the pool it needs is
+    rejected before any work starts.
     """
     started = time.perf_counter()
+    synthesis = plan.synthesis
+    if synthesis is not None:
+        if synthesis.mix_strength is not None and synthesis.outlier_pool is None:
+            raise LogblendError("synthesis plan mixes but has no outlier pool")
+        if synthesis.fuzz_mode is not None and synthesis.variable_pool is None:
+            raise LogblendError("synthesis plan fuzzes but has no variable pool")
     datasets_doc: dict[str, dict] = {}
     timings: dict[str, float] = {}
     seeds = [plan.base_seed + r for r in range(plan.runs)]
 
     for path in plan.datasets:
         ds = load_structured(path)
-        synth_start = time.perf_counter()
-        per_run_data: list[Dataset | None] = []
-        per_run_error: list[str | None] = []
-        for seed in seeds:
-            try:
-                data = (
-                    _synthesize(ds, plan.synthesis, seed)
-                    if plan.synthesis is not None
-                    else ds
-                )
-                per_run_data.append(data)
-                per_run_error.append(None)
-            except (LogblendError, OSError) as exc:
-                per_run_data.append(None)
-                per_run_error.append(f"{type(exc).__name__}: {exc}")
-        timings[f"{ds.name}.synthesis"] = time.perf_counter() - synth_start
-
-        h_per_run: list[float | None] = []
+        runs: dict[str, list[dict]] = {spec.name: [] for spec in plan.parsers}
         stats_per_run: list[dict | None] = []
-        truths: list[list[str] | None] = []
-        for data, error in zip(per_run_data, per_run_error):
+        h_per_run: list[float | None] = []
+        for run, seed in enumerate(seeds):
+            mark = time.perf_counter()
+            data, error, truth = ds, None, []
+            if synthesis is not None:
+                try:
+                    data = _synthesize(ds, synthesis, seed)
+                except (LogblendError, OSError) as exc:
+                    data, error = None, f"{type(exc).__name__}: {exc}"
+            timings[f"{ds.name}/{seed}/synthesis"] = time.perf_counter() - mark
             if data is None:
-                h_per_run.append(None)
                 stats_per_run.append(None)
-                truths.append(None)
-                continue
-            stats = proxy_stats(data)
-            h_per_run.append(h_score(stats, plan.reference).h)
-            stats_per_run.append(stats.as_dict())
-            try:
-                truths.append(data.labels())
-            except LogblendError:
-                truths.append(None)
-
-        def cell(spec: ParserSpec, run: int) -> RunOutcome:
-            if per_run_data[run] is None:
-                return RunOutcome(run, seeds[run], None, per_run_error[run])
-            if truths[run] is None:
-                return RunOutcome(
-                    run, seeds[run], None, "LabelingError: dataset has no ground truth"
-                )
-            try:
-                report = _evaluate_cell(per_run_data[run], truths[run], spec)
-                return RunOutcome(run, seeds[run], report)
-            except (LogblendError, OSError) as exc:
-                return RunOutcome(run, seeds[run], None, f"{type(exc).__name__}: {exc}")
-
-        eval_start = time.perf_counter()
-        cells = [
-            [cell(spec, run) for run in range(plan.runs)] for spec in plan.parsers
-        ]
-        timings[f"{ds.name}.evaluation"] = time.perf_counter() - eval_start
-
-        parsers_doc: dict[str, dict] = {}
-        for spec, outcomes in zip(plan.parsers, cells):
-            ok = [o.metrics for o in outcomes if o.metrics is not None]
-            doc: dict = {
-                "config": _parser_summary(spec),
-                "runs": [
-                    {
-                        "run": o.run,
-                        "seed": o.seed,
-                        "metrics": o.metrics.as_dict() if o.metrics else None,
-                        "error": o.error,
-                    }
-                    for o in outcomes
-                ],
-            }
-            if ok:
-                ga, ga_std = _aggregate([m.grouping_accuracy for m in ok])
-                ta, ta_std = _aggregate([m.template_accuracy for m in ok])
-                ed, ed_std = _aggregate([m.mean_edit_distance for m in ok])
-                doc["mean"] = {
-                    "grouping_accuracy": ga,
-                    "template_accuracy": ta,
-                    "mean_edit_distance": ed,
-                }
-                doc["std"] = {
-                    "grouping_accuracy": ga_std,
-                    "template_accuracy": ta_std,
-                    "mean_edit_distance": ed_std,
-                }
-            failures = [o.error for o in outcomes if o.error is not None]
-            if failures:
-                doc["failures"] = failures
-            parsers_doc[spec.name] = doc
+                h_per_run.append(None)
+            else:
+                stats = proxy_stats(data)
+                stats_per_run.append(stats.as_dict())
+                h_per_run.append(h_score(stats, plan.reference).h)
+                try:
+                    truth = data.labels()
+                except LogblendError:
+                    error = "LabelingError: dataset has no ground truth"
+            for spec in plan.parsers:
+                mark = time.perf_counter()
+                cell = {"run": run, "seed": seed, "metrics": None, "error": error}
+                if error is None:
+                    try:
+                        cell["metrics"] = _evaluate_cell(data, truth, spec)
+                    except (LogblendError, OSError) as exc:
+                        cell["error"] = f"{type(exc).__name__}: {exc}"
+                runs[spec.name].append(cell)
+                timings[f"{ds.name}/{seed}/{spec.name}"] = time.perf_counter() - mark
 
         ok_h = [h for h in h_per_run if h is not None]
         datasets_doc[ds.name] = {
@@ -307,26 +260,20 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
             "proxy_stats_per_run": stats_per_run,
             "h_per_run": h_per_run,
             "h_mean": mean(ok_h) if ok_h else None,
-            "parsers": parsers_doc,
+            "parsers": {s.name: _parser_doc(s, runs[s.name]) for s in plan.parsers},
         }
 
     timings["total"] = time.perf_counter() - started
     plan_summary = {
         "datasets": [str(p) for p in plan.datasets],
         "parsers": [_parser_summary(s) for s in plan.parsers],
-        "synthesis": _synthesis_summary(plan.synthesis),
+        "synthesis": _synthesis_summary(synthesis),
         "runs": plan.runs,
         "base_seed": plan.base_seed,
         "seeds": seeds,
-        "reference": {
-            "nuw": plan.reference.nuw,
-            "nuc": plan.reference.nuc,
-            "nuldl": plan.reference.nuldl,
-        },
+        "reference": asdict(plan.reference),
     }
-    return EvaluationReport(
-        plan_summary=plan_summary, datasets=datasets_doc, timings=timings
-    )
+    return EvaluationReport(plan_summary, datasets_doc, timings)
 
 
 def build_combined_dataset(
@@ -368,68 +315,113 @@ def build_combined_dataset(
     return Dataset(name=name, records=records)
 
 
+def _typed(key: str, value, kind):
+    """`value` if it fits `kind`: a JSON type, `tuple[str, ...]` (read from a list
+    of strings) or a tuple of the allowed values. Anything else, a bool given
+    for a number too, raises LogblendError naming `key`.
+    """
+    if kind == tuple[str, ...]:
+        items = _typed(key, value, list)
+        return tuple(_typed(f"{key}[{i}]", item, str) for i, item in enumerate(items))
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise LogblendError(f"{key} must be one of {kind}, got {value!r}")
+        return value
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise LogblendError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _read(key: str, value, schema: dict[str, tuple]) -> dict:
+    """The JSON object `value` checked against `schema`, {name: (type, default)}.
+
+    A missing name takes its default, and is an error where that is MISSING;
+    null passes where the default is None. Unknown names and values of the
+    wrong type raise LogblendError naming the key.
+    """
+    entry = _typed(key, value, dict)
+    for name in entry:
+        if name not in schema:
+            known = ", ".join(schema)
+            raise LogblendError(f"{key}.{name} is not a known key (expected {known})")
+    doc = {}
+    for name, (kind, default) in schema.items():
+        if name not in entry and default is MISSING:
+            raise LogblendError(f"{key}.{name} is missing")
+        value = entry.get(name, default)
+        doc[name] = value if value is default else _typed(f"{key}.{name}", value, kind)
+    return doc
+
+
+def _config(key: str, cls, value, **extra: tuple):
+    """Dataclass `cls` from a plan entry of its fields, typed as annotated."""
+    hints = get_type_hints(cls)
+    schema = {f.name: (hints[f.name], f.default) for f in fields(cls)}
+    doc = _read(key, value, {**extra, **schema})
+    try:
+        return cls(**{name: doc[name] for name in schema})
+    except ValueError as exc:
+        raise LogblendError(f"{key}: {exc}") from exc
+
+
 def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
-    """Build a plan from the JSON document accepted by the CLI."""
+    """Build a plan from the JSON document accepted by the CLI.
+
+    Unknown keys, values of the wrong type, missing required keys and
+    values a config rejects all raise LogblendError naming the key.
+    """
 
     def _resolve(p: str) -> Path:
-        path = Path(p)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return path
+        # An absolute `p` replaces `base_dir` when joined.
+        return Path(p) if base_dir is None else base_dir / p
 
+    doc = _read(
+        "plan",
+        doc,
+        {
+            "datasets": (tuple[str, ...], ()),
+            "parsers": (list, ()),
+            "synthesis": (dict, None),
+            "runs": (int, ExperimentPlan.runs),
+            "base_seed": (int, ExperimentPlan.base_seed),
+            "reference": (dict, None),
+        },
+    )
     parsers: list[ParserSpec] = []
-    for entry in doc.get("parsers", []):
-        kind = entry.get("kind")
-        if kind == "tree":
-            parsers.append(
-                TreeParserConfig(
-                    depth=entry.get("depth", 4),
-                    similarity_threshold=entry.get("similarity_threshold", 0.4),
-                    max_children=entry.get("max_children", 100),
-                    masks=tuple(entry.get("masks", ())),
-                )
-            )
-        elif kind == "tokenfreq":
-            parsers.append(
-                TokenFrequencyParserConfig(threshold=entry.get("threshold", 0.6))
-            )
-        elif kind == "identity":
-            parsers.append(IdentityParserConfig())
-        elif kind == "external":
+    kinds = ("external", *PARSER_CONFIGS)
+    for i, entry in enumerate(doc["parsers"]):
+        key = f"plan.parsers[{i}]"
+        kind = _typed(f"{key}.kind", _typed(key, entry, dict).get("kind"), kinds)
+        if kind == "external":
+            entry = _read(key, entry, {"kind": (str, MISSING), "path": (str, MISSING)})
             parsers.append(ExternalParser(path=_resolve(entry["path"])))
         else:
-            raise LogblendError(f"unknown parser kind {kind!r} in plan")
+            cls = PARSER_CONFIGS[kind]
+            parsers.append(_config(key, cls, entry, kind=(str, MISSING)))
 
     synthesis = None
-    if doc.get("synthesis"):
-        s = doc["synthesis"]
-        synthesis = SynthesisPlan(
-            mix_strength=s.get("mix_strength"),
-            exclude_source=s.get("exclude_source", True),
-            fuzz_mode=s.get("fuzz_mode"),
-            labels=s.get("labels", LABELS_GROUND_TRUTH),
-        )
-        if synthesis.fuzz_mode not in (None, MODE_LABELED, MODE_PARSED):
-            raise LogblendError(f"unknown fuzz_mode {synthesis.fuzz_mode!r} in plan")
-        if synthesis.labels not in (LABELS_GROUND_TRUTH, LABELS_PARSED):
-            raise LogblendError(f"unknown labels {synthesis.labels!r} in plan")
-        if s.get("outlier_pool"):
-            synthesis.outlier_pool_path = _resolve(s["outlier_pool"])
+    if doc["synthesis"]:
+        pools = {"outlier_pool": (str, None), "variable_pool": (str, None)}
+        s = _read("plan.synthesis", doc["synthesis"], {**_SYNTHESIS_SETTINGS, **pools})
+        outlier_pool, variable_pool = s.pop("outlier_pool"), s.pop("variable_pool")
+        synthesis = SynthesisPlan(**s)
+        if outlier_pool:
+            synthesis.outlier_pool_path = _resolve(outlier_pool)
             synthesis.outlier_pool = OutlierPool.load(synthesis.outlier_pool_path)
-        if s.get("variable_pool"):
-            synthesis.variable_pool_path = _resolve(s["variable_pool"])
+        if variable_pool:
+            synthesis.variable_pool_path = _resolve(variable_pool)
             synthesis.variable_pool = VariablePool.load(synthesis.variable_pool_path)
 
     reference = INDUSTRY_REFERENCE
-    if doc.get("reference"):
-        r = doc["reference"]
-        reference = ReferenceStats(nuw=r["nuw"], nuc=r["nuc"], nuldl=r["nuldl"])
+    if doc["reference"]:
+        reference = _config("plan.reference", ReferenceStats, doc["reference"])
 
     return ExperimentPlan(
-        datasets=[_resolve(p) for p in doc.get("datasets", [])],
+        datasets=[_resolve(p) for p in doc["datasets"]],
         parsers=parsers,
         synthesis=synthesis,
-        runs=doc.get("runs", 10),
-        base_seed=doc.get("base_seed", 0),
+        runs=doc["runs"],
+        base_seed=doc["base_seed"],
         reference=reference,
     )

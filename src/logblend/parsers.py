@@ -25,6 +25,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar, get_args
 
 from .corpus import (
     WILDCARD,
@@ -39,6 +40,7 @@ from .metrics import ParseResult
 
 @dataclass(frozen=True)
 class TreeParserConfig:
+    name: ClassVar[str] = "tree"
     depth: int = 4
     similarity_threshold: float = 0.4
     max_children: int = 100
@@ -55,35 +57,34 @@ class TreeParserConfig:
             )
         if self.max_children < 1:
             raise ValueError(f"max_children must be positive, got {self.max_children}")
-
-    @property
-    def name(self) -> str:
-        return "tree"
+        for mask in self.masks:
+            try:
+                re.compile(mask)
+            except re.error as exc:
+                raise ValueError(f"mask {mask!r} is not a regex: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class TokenFrequencyParserConfig:
+    name: ClassVar[str] = "tokenfreq"
     threshold: float = 0.6
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
 
-    @property
-    def name(self) -> str:
-        return "tokenfreq"
-
 
 @dataclass(frozen=True)
 class IdentityParserConfig:
     """Echoes stored ground truth; an oracle for metric and label validation."""
 
-    @property
-    def name(self) -> str:
-        return "identity"
+    name: ClassVar[str] = "identity"
 
 
 ParserConfig = TreeParserConfig | TokenFrequencyParserConfig | IdentityParserConfig
+
+#: Each built-in parser's config class by its name, the `kind` of a plan entry.
+PARSER_CONFIGS: dict[str, type] = {cls.name: cls for cls in get_args(ParserConfig)}
 
 _DIGIT = re.compile(r"\d")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -245,6 +246,60 @@ def test_exit_code_usage_error():
     assert main(["mix", "--strength", "0.5"]) == EXIT_USAGE
 
 
+def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
+    argv = ["parse", "--in", str(cli_workspace / "apacheish.csv"), "--mask", "(",
+            "--out", str(tmp_path / "parsed.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert "mask '('" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "plan, named",
+    [
+        ([{"kind": "tree"}], "plan must be dict"),
+        ({"runs": "2"}, "plan.runs"),
+        ({"parsers": [{"kind": "tree", "depth": "4"}]}, "plan.parsers[0].depth"),
+        ({"parsers": [{"kind": "external"}]}, "plan.parsers[0].path"),
+        ({"reference": {"nuw": 1, "nuldl": 1}}, "plan.reference.nuc"),
+        (
+            {"parsers": [{"kind": "tree", "similarity_treshold": 0.5}]},
+            "plan.parsers[0].similarity_treshold",
+        ),
+        ({"parsers": [{"kind": "tree", "depth": 0}]}, "plan.parsers[0]: depth"),
+        ({"parsers": [{"kind": "tree", "masks": ["("]}]}, "mask '('"),
+        ({"parsers": [{"kind": "tree", "masks": "\\d+"}]}, "plan.parsers[0].masks"),
+        ({"parsers": [{"kind": "tree"}, {"kind": "tree", "depth": 6}]}, "'tree'"),
+        ({"datasets": ["a.csv", "b/a.csv"]}, "'a'"),
+        (
+            {"datasets": ["apacheish.csv"], "synthesis": {"mix_strength": 1.0}},
+            "no outlier pool",
+        ),
+    ],
+    ids=[
+        "not-an-object",
+        "runs-not-int",
+        "depth-not-int",
+        "external-without-path",
+        "reference-without-nuc",
+        "unknown-parser-key",
+        "config-rejects-value",
+        "mask-not-a-regex",
+        "masks-not-a-list",
+        "duplicate-parser",
+        "duplicate-dataset",
+        "mix-without-pool",
+    ],
+)
+def test_malformed_plan_exits_2_naming_the_key(
+    cli_workspace, tmp_path, capsys, plan, named
+):
+    shutil.copy(cli_workspace / "apacheish.csv", tmp_path)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    assert main(["benchmark", "--plan", str(path)]) == EXIT_DATA
+    assert named in capsys.readouterr().err
+
+
 def test_exit_code_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("NotContent\nx\n", encoding="utf-8")
@@ -264,13 +319,19 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, header, rows",
+    "command, header, rows, row",
     [
-        ("mix", "LineId,Content,EventTemplate,Source", "1,x 1,x <*>,a\n2,x 2\n"),
-        ("mix", "LineId,Content,EventTemplate,Source", '1,x 1,x <*>,a\n2,"x"2,x,a\n'),
-        ("mix", "LineId,Content,EventTemplate,Source", '1,"x\n1",x <*>,a\n'),
-        ("evaluate", "LineId,EventTemplate", "1,a\n2\n"),
-        ("evaluate", "LineId,EventTemplate", "1,a\nx,b\n"),
+        ("mix", "LineId,Content,EventTemplate,Source", "1,x 1,x <*>,a\n2,x 2\n", 3),
+        (
+            "mix",
+            "LineId,Content,EventTemplate,Source",
+            '1,x 1,x <*>,a\n2,"x"2,x,a\n',
+            3,
+        ),
+        # A record is named by the line it starts on, not the line it ends on.
+        ("mix", "LineId,Content,EventTemplate,Source", '1,"x\n1",x <*>,a\n', 2),
+        ("evaluate", "LineId,EventTemplate", "1,a\n2\n", 3),
+        ("evaluate", "LineId,EventTemplate", "1,a\nx,b\n", 3),
     ],
     ids=[
         "pool-short-row",
@@ -281,7 +342,7 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
     ],
 )
 def test_malformed_pool_or_parser_output_exits_2(
-    cli_workspace, tmp_path, capsys, command, header, rows
+    cli_workspace, tmp_path, capsys, command, header, rows, row
 ):
     bad = tmp_path / "bad.csv"
     bad.write_text(header + "\n" + rows, encoding="utf-8")
@@ -294,4 +355,4 @@ def test_malformed_pool_or_parser_output_exits_2(
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert str(bad) in err
-    assert "row 3" in err
+    assert f"row {row}" in err

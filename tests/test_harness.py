@@ -19,7 +19,9 @@ from logblend.harness import (
 from logblend.heterogeneity import dataset_h
 from logblend.metrics import evaluate
 from logblend.parsers import (
+    PARSER_CONFIGS,
     IdentityParserConfig,
+    TokenFrequencyParserConfig,
     TreeParserConfig,
     parse,
     write_parse_result,
@@ -72,8 +74,6 @@ def test_identity_parser_plan_scores_one_with_zero_std(workspace):
 
 
 def test_deterministic_parsers_have_zero_std_on_fixed_data(workspace):
-    from logblend.parsers import TokenFrequencyParserConfig
-
     plan = ExperimentPlan(
         datasets=[workspace / "apacheish.csv"],
         parsers=[TreeParserConfig(), TokenFrequencyParserConfig()],
@@ -236,13 +236,20 @@ def test_per_run_h_is_attached(workspace):
 def test_timings_recorded_but_excluded_by_default(workspace):
     plan = ExperimentPlan(
         datasets=[workspace / "apacheish.csv"],
-        parsers=[IdentityParserConfig()],
-        runs=1,
+        parsers=[IdentityParserConfig(), TreeParserConfig()],
+        runs=2,
+        base_seed=3,
     )
     report = run_experiment(plan)
     assert "timings" not in report.to_dict()
     timed = report.to_dict(include_timings=True)
     assert timed["timings"]["total"] > 0
+    # One entry per (dataset, seed) stage and per (dataset, seed, parser) cell.
+    assert set(timed["timings"]) == {
+        f"apacheish/{seed}/{stage}"
+        for seed in (3, 4)
+        for stage in ("synthesis", "identity", "tree")
+    } | {"total"}
 
 
 # --- combined dataset ---------------------------------------------------------
@@ -325,3 +332,20 @@ def test_plan_from_dict_round_trip(workspace):
     parsed_doc = json.loads(report.to_json())
     assert parsed_doc["plan"]["synthesis"]["mix_strength"] == 0.4
     assert "pool_digests" in parsed_doc["plan"]["synthesis"]
+
+
+def test_plan_from_dict_rebuilds_each_builtin_config_from_its_summary(workspace):
+    configs = [
+        TreeParserConfig(
+            depth=3, similarity_threshold=0.5, max_children=7, masks=(r"\d+",)
+        ),
+        TokenFrequencyParserConfig(threshold=0.5),
+        IdentityParserConfig(),
+    ]
+    assert {type(cfg) for cfg in configs} == set(PARSER_CONFIGS.values())
+    plan = ExperimentPlan(
+        datasets=[workspace / "apacheish.csv"], parsers=configs, runs=1
+    )
+    summaries = json.loads(run_experiment(plan).to_json())["plan"]["parsers"]
+    for cfg, summary in zip(configs, summaries):
+        assert plan_from_dict({"parsers": [summary]}).parsers == [cfg]

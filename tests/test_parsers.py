@@ -200,6 +200,8 @@ def test_config_validation():
         TreeParserConfig(similarity_threshold=1.5)
     with pytest.raises(ValueError):
         TokenFrequencyParserConfig(threshold=0.0)
+    with pytest.raises(ValueError, match=r"mask '\('"):
+        TreeParserConfig(masks=("(",))
 
 
 # --- identity parser --------------------------------------------------------------

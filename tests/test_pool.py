@@ -121,8 +121,8 @@ def test_outlier_pool_load_canonicalizes_templates(tmp_path):
     [
         ("1,x 1,x <*>,a\n2,x 2,x <*>\n", "row 3 has 3 fields, expected 4"),
         ('1,x 1,x <*>,a\n2,"x" 2,x <*>,a\n', "row 3"),
-        ('1,x 1,x <*>,a\n2,"x\n2",x <*>,a\n', "row 4 content contains a line break"),
-        ('1,"x\r1",x <*>,a\n', "row 3 content contains a line break"),
+        ('1,x 1,x <*>,a\n2,"x\n2",x <*>,a\n', "row 3 content contains a line break"),
+        ('1,"x\r1",x <*>,a\n', "row 2 content contains a line break"),
     ],
     ids=["short-row", "bad-quote", "newline-in-content", "carriage-return-in-content"],
 )
