@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .corpus import Dataset, load_raw, load_structured, write_dataset
@@ -265,10 +266,9 @@ def _cmd_benchmark(args) -> None:
     plan_path = Path(args.plan)
     doc = json.loads(plan_path.read_text(encoding="utf-8"))
     plan = plan_from_dict(doc, base_dir=plan_path.parent)
-    if args.runs is not None:
-        plan.runs = args.runs
-    if args.seed is not None:
-        plan.base_seed = args.seed
+    # replace() runs the plan's own checks on the overridden values.
+    overrides = {"runs": args.runs, "base_seed": args.seed}
+    plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
     report: EvaluationReport = run_experiment(plan)
     _emit(report.to_dict(include_timings=args.timings), args.out)
 

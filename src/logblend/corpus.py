@@ -23,16 +23,16 @@ from .errors import AlignmentError, DataFormatError, LabelingError
 
 WILDCARD = "<*>"
 
-_WS_RUN = re.compile(r"\s+")
-
 
 def canonicalize_template(text: str) -> str:
     """Collapse whitespace runs to single spaces and trim the ends.
 
-    Template files vary in incidental spacing; metric comparisons must not
-    hinge on it. Applied where templates are read, nowhere else.
+    Whitespace is exactly what ``str.split()`` splits on: the same 29 code
+    points as ``re``'s ``\\s``, so NBSP and U+2028 collapse too. Template
+    files vary in incidental spacing; metric comparisons must not hinge on
+    it. Applied where templates are read, nowhere else.
     """
-    return _WS_RUN.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def template_tokens(template: str) -> list[str]:
@@ -83,6 +83,11 @@ class Dataset:
         return all(r.ground_truth is not None for r in self.records)
 
     def validate(self) -> None:
+        non_canonical = {
+            gt
+            for gt in {r.ground_truth for r in self.records}
+            if gt is not None and canonicalize_template(gt) != gt
+        }
         for i, rec in enumerate(self.records, start=1):
             if rec.line_id != i:
                 raise DataFormatError(
@@ -92,11 +97,10 @@ class Dataset:
                 raise DataFormatError(
                     f"dataset {self.name!r}: line {i} contains a line break"
                 )
-            gt = rec.ground_truth
-            if gt is not None and canonicalize_template(gt) != gt:
+            if rec.ground_truth in non_canonical:
                 raise DataFormatError(
-                    f"dataset {self.name!r}: line {i} ground truth {gt!r} "
-                    f"is not canonical"
+                    f"dataset {self.name!r}: line {i} ground truth "
+                    f"{rec.ground_truth!r} is not canonical"
                 )
 
 
@@ -151,7 +155,7 @@ def load_structured(path: str | Path, name: str | None = None) -> Dataset:
     `LineId` is honored when present (must be contiguous from 1), otherwise
     line ids follow row order. An optional `Source` column overrides the
     per-record source tag; an empty `EventTemplate` field means unlabeled.
-    Templates are canonicalized here.
+    Templates are canonicalized here, once per distinct template.
     """
     path = Path(path)
     if name is None:
@@ -167,10 +171,12 @@ def load_structured(path: str | Path, name: str | None = None) -> Dataset:
     template_idx = cols["EventTemplate"]
     line_idx = cols.get("LineId")
     source_idx = cols.get("Source")
+    raw_templates = {row[template_idx] for _, row in rows}
+    canonical = {raw: canonicalize_template(raw) for raw in raw_templates}
     records: list[LogRecord] = []
     for row_num, row in rows:
         content = parse_content(path, row_num, row[content_idx])
-        template = canonicalize_template(row[template_idx])
+        template = canonical[row[template_idx]]
         if line_idx is not None:
             line_id = parse_line_id(path, row_num, row[line_idx])
         else:

@@ -404,6 +404,11 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
     if doc["synthesis"]:
         pools = {"outlier_pool": (str, None), "variable_pool": (str, None)}
         s = _read("plan.synthesis", doc["synthesis"], {**_SYNTHESIS_SETTINGS, **pools})
+        strength = s["mix_strength"]
+        if strength is not None and not 0.0 <= strength <= 1.0:
+            raise LogblendError(
+                f"plan.synthesis.mix_strength must be in [0, 1], got {strength}"
+            )
         outlier_pool, variable_pool = s.pop("outlier_pool"), s.pop("variable_pool")
         synthesis = SynthesisPlan(**s)
         if outlier_pool:

@@ -54,17 +54,19 @@ class OutlierPool:
 
     @classmethod
     def load(cls, path: str | Path) -> "OutlierPool":
-        """Read a saved pool; templates are canonicalized here."""
+        """Read a saved pool; templates are canonicalized here, once each."""
         path = Path(path)
         header, rows = read_csv_rows(path)
         expected = ["LineId", "Content", "EventTemplate", "Source"]
         if header != expected:
             raise DataFormatError(f"{path}: expected header {expected}, got {header}")
+        raw_templates = {row[2] for _, row in rows}
+        canonical = {raw: canonicalize_template(raw) for raw in raw_templates}
         return cls(
             entries=[
                 PoolEntry(
                     content=parse_content(path, row_num, row[1]),
-                    ground_truth=canonicalize_template(row[2]),
+                    ground_truth=canonical[row[2]],
                     source=row[3],
                 )
                 for row_num, row in rows

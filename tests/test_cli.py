@@ -242,6 +242,17 @@ def test_benchmark_overrides_and_timings(cli_workspace, tmp_path, capsys):
     assert "timings" in doc
 
 
+def test_benchmark_runs_override_is_validated(cli_workspace, tmp_path, capsys):
+    plan = {
+        "datasets": [str(cli_workspace / "apacheish.csv")],
+        "parsers": [{"kind": "identity"}],
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan), encoding="utf-8")
+    assert main(["benchmark", "--plan", str(plan_path), "--runs", "0"]) == EXIT_DATA
+    assert "runs must be >= 1" in capsys.readouterr().err
+
+
 def test_exit_code_usage_error():
     assert main(["mix", "--strength", "0.5"]) == EXIT_USAGE
 
@@ -274,6 +285,8 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
             {"datasets": ["apacheish.csv"], "synthesis": {"mix_strength": 1.0}},
             "no outlier pool",
         ),
+        ({"synthesis": {"mix_strength": 2.0}}, "plan.synthesis.mix_strength"),
+        ({"synthesis": {"mix_strength": -0.1}}, "plan.synthesis.mix_strength"),
     ],
     ids=[
         "not-an-object",
@@ -288,6 +301,8 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
         "duplicate-parser",
         "duplicate-dataset",
         "mix-without-pool",
+        "mix-strength-above-1",
+        "mix-strength-below-0",
     ],
 )
 def test_malformed_plan_exits_2_naming_the_key(

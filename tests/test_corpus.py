@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logblend import corpus
+from logblend import corpus, parsers, pool
 from logblend.corpus import (
     Dataset,
     LogRecord,
@@ -53,16 +57,37 @@ def test_canonicalize_idempotent(text):
     assert canonicalize_template(once) == once
 
 
-class _CountingPattern:
-    """Stands in for ``corpus._WS_RUN`` and counts canonicalizations."""
+#: Every code point that ``str.split()`` and ``re``'s ``\s`` treat as whitespace.
+WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"
+)
 
-    def __init__(self, pattern):
-        self.pattern = pattern
-        self.calls = 0
 
-    def sub(self, *args):
-        self.calls += 1
-        return self.pattern.sub(*args)
+def test_whitespace_is_the_same_for_str_and_re():
+    every = "".join(chr(c) for c in range(sys.maxunicode + 1))
+    assert "".join(ch for ch in every if ch.isspace()) == WHITESPACE
+    assert "".join(re.findall(r"\s", every)) == WHITESPACE
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=st.sampled_from(WHITESPACE + "ab<*>\u00e9"), max_size=40))
+def test_canonicalize_equals_regex_collapse(text):
+    assert canonicalize_template(text) == re.sub(r"\s+", " ", text).strip()
+
+
+def _count_canonicalizations(monkeypatch, *modules) -> list[str]:
+    """Swap a counting `canonicalize_template` into each module's binding."""
+    calls: list[str] = []
+
+    def counting(text: str) -> str:
+        calls.append(text)
+        return canonicalize_template(text)
+
+    for module in modules:
+        monkeypatch.setattr(module, "canonicalize_template", counting)
+    return calls
 
 
 def test_nothing_after_the_read_boundary_canonicalizes_again(tmp_path, monkeypatch):
@@ -76,11 +101,10 @@ def test_nothing_after_the_read_boundary_canonicalizes_again(tmp_path, monkeypat
     opool = OutlierPool.load(tmp_path / "outliers.csv")
     vpool = VariablePool.load(tmp_path / "vars.tsv")
 
-    counter = _CountingPattern(corpus._WS_RUN)
-    monkeypatch.setattr(corpus, "_WS_RUN", counter)
+    calls = _count_canonicalizations(monkeypatch, corpus, pool, parsers)
     build_outlier_pool(datasets)
     build_variable_pool(datasets)
-    parsers = (TreeParserConfig(), TokenFrequencyParserConfig(), IdentityParserConfig())
+    configs = (TreeParserConfig(), TokenFrequencyParserConfig(), IdentityParserConfig())
     for ds in datasets:
         cfg = MixConfig(strength=1.0, seed=1)
         mix_with_parser_labels(ds, parse(ds, TreeParserConfig()), opool, cfg)
@@ -89,11 +113,41 @@ def test_nothing_after_the_read_boundary_canonicalizes_again(tmp_path, monkeypat
         surrogate = parse(labeled, TreeParserConfig())
         fuzzed = fuzz(labeled, vpool, FuzzConfig(seed=2, mode="parsed"), surrogate)
         truth = fuzzed.dataset.labels()
-        for parser in parsers:
-            evaluate(parse(fuzzed.dataset, parser), truth)
-    assert counter.calls == 0
-    canonicalize_template("a  b")  # the counter does see a call
-    assert counter.calls == 1
+        for config in configs:
+            evaluate(parse(fuzzed.dataset, config), truth)
+    assert len(calls) == 0
+    corpus.canonicalize_template("a  b")  # the counter does see a call
+    assert len(calls) == 1
+
+
+def test_readers_canonicalize_each_distinct_template_once(tmp_path, monkeypatch):
+    raw = ["a <*>", "a  <*>", " b <*> ", "c"]
+    rows = [(f"x {i}", raw[i % len(raw)]) for i in range(2000)]
+    data = tmp_path / "ds.csv"
+    pool_file = tmp_path / "outliers.csv"
+    with open(data, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([("Content", "EventTemplate"), *rows])
+    with open(pool_file, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(("LineId", "Content", "EventTemplate", "Source"))
+        for i, (content, template) in enumerate(rows, start=1):
+            writer.writerow((i, content, template, "s"))
+    calls = _count_canonicalizations(monkeypatch, corpus, pool)
+
+    ds = load_structured(data)
+    # Once per distinct raw template on load, once per distinct ground truth
+    # in validate.
+    assert sorted(calls) == sorted(raw + ["a <*>", "b <*>", "c"])
+    assert ds.labels()[:4] == ["a <*>", "a <*>", "b <*>", "c"]
+
+    calls.clear()
+    ds.validate()
+    assert sorted(calls) == ["a <*>", "b <*>", "c"]
+
+    calls.clear()
+    entries = OutlierPool.load(pool_file).entries
+    assert sorted(calls) == sorted(raw)
+    assert [e.ground_truth for e in entries[:4]] == ["a <*>", "a <*>", "b <*>", "c"]
 
 
 def test_validate_rejects_non_canonical_ground_truth():
