@@ -6,7 +6,7 @@ rounds. The same fuzz is then run as one numpy generator per record (the
 reference loop in ``tests/helpers.py``), once, and both must give the same
 sha256 of the fuzzed contents. Run from the repository root:
 
-    PYTHONPATH=src python benchmarks/bench_fuzz.py [--rounds 5] [--seed 0]
+    python benchmarks/bench_fuzz.py [--rounds 5] [--seed 0]
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from helpers import numpy_loop_fuzz, source_datasets, standard_pools  # noqa: E402
 from logblend.fuzzing import FuzzConfig, fuzz  # noqa: E402

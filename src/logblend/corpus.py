@@ -16,6 +16,7 @@ import csv
 import functools
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,14 +26,15 @@ WILDCARD = "<*>"
 
 
 def canonicalize_template(text: str) -> str:
-    """Collapse whitespace runs to single spaces and trim the ends.
+    """Collapse runs of spaces (U+0020) to one and trim them from the ends.
 
-    Whitespace is exactly what ``str.split()`` splits on: the same 29 code
-    points as ``re``'s ``\\s``, so NBSP and U+2028 collapse too. Template
-    files vary in incidental spacing; metric comparisons must not hinge on
-    it. Applied where templates are read, nowhere else.
+    Templates are tokenized and aligned on U+0020 alone, so that is the only
+    whitespace canonicalization touches: a tab, NBSP or U+2028 in a template
+    is a literal character that its content must hold too. Template files
+    vary in incidental spacing; metric comparisons must not hinge on it.
+    Applied where templates are read, nowhere else.
     """
-    return " ".join(text.split())
+    return " ".join(filter(None, text.split(" ")))
 
 
 def template_tokens(template: str) -> list[str]:
@@ -132,6 +134,17 @@ def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[st
     return header, rows
 
 
+def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write a header and rows as UTF-8 CSV that :func:`read_csv_rows` reads back.
+
+    Fields are written with ``str()``; quoting is minimal and rows end in CRLF.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def parse_line_id(path: Path, row_num: int, text: str) -> int:
     """A `LineId` field as an int; DataFormatError naming the file and row if not."""
     try:
@@ -221,19 +234,14 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     A `Source` column is emitted only when some record's source differs from
     the dataset name (as after mixing).
     """
-    path = Path(path)
-    with_source = any(r.source != ds.name for r in ds.records)
-    header = ["LineId", "Content", "EventTemplate"]
-    if with_source:
-        header.append("Source")
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for rec in ds.records:
-            row = [str(rec.line_id), rec.content, rec.ground_truth or ""]
-            if with_source:
-                row.append(rec.source)
-            writer.writerow(row)
+    records = ds.records
+    if any(r.source != ds.name for r in records):
+        header = ["LineId", "Content", "EventTemplate", "Source"]
+        rows = ((r.line_id, r.content, r.ground_truth or "", r.source) for r in records)
+    else:
+        header = ["LineId", "Content", "EventTemplate"]
+        rows = ((r.line_id, r.content, r.ground_truth or "") for r in records)
+    write_csv_rows(path, header, rows)
 
 
 def _token_pattern(template: str) -> re.Pattern | None:

@@ -17,8 +17,9 @@ are compared exactly as given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
-from ._kernels import levenshtein
+from ._kernels import distances, levenshtein
 from .errors import EmptyDatasetError, ShapeError
 
 #: One canonical template per record, index-aligned with the dataset.
@@ -87,25 +88,24 @@ def edit_distance(a: str, b: str) -> int:
 def mean_edit_distance(predicted: ParseResult, truth: ParseResult) -> float:
     """Arithmetic mean of per-record edit distances, in line order.
 
-    The summation order is fixed (ascending line id) and the per-pair
-    distances are integers, so the result is bit-identical however the
-    distances were computed. Parsers emit few distinct templates, so each
-    distinct (predicted, truth) pair is scored once; the memo lives only for
-    this call. Templates are compared as given.
+    Parsers emit few distinct templates, so each distinct (predicted, truth)
+    pair is scored once. The pairs are grouped by truth template, and one
+    :func:`distances` call scores all of a template's distinct partners in a
+    single bit-parallel pass over it; the scores live only for this call.
+    The per-record distances are integers summed in line order, so the
+    result is bit-identical however they were computed. Templates are
+    compared as given.
     """
     _check_lengths(predicted, truth)
     if not truth:
         raise EmptyDatasetError("mean edit distance is undefined on empty input")
-    memo: dict[tuple[str, str], int] = {}
-    total = 0
-    for pair in zip(predicted, truth):
-        distance = memo.get(pair)
-        if distance is None:
-            p, t = pair
-            distance = levenshtein(p, t)
-            memo[pair] = distance
-        total += distance
-    return total / len(truth)
+    scores: dict[tuple[str, str], int | None] = dict.fromkeys(zip(predicted, truth))
+    partners: dict[str, list[str]] = {}
+    for p, t in scores:
+        partners.setdefault(t, []).append(p)
+    for t, preds in partners.items():
+        scores.update(zip(zip(preds, repeat(t)), distances(t, preds)))
+    return sum(map(scores.__getitem__, zip(predicted, truth))) / len(truth)
 
 
 def evaluate(predicted: ParseResult, truth: ParseResult) -> MetricReport:

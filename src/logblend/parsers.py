@@ -20,7 +20,6 @@ by single spaces.
 
 from __future__ import annotations
 
-import csv
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .corpus import (
     canonicalize_template,
     parse_line_id,
     read_csv_rows,
+    write_csv_rows,
 )
 from .errors import DataFormatError, EmptyDatasetError, ShapeError
 from .metrics import ParseResult
@@ -223,11 +223,7 @@ def parse(ds: Dataset, cfg: ParserConfig) -> ParseResult:
 
 def write_parse_result(result: ParseResult, path: str | Path) -> None:
     """Write the two-column integration format: LineId,EventTemplate."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["LineId", "EventTemplate"])
-        for i, template in enumerate(result, start=1):
-            writer.writerow([str(i), template])
+    write_csv_rows(path, ["LineId", "EventTemplate"], enumerate(result, start=1))
 
 
 def read_parse_result(path: str | Path, expected_len: int | None = None) -> ParseResult:

@@ -10,7 +10,6 @@ fuzzing.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,7 @@ from .corpus import (
     parse_content,
     read_csv_rows,
     template_frequency_map,
+    write_csv_rows,
 )
 from .errors import AlignmentError, DataFormatError, LabelingError
 
@@ -46,11 +46,11 @@ class OutlierPool:
         return [e for e in self.entries if e.source != source]
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["LineId", "Content", "EventTemplate", "Source"])
-            for i, e in enumerate(self.entries, start=1):
-                writer.writerow([str(i), e.content, e.ground_truth, e.source])
+        rows = (
+            (i, e.content, e.ground_truth, e.source)
+            for i, e in enumerate(self.entries, start=1)
+        )
+        write_csv_rows(path, ["LineId", "Content", "EventTemplate", "Source"], rows)
 
     @classmethod
     def load(cls, path: str | Path) -> "OutlierPool":

@@ -1,4 +1,4 @@
-"""Edge cases of the bit-parallel Levenshtein kernel."""
+"""Edge cases of the bit-parallel Levenshtein kernel, one pattern and many."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logblend._kernels import levenshtein
+from logblend._kernels import distances, levenshtein
 from test_metrics import dp_edit_distance
 
 
@@ -70,3 +70,64 @@ def test_affix_and_overlapping_affixes_match_oracle(w, x, i, j):
 def test_overlapping_affixes_are_counted_once(a, b, expected):
     assert levenshtein(a, b) == expected
     assert levenshtein(b, a) == expected
+
+
+# Characters a packing could use as a separator, ASCII, a lone combining mark,
+# a combining sequence and astral characters.
+_CHARS = ["\0", "\x01", "\x1f", "|", "\uffff", "a", "b", " ", "<*>", "\u0301",
+          "e\u0301", "\U0001F600", "\U0001D538"]
+_TEXT = st.lists(st.sampled_from(_CHARS), max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_TEXT,
+    patterns=st.lists(st.one_of(_TEXT, st.just(""), st.just(None)), max_size=8),
+)
+def test_distances_match_oracle(text, patterns):
+    # None stands for a pattern equal to the text.
+    patterns = [text if p is None else p for p in patterns]
+    assert distances(text, patterns) == [dp_edit_distance(text, p) for p in patterns]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    text=st.lists(st.sampled_from(_CHARS), max_size=6).map("".join),
+    patterns=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_CHARS), min_size=8, max_size=10).map("".join),
+            st.integers(50, 80),
+        ).map(lambda t: t[0] * t[1]),
+        min_size=5,
+        max_size=8,
+    ),
+)
+def test_distances_match_oracle_past_thousands_of_bits(text, patterns):
+    assert sum(map(len, patterns)) + len(patterns) > 2000
+    assert distances(text, patterns) == [dp_edit_distance(text, p) for p in patterns]
+
+
+def test_distances_of_nothing():
+    assert distances("abc", []) == []
+    assert distances("", []) == []
+    assert distances("", ["", "ab", ""]) == [0, 2, 0]
+    assert distances("abc", ["", "abc", ""]) == [3, 0, 3]
+
+
+@pytest.mark.parametrize(
+    "text, patterns",
+    [
+        # Each all-matching pattern's first addition carries out of its top
+        # bit, into the bit below the next pattern.
+        ("a", ["aaaa", "b"]),
+        ("a", ["aaaa", "aaaa", "a"]),
+        ("ab", ["ab", "ba", "ab"]),
+        ("aaa", ["aaa", "a", "aa", "b"]),
+        ("ba", ["a", "", "a", "ab"]),
+        ("abab", ["bababa", "ab", "", "abab"]),
+    ],
+)
+def test_carry_out_of_a_pattern_stays_out_of_its_neighbour(text, patterns):
+    expected = [dp_edit_distance(text, p) for p in patterns]
+    assert distances(text, patterns) == expected
+    assert distances(text, patterns[::-1]) == expected[::-1]

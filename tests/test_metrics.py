@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logblend import metrics
-from logblend._kernels import levenshtein
+from logblend._kernels import distances, levenshtein
 from logblend.errors import EmptyDatasetError, ShapeError
 from logblend.metrics import (
     edit_distance,
@@ -233,20 +233,21 @@ def test_mean_edit_distance_scores_each_distinct_pair_once(monkeypatch):
     rng = random.Random(4)
     predicted = [rng.choice(["open <*>", "close <*>", "flush"]) for _ in range(2000)]
     truth = [rng.choice(["open <*>", "close <*> now", "flush"]) for _ in range(2000)]
-    calls = []
+    scored = []
 
-    def counting(a, b):
-        calls.append((a, b))
-        return levenshtein(a, b)
+    def counting(text, patterns):
+        scored.extend((p, text) for p in patterns)
+        return distances(text, patterns)
 
-    monkeypatch.setattr(metrics, "levenshtein", counting)
+    monkeypatch.setattr(metrics, "distances", counting)
     expected = sum(dp_edit_distance(p, t) for p, t in zip(predicted, truth))
     expected /= 2000
     assert mean_edit_distance(predicted, truth) == expected
-    assert len(calls) == len(set(zip(predicted, truth)))
-    # The memo lives for one call only: a second call scores every pair again.
+    distinct = set(zip(predicted, truth))
+    assert len(scored) == len(distinct) and set(scored) == distinct
+    # The scores live for one call only: a second call scores every pair again.
     mean_edit_distance(predicted, truth)
-    assert len(calls) == 2 * len(set(zip(predicted, truth)))
+    assert len(scored) == 2 * len(distinct) and set(scored) == distinct
 
 
 def test_mean_edit_distance_empty_is_undefined():
