@@ -5,9 +5,10 @@ message content (no timestamp/level/PID header) and, when available, a
 ground-truth template whose variable positions are marked with the ``<*>``
 wildcard token.
 
-Templates are canonicalized once, where they are read (:func:`load_structured`
-here, ``read_parse_result`` and ``OutlierPool.load`` elsewhere); every other
-function expects canonical templates and compares them as given.
+Every CSV format (dataset, outlier pool, parser output) is read by
+:func:`read_columns`, which canonicalizes templates once, where they are
+read; every other function expects canonical templates and compares them as
+given.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .errors import AlignmentError, DataFormatError, LabelingError
@@ -35,10 +37,6 @@ def canonicalize_template(text: str) -> str:
     Applied where templates are read, nowhere else.
     """
     return " ".join(filter(None, text.split(" ")))
-
-
-def template_tokens(template: str) -> list[str]:
-    return template.split(" ") if template else []
 
 
 def count_wildcards(template: str) -> int:
@@ -84,27 +82,6 @@ class Dataset:
     def is_labeled(self) -> bool:
         return all(r.ground_truth is not None for r in self.records)
 
-    def validate(self) -> None:
-        non_canonical = {
-            gt
-            for gt in {r.ground_truth for r in self.records}
-            if gt is not None and canonicalize_template(gt) != gt
-        }
-        for i, rec in enumerate(self.records, start=1):
-            if rec.line_id != i:
-                raise DataFormatError(
-                    f"dataset {self.name!r}: line_id {rec.line_id} at position {i}"
-                )
-            if "\n" in rec.content or "\r" in rec.content:
-                raise DataFormatError(
-                    f"dataset {self.name!r}: line {i} contains a line break"
-                )
-            if rec.ground_truth in non_canonical:
-                raise DataFormatError(
-                    f"dataset {self.name!r}: line {i} ground truth "
-                    f"{rec.ground_truth!r} is not canonical"
-                )
-
 
 def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
     """Header and non-empty rows of a CSV file, each with the line it starts on.
@@ -145,66 +122,96 @@ def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]
         writer.writerows(rows)
 
 
-def parse_line_id(path: Path, row_num: int, text: str) -> int:
-    """A `LineId` field as an int; DataFormatError naming the file and row if not."""
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise DataFormatError(
-            f"{path}: row {row_num} has non-integer LineId {text!r}"
-        ) from exc
+def read_columns(
+    path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict[str, list[str]]:
+    """The named columns of a CSV file, each a list of fields in `LineId` order.
+
+    Every CSV format is read here, so each row rule is applied in one place:
+
+    * the `required` columns are in the header; an `optional` column is
+      returned only when the header has it, and other columns are ignored;
+    * a `LineId` column, whenever the header has it, holds the integers
+      1..n in any order, and rows come back in that order (file order when
+      the column is absent); it is not itself returned;
+    * a `Content` field holds no line break;
+    * each distinct `EventTemplate` field is canonicalized once.
+
+    A violation, bad quoting or a ragged row raises DataFormatError naming
+    the file and the row.
+    """
+    path = Path(path)
+    header, rows = read_csv_rows(path)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file, expected a header row")
+    index = {col: idx for idx, col in enumerate(header)}
+    for col in required:
+        if col not in index:
+            raise DataFormatError(f"{path}: missing column {col!r}")
+    columns = {
+        col: [row[index[col]] for _, row in rows]
+        for col in (*required, *optional)
+        if col in index and col != "LineId"
+    }
+    for (row_num, _), content in zip(rows, columns.get("Content", ())):
+        if "\n" in content or "\r" in content:
+            raise DataFormatError(f"{path}: row {row_num} content contains a line break")
+    if "EventTemplate" in columns:
+        raw = columns["EventTemplate"]
+        canonical = {text: canonicalize_template(text) for text in set(raw)}
+        columns["EventTemplate"] = [canonical[text] for text in raw]
+    if "LineId" in index:
+        order = _line_id_order(path, rows, index["LineId"])
+        columns = {col: [fields[i] for i in order] for col, fields in columns.items()}
+    return columns
 
 
-def parse_content(path: Path, row_num: int, text: str) -> str:
-    """A `Content` field; DataFormatError naming file and row if it has a line break."""
-    if "\n" in text or "\r" in text:
-        raise DataFormatError(f"{path}: row {row_num} content contains a line break")
-    return text
+def _line_id_order(path: Path, rows: list[tuple[int, list[str]]], line_idx: int) -> list[int]:
+    """Row positions in `LineId` order; the ids must be 1..n, each once."""
+    n = len(rows)
+    order = [-1] * n
+    for pos, (row_num, row) in enumerate(rows):
+        text = row[line_idx]
+        try:
+            line_id = int(text)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: row {row_num} has non-integer LineId {text!r}"
+            ) from None
+        if not 1 <= line_id <= n:
+            raise DataFormatError(
+                f"{path}: row {row_num} has LineId {line_id}; LineId values must "
+                f"be contiguous from 1, here 1..{n}"
+            )
+        first = order[line_id - 1]
+        if first >= 0:
+            raise DataFormatError(
+                f"{path}: row {row_num} repeats LineId {line_id} of row "
+                f"{rows[first][0]}; LineId values must be contiguous from 1"
+            )
+        order[line_id - 1] = pos
+    return order
 
 
 def load_structured(path: str | Path, name: str | None = None) -> Dataset:
     """Load a comma-separated dataset with `Content` and `EventTemplate` columns.
 
-    `LineId` is honored when present (must be contiguous from 1), otherwise
-    line ids follow row order. An optional `Source` column overrides the
+    Read by :func:`read_columns`, so records are in `LineId` order when the
+    file has that column. An optional `Source` column overrides the
     per-record source tag; an empty `EventTemplate` field means unlabeled.
-    Templates are canonicalized here, once per distinct template.
     """
     path = Path(path)
     if name is None:
         name = path.stem
-    header, rows = read_csv_rows(path)
-    if header is None:
-        raise DataFormatError(f"{path}: empty file, expected a header row")
-    cols = {col: idx for idx, col in enumerate(header)}
-    for required in ("Content", "EventTemplate"):
-        if required not in cols:
-            raise DataFormatError(f"{path}: missing column {required!r}")
-    content_idx = cols["Content"]
-    template_idx = cols["EventTemplate"]
-    line_idx = cols.get("LineId")
-    source_idx = cols.get("Source")
-    raw_templates = {row[template_idx] for _, row in rows}
-    canonical = {raw: canonicalize_template(raw) for raw in raw_templates}
-    records: list[LogRecord] = []
-    for row_num, row in rows:
-        content = parse_content(path, row_num, row[content_idx])
-        template = canonical[row[template_idx]]
-        if line_idx is not None:
-            line_id = parse_line_id(path, row_num, row[line_idx])
-        else:
-            line_id = len(records) + 1
-        records.append(
-            LogRecord(
-                line_id=line_id,
-                content=content,
-                ground_truth=template or None,
-                source=row[source_idx] if source_idx is not None else name,
-            )
+    columns = read_columns(path, ("Content", "EventTemplate"), ("Source",))
+    sources = columns.get("Source") or repeat(name)
+    records = [
+        LogRecord(line_id, content, template or None, source)
+        for line_id, (content, template, source) in enumerate(
+            zip(columns["Content"], columns["EventTemplate"], sources), start=1
         )
-    ds = Dataset(name=name, records=records)
-    ds.validate()
-    return ds
+    ]
+    return Dataset(name=name, records=records)
 
 
 def load_raw(path: str | Path, name: str | None = None) -> Dataset:
@@ -244,51 +251,24 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     write_csv_rows(path, header, rows)
 
 
-def _token_pattern(template: str) -> re.Pattern | None:
-    """Token-level matcher: wildcards absorb one-or-more space-separated tokens.
-
-    Returns None when a wildcard is embedded inside a token (e.g. ``id=<*>``);
-    those templates only admit character-level alignment.
-    """
-    parts = []
-    for tok in template_tokens(template):
-        if tok == WILDCARD:
-            parts.append(r"(\S+(?: \S+)*?)")
-        elif WILDCARD in tok:
-            return None
-        else:
-            parts.append(re.escape(tok))
-    return re.compile(" ".join(parts))
-
-
-def _char_pattern(template: str) -> re.Pattern:
-    """Character-level matcher: each wildcard captures one-or-more characters."""
-    pieces = template.split(WILDCARD)
-    return re.compile(r"(.+?)".join(re.escape(p) for p in pieces))
-
-
 @functools.lru_cache(maxsize=None)
-def _matchers(template: str) -> tuple[re.Pattern | None, re.Pattern]:
-    return _token_pattern(template), _char_pattern(template)
-
-
-def _alignment(content: str, template: str) -> re.Match | None:
-    token_pat, char_pat = _matchers(template)
-    if token_pat is not None:
-        m = token_pat.fullmatch(content)
-        if m is not None:
-            return m
-    return char_pat.fullmatch(content)
+def _pattern(template: str) -> re.Pattern:
+    """Each wildcard captures one or more characters, leftmost-shortest."""
+    return re.compile(r"(.+?)".join(map(re.escape, template.split(WILDCARD))))
 
 
 def extract_variables(content: str, template: str) -> list[str]:
     """Return the substring captured by each ``<*>`` of `template`, in order.
 
-    Matching is leftmost-shortest: token-level alignment first (a wildcard
-    absorbs whole tokens), character-level as fallback. Every wildcard must
-    absorb at least one character and the full content must be consumed.
+    Matching is character-level and leftmost-shortest: the first wildcard
+    takes the fewest characters with which the rest can still align, then
+    the second, and so on. Every wildcard must absorb at least one character
+    and the full content must be consumed. When each wildcard is a token of
+    its own and the values are tokens joined by single spaces, wildcards
+    absorb whole tokens, so this is also the leftmost-shortest token-level
+    alignment.
     """
-    m = _alignment(content, template)
+    m = _pattern(template).fullmatch(content)
     if m is None:
         raise AlignmentError(content, template)
     return list(m.groups())
@@ -311,7 +291,7 @@ def substitute_variables(template: str, variables: list[str]) -> str:
 
 def matches_template(content: str, template: str) -> bool:
     """Whether :func:`extract_variables` would align `content` with `template`."""
-    return _alignment(content, template) is not None
+    return _pattern(template).fullmatch(content) is not None
 
 
 def template_frequency_map(ds: Dataset) -> dict[str, int]:

@@ -14,8 +14,9 @@ Two baselines are built in, enough to exercise the synthesis/evaluation loop:
 Any other parser integrates by writing a `LineId,EventTemplate` file,
 index-aligned with the input dataset (see :func:`read_parse_result`).
 
-Built-in parsers emit canonical templates: tokens from ``str.split`` joined
-by single spaces.
+Built-in parsers emit canonical templates: they split content on U+0020
+alone, the one character templates are aligned on, and join the tokens with
+single spaces, so any other whitespace (a tab, NBSP) stays inside its token.
 """
 
 from __future__ import annotations
@@ -26,15 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, get_args
 
-from .corpus import (
-    WILDCARD,
-    Dataset,
-    canonicalize_template,
-    parse_line_id,
-    read_csv_rows,
-    write_csv_rows,
-)
-from .errors import DataFormatError, EmptyDatasetError, ShapeError
+from .corpus import WILDCARD, Dataset, read_columns, write_csv_rows
+from .errors import EmptyDatasetError, ShapeError
 from .metrics import ParseResult
 
 
@@ -127,7 +121,7 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
         content = rec.content
         for mask in masks:
             content = mask.sub(WILDCARD, content)
-        tokens = content.split()
+        tokens = list(filter(None, content.split(" ")))
         if not tokens:
             results[idx] = ""
             continue
@@ -185,7 +179,7 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
 
 
 def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResult:
-    token_lists = [rec.content.split() for rec in ds.records]
+    token_lists = [list(filter(None, rec.content.split(" "))) for rec in ds.records]
     class_sizes: Counter[int] = Counter(len(toks) for toks in token_lists)
     freq: dict[tuple[int, int, str], int] = defaultdict(int)
     for toks in token_lists:
@@ -229,32 +223,10 @@ def write_parse_result(result: ParseResult, path: str | Path) -> None:
 def read_parse_result(path: str | Path, expected_len: int | None = None) -> ParseResult:
     """Read a parser-output file; how external parsers plug into the harness.
 
-    Templates are canonicalized here, where they enter the program.
+    Read by :func:`~logblend.corpus.read_columns`, which orders the templates
+    by `LineId` and canonicalizes them.
     """
-    path = Path(path)
-    header, csv_rows = read_csv_rows(path)
-    if header is None or "EventTemplate" not in header:
-        raise DataFormatError(f"{path}: missing column 'EventTemplate'")
-    cols = {col: idx for idx, col in enumerate(header)}
-    template_idx = cols["EventTemplate"]
-    line_idx = cols.get("LineId")
-    rows: list[tuple[int, str]] = []
-    for row_num, row in csv_rows:
-        if line_idx is not None:
-            line_id = parse_line_id(path, row_num, row[line_idx])
-        else:
-            line_id = len(rows) + 1
-        rows.append((line_id, canonicalize_template(row[template_idx])))
-    rows.sort(key=lambda r: r[0])
-    ids = [line_id for line_id, _ in rows]
-    if ids != list(range(1, len(ids) + 1)):
-        raise DataFormatError(
-            f"{path}: LineId values must be contiguous from 1 "
-            f"(duplicates or gaps break index alignment)"
-        )
-    result = [template for _, template in rows]
+    result = read_columns(path, ("EventTemplate",))["EventTemplate"]
     if expected_len is not None and len(result) != expected_len:
-        raise ShapeError(
-            f"{path}: {len(result)} templates for {expected_len} records"
-        )
+        raise ShapeError(f"{path}: {len(result)} templates for {expected_len} records")
     return result

@@ -16,10 +16,8 @@ from pathlib import Path
 
 from .corpus import (
     Dataset,
-    canonicalize_template,
     extract_variables,
-    parse_content,
-    read_csv_rows,
+    read_columns,
     template_frequency_map,
     write_csv_rows,
 )
@@ -54,24 +52,10 @@ class OutlierPool:
 
     @classmethod
     def load(cls, path: str | Path) -> "OutlierPool":
-        """Read a saved pool; templates are canonicalized here, once each."""
-        path = Path(path)
-        header, rows = read_csv_rows(path)
-        expected = ["LineId", "Content", "EventTemplate", "Source"]
-        if header != expected:
-            raise DataFormatError(f"{path}: expected header {expected}, got {header}")
-        raw_templates = {row[2] for _, row in rows}
-        canonical = {raw: canonicalize_template(raw) for raw in raw_templates}
-        return cls(
-            entries=[
-                PoolEntry(
-                    content=parse_content(path, row_num, row[1]),
-                    ground_truth=canonical[row[2]],
-                    source=row[3],
-                )
-                for row_num, row in rows
-            ]
-        )
+        """Read a saved pool with :func:`~logblend.corpus.read_columns`."""
+        columns = read_columns(path, ("LineId", "Content", "EventTemplate", "Source"))
+        fields = (columns[col] for col in ("Content", "EventTemplate", "Source"))
+        return cls(entries=list(map(PoolEntry, *fields)))
 
 
 @dataclass
@@ -97,16 +81,23 @@ class VariablePool:
 
     @classmethod
     def load(cls, path: str | Path) -> "VariablePool":
+        """Read a saved pool; an empty or repeated value names the file and line."""
         values: list[str] = []
         sources: dict[str, tuple[str, ...]] = {}
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for line_num, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                parts = line.split("\t")
-                values.append(parts[0])
-                sources[parts[0]] = tuple(parts[1:])
+                value, *tags = line.split("\t")
+                if not value:
+                    raise DataFormatError(f"{path}: line {line_num} has an empty value")
+                if value in sources:
+                    raise DataFormatError(
+                        f"{path}: line {line_num} repeats the value {value!r}"
+                    )
+                values.append(value)
+                sources[value] = tuple(tags)
         return cls(values=values, sources=sources)
 
 

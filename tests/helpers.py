@@ -18,6 +18,7 @@ import numpy as np
 from logblend.corpus import (
     Dataset,
     LogRecord,
+    canonicalize_template,
     count_wildcards,
     extract_variables,
     substitute_variables,
@@ -299,6 +300,15 @@ def standard_pools(n: int = 2000) -> tuple[OutlierPool, VariablePool]:
         build_outlier_pool(datasets, outlier_fraction=0.05),
         build_variable_pool(datasets),
     )
+
+
+def assert_well_formed(ds: Dataset) -> None:
+    """What the readers guarantee: line ids 1..n, one-line content, canonical templates."""
+    assert [r.line_id for r in ds.records] == list(range(1, len(ds.records) + 1))
+    for rec in ds.records:
+        assert "\n" not in rec.content and "\r" not in rec.content
+        if rec.ground_truth is not None:
+            assert canonicalize_template(rec.ground_truth) == rec.ground_truth
 
 
 def small_labeled_dataset(name: str = "tiny") -> Dataset:

@@ -16,7 +16,6 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
     "argv",
     [
         ["bench_edit_distance.py", "--corpus", "--rounds", "1"],
-        ["bench_fuzz.py", "--rounds", "1"],
     ],
 )
 def test_benchmark_script_runs_without_pythonpath(argv, tmp_path):

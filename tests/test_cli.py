@@ -334,19 +334,21 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, header, rows, row",
+    "command, text, where",
     [
-        ("mix", "LineId,Content,EventTemplate,Source", "1,x 1,x <*>,a\n2,x 2\n", 3),
+        ("mix", "LineId,Content,EventTemplate,Source\n1,x 1,x <*>,a\n2,x 2\n", "row 3"),
         (
             "mix",
-            "LineId,Content,EventTemplate,Source",
-            '1,x 1,x <*>,a\n2,"x"2,x,a\n',
-            3,
+            'LineId,Content,EventTemplate,Source\n1,x 1,x <*>,a\n2,"x"2,x,a\n',
+            "row 3",
         ),
         # A record is named by the line it starts on, not the line it ends on.
-        ("mix", "LineId,Content,EventTemplate,Source", '1,"x\n1",x <*>,a\n', 2),
-        ("evaluate", "LineId,EventTemplate", "1,a\n2\n", 3),
-        ("evaluate", "LineId,EventTemplate", "1,a\nx,b\n", 3),
+        ("mix", 'LineId,Content,EventTemplate,Source\n1,"x\n1",x <*>,a\n', "row 2"),
+        ("evaluate", "LineId,EventTemplate\n1,a\n2\n", "row 3"),
+        ("evaluate", "LineId,EventTemplate\n1,a\nx,b\n", "row 3"),
+        ("stats", "LineId,Content,EventTemplate\n1,a,a\n3,b,b\n", "row 3"),
+        ("fuzz", "\tsrc\n7\tsrc\n7\tother\n", "line 1"),
+        ("fuzz", "7\tsrc\n7\tother\n", "line 2"),
     ],
     ids=[
         "pool-short-row",
@@ -354,20 +356,26 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         "pool-line-break",
         "parsed-short-row",
         "parsed-bad-line-id",
+        "dataset-line-id-gap",
+        "vpool-empty-value",
+        "vpool-repeated-value",
     ],
 )
 def test_malformed_pool_or_parser_output_exits_2(
-    cli_workspace, tmp_path, capsys, command, header, rows, row
+    cli_workspace, tmp_path, capsys, command, text, where
 ):
     bad = tmp_path / "bad.csv"
-    bad.write_text(header + "\n" + rows, encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
     dataset = str(cli_workspace / "apacheish.csv")
-    if command == "mix":
-        argv = ["mix", "--in", dataset, "--pool", str(bad), "--strength", "1.0",
-                "--out", str(tmp_path / "mixed.csv")]
-    else:
-        argv = ["evaluate", "--truth", dataset, "--predicted", str(bad)]
+    argv = {
+        "mix": ["mix", "--in", dataset, "--pool", str(bad), "--strength", "1.0",
+                "--out", str(tmp_path / "mixed.csv")],
+        "evaluate": ["evaluate", "--truth", dataset, "--predicted", str(bad)],
+        "stats": ["stats", "--in", str(bad)],
+        "fuzz": ["fuzz", "--in", dataset, "--vpool", str(bad),
+                 "--out", str(tmp_path / "fuzzed.csv")],
+    }[command]
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert str(bad) in err
-    assert f"row {row}" in err
+    assert where in err

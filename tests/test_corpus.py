@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logblend import corpus, parsers, pool
+from logblend import corpus, parsers
 from logblend.corpus import (
     Dataset,
     LogRecord,
@@ -93,16 +93,15 @@ def test_each_whitespace_row_loads_matches_and_is_refilled(w, tmp_path):
     assert result.dataset.records[0].content == f"open{w}x9 done"
 
 
-def _count_canonicalizations(monkeypatch, *modules) -> list[str]:
-    """Swap a counting `canonicalize_template` into each module's binding."""
+def _count_canonicalizations(monkeypatch) -> list[str]:
+    """Swap a counting `canonicalize_template` into `corpus`, its one binding."""
     calls: list[str] = []
 
     def counting(text: str) -> str:
         calls.append(text)
         return canonicalize_template(text)
 
-    for module in modules:
-        monkeypatch.setattr(module, "canonicalize_template", counting)
+    monkeypatch.setattr(corpus, "canonicalize_template", counting)
     return calls
 
 
@@ -117,7 +116,7 @@ def test_nothing_after_the_read_boundary_canonicalizes_again(tmp_path, monkeypat
     opool = OutlierPool.load(tmp_path / "outliers.csv")
     vpool = VariablePool.load(tmp_path / "vars.tsv")
 
-    calls = _count_canonicalizations(monkeypatch, corpus, pool, parsers)
+    calls = _count_canonicalizations(monkeypatch)
     build_outlier_pool(datasets)
     build_variable_pool(datasets)
     configs = (TreeParserConfig(), TokenFrequencyParserConfig(), IdentityParserConfig())
@@ -141,6 +140,7 @@ def test_readers_canonicalize_each_distinct_template_once(tmp_path, monkeypatch)
     rows = [(f"x {i}", raw[i % len(raw)]) for i in range(2000)]
     data = tmp_path / "ds.csv"
     pool_file = tmp_path / "outliers.csv"
+    parsed = tmp_path / "parsed.csv"
     with open(data, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerows([("Content", "EventTemplate"), *rows])
     with open(pool_file, "w", newline="", encoding="utf-8") as f:
@@ -148,31 +148,27 @@ def test_readers_canonicalize_each_distinct_template_once(tmp_path, monkeypatch)
         writer.writerow(("LineId", "Content", "EventTemplate", "Source"))
         for i, (content, template) in enumerate(rows, start=1):
             writer.writerow((i, content, template, "s"))
-    calls = _count_canonicalizations(monkeypatch, corpus, pool)
+    with open(parsed, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(("LineId", "EventTemplate"))
+        for i, (_, template) in enumerate(rows, start=1):
+            writer.writerow((i, template))
+    calls = _count_canonicalizations(monkeypatch)
+    canonical = ["a <*>", "a <*>", "b <*>", "c"]
 
     ds = load_structured(data)
-    # Once per distinct raw template on load, once per distinct ground truth
-    # in validate.
-    assert sorted(calls) == sorted(raw + ["a <*>", "b <*>", "c"])
-    assert ds.labels()[:4] == ["a <*>", "a <*>", "b <*>", "c"]
-
-    calls.clear()
-    ds.validate()
-    assert sorted(calls) == ["a <*>", "b <*>", "c"]
+    assert sorted(calls) == sorted(raw)
+    assert ds.labels()[:4] == canonical
 
     calls.clear()
     entries = OutlierPool.load(pool_file).entries
     assert sorted(calls) == sorted(raw)
-    assert [e.ground_truth for e in entries[:4]] == ["a <*>", "a <*>", "b <*>", "c"]
+    assert [e.ground_truth for e in entries[:4]] == canonical
 
-
-def test_validate_rejects_non_canonical_ground_truth():
-    ds = Dataset(
-        "hand",
-        [LogRecord(1, "a 1", "a <*>", "hand"), LogRecord(2, "a 2", "a  <*>", "hand")],
-    )
-    with pytest.raises(DataFormatError, match=r"'hand'.*line 2.*'a  <\*>'"):
-        ds.validate()
+    calls.clear()
+    templates = parsers.read_parse_result(parsed)
+    assert sorted(calls) == sorted(raw)
+    assert templates[:4] == canonical
 
 
 # --- structured load/write --------------------------------------------------
@@ -379,6 +375,32 @@ def test_extract_leftmost_shortest_among_alternatives():
     assert extract_variables(content, template) == leftmost_shortest
 
 
+_WORD = st.sampled_from(["a", "b", "ab", "x1"])
+
+
+@st.composite
+def token_template_and_values(draw):
+    """A template of standalone tokens and, per wildcard, 1-3 words."""
+    parts = draw(st.lists(st.one_of(st.just("<*>"), _WORD), min_size=1, max_size=6))
+    values = [
+        " ".join(draw(st.lists(_WORD, min_size=1, max_size=3)))
+        for p in parts
+        if p == "<*>"
+    ]
+    return " ".join(parts), values
+
+
+@given(token_template_and_values())
+@settings(max_examples=300)
+def test_extract_is_the_leftmost_shortest_token_alignment(tv):
+    template, values = tv
+    content = substitute_variables(template, values)
+    oracle = _token_assignments(content, template)
+    assert values in oracle
+    leftmost_shortest = min(oracle, key=lambda vs: [len(v) for v in vs])
+    assert extract_variables(content, template) == leftmost_shortest
+
+
 def test_extract_embedded_wildcard_uses_character_alignment():
     assert extract_variables("blk_8401 moved", "blk_<*> moved") == ["8401"]
 
@@ -396,7 +418,7 @@ def test_extract_mismatch_raises_with_payload():
 
 
 def test_extract_absorbs_irregular_whitespace_into_variable():
-    # double space cannot token-align; character fallback keeps content exact
+    # one of the two spaces goes into the variable, so the content stays exact
     vs = extract_variables("a  b c", "a <*> c")
     assert substitute_variables("a <*> c", vs) == "a  b c"
 
@@ -456,7 +478,7 @@ def test_matches_template_builds_no_captures(monkeypatch):
 
     monkeypatch.setattr(corpus, "extract_variables", fail)
     assert matches_template("a b c", "a <*> c")
-    assert matches_template("a  b c", "a <*> c")  # character-level fallback
+    assert matches_template("a  b c", "a <*> c")  # the variable is " b"
     assert not matches_template("a b", "a <*> c")
 
 

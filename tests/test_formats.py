@@ -1,9 +1,10 @@
-"""The three CSV formats: one shared writer, each read back exactly."""
+"""The three CSV formats: one writer and one checked reader, each read back exactly."""
 
 from __future__ import annotations
 
 import csv
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from logblend.corpus import (
     write_csv_rows,
     write_dataset,
 )
+from logblend.errors import DataFormatError
 from logblend.parsers import read_parse_result, write_parse_result
 from logblend.pool import OutlierPool, PoolEntry
 
@@ -124,3 +126,54 @@ def test_parse_result_round_trips(templates, tmp_path_factory):
     path = tmp_path_factory.mktemp("parsed") / "parsed.csv"
     write_parse_result(templates, path)
     assert read_parse_result(path, expected_len=len(templates)) == templates
+
+
+#: Per format: its header, one row for a LineId, and a reader returning a list.
+_FORMATS = {
+    "dataset": (
+        "LineId,Content,EventTemplate",
+        "{0},x {0},t{0} <*>",
+        lambda path: load_structured(path, name="ds").records,
+    ),
+    "outlier-pool": (
+        "LineId,Content,EventTemplate,Source",
+        "{0},x {0},t{0} <*>,s{0}",
+        lambda path: OutlierPool.load(path).entries,
+    ),
+    "parser-output": ("LineId,EventTemplate", "{0},t{0} <*>", read_parse_result),
+}
+
+
+def _write_format(path, fmt, line_ids) -> None:
+    header, row, _ = _FORMATS[fmt]
+    lines = [header] + [row.format(i) for i in line_ids]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+def test_rows_come_back_in_line_id_order(fmt, tmp_path):
+    read = _FORMATS[fmt][2]
+    _write_format(tmp_path / "ordered.csv", fmt, [1, 2, 3, 4])
+    _write_format(tmp_path / "shuffled.csv", fmt, [3, 1, 4, 2])
+    ordered = read(tmp_path / "ordered.csv")
+    assert len(set(map(str, ordered))) == 4
+    assert read(tmp_path / "shuffled.csv") == ordered
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize(
+    "line_ids, match",
+    [
+        ([1, 3], "row 3 has LineId 3; LineId values must be contiguous from 1, here 1..2"),
+        ([2, 1, 2], "row 4 repeats LineId 2 of row 2"),
+        ([0, 1], "row 2 has LineId 0"),
+        ([1, 2, 5, 3], "row 4 has LineId 5"),
+    ],
+    ids=["gap", "duplicate", "zero", "past-the-end"],
+)
+def test_line_id_gap_or_duplicate_names_the_file_and_row(fmt, line_ids, match, tmp_path):
+    path = tmp_path / "bad.csv"
+    _write_format(path, fmt, line_ids)
+    with pytest.raises(DataFormatError, match=match) as exc:
+        _FORMATS[fmt][2](path)
+    assert str(path) in str(exc.value)

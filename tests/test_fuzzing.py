@@ -15,7 +15,12 @@ from logblend.errors import EmptyPoolError
 from logblend.fuzzing import MODE_PARSED, FuzzConfig, fuzz
 from logblend.metrics import template_accuracy
 from logblend.mixing import MixConfig, mix
-from logblend.parsers import identity_parser
+from logblend.parsers import (
+    TokenFrequencyParserConfig,
+    TreeParserConfig,
+    identity_parser,
+    parse,
+)
 from logblend.pool import VariablePool
 
 from helpers import apacheish, numpy_loop_fuzz, source_datasets, standard_pools
@@ -137,6 +142,19 @@ def test_parsed_mode_misalignment_passes_through_with_skip_report():
     )
     assert result.skipped_line_ids == [2]
     assert result.dataset.records[1].content == "other line entirely"
+
+
+@pytest.mark.parametrize(
+    "config", [TreeParserConfig(), TokenFrequencyParserConfig()], ids=["tree", "tokenfreq"]
+)
+def test_parsed_mode_refills_lines_with_non_space_whitespace(config):
+    # The parsers split on U+0020 only, as templates are aligned, so an NBSP
+    # stays inside its token and every line aligns with its parsed template.
+    ds = _ds([(f"open\xa0f{i} done", None) for i in range(1, 6)])
+    parsed = parse(ds, config)
+    result = fuzz(ds, _vpool(["x9"]), FuzzConfig(seed=0, mode=MODE_PARSED), parsed)
+    assert result.skipped_line_ids == []
+    assert result.dataset.contents() == ["x9 done"] * 5
 
 
 def test_parsed_mode_requires_parse_result():

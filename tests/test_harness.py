@@ -27,7 +27,7 @@ from logblend.parsers import (
     write_parse_result,
 )
 
-from helpers import apacheish, source_datasets, standard_pools
+from helpers import apacheish, assert_well_formed, source_datasets, standard_pools
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +266,7 @@ def test_combined_uniform_allocation_with_round_robin_remainder():
     assert per_source[datasets[1].name] == 3
     assert per_source[datasets[2].name] == 2
     assert per_source[datasets[3].name] == 2
-    combined.validate()
+    assert_well_formed(combined)
 
 
 def test_combined_single_dataset_is_a_subsample():

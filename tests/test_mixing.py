@@ -15,7 +15,7 @@ from logblend.mixing import (
 )
 from logblend.pool import OutlierPool, PoolEntry
 
-from helpers import apacheish, standard_pools
+from helpers import apacheish, assert_well_formed, standard_pools
 
 
 def _pool(n: int = 10, source: str = "elsewhere") -> OutlierPool:
@@ -115,7 +115,7 @@ def test_replaced_records_adopt_pool_entry_fields():
 def test_line_ids_stay_contiguous():
     ds = _uniform_ds("u", 40)
     mixed = mix(ds, _pool(), MixConfig(strength=1.0, seed=5))
-    mixed.validate()
+    assert_well_formed(mixed)
 
 
 def test_source_exclusion():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logblend.corpus import Dataset, LogRecord
 from logblend.errors import DataFormatError, LabelingError
@@ -134,6 +136,15 @@ def test_outlier_pool_load_names_malformed_row(tmp_path, rows, match):
     assert str(p) in str(exc.value)
 
 
+def test_outlier_pool_load_needs_the_four_columns_in_any_order(tmp_path):
+    p = tmp_path / "outliers.csv"
+    p.write_text("Source,EventTemplate,LineId,Content\na,x <*>,1,x 1\n", encoding="utf-8")
+    assert OutlierPool.load(p).entries == [PoolEntry("x 1", "x <*>", "a")]
+    p.write_text("LineId,Content,EventTemplate\n1,x 1,x <*>\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="missing column 'Source'"):
+        OutlierPool.load(p)
+
+
 def test_outlier_pool_build_is_deterministic(tmp_path):
     datasets = list(source_datasets())
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -214,3 +225,40 @@ def test_variable_pool_build_is_deterministic(tmp_path):
     build_variable_pool(datasets).save(p1)
     build_variable_pool(datasets).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("\tsrc\n7\tsrc\n7\tother\n", "line 1 has an empty value"),
+        ("7\tsrc\n7\tother\n", "line 2 repeats the value '7'"),
+        ("7\tsrc\n\n8\ta\n7\tother\n", "line 4 repeats the value '7'"),
+    ],
+    ids=["empty-value", "repeated-value", "repeat-after-blank-line"],
+)
+def test_variable_pool_load_names_malformed_line(tmp_path, text, match):
+    p = tmp_path / "vars.tsv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=match) as exc:
+        VariablePool.load(p)
+    assert str(p) in str(exc.value)
+
+
+#: Any text a saved variable pool can hold: no tab, CR or LF, no surrogate.
+_FIELD = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n")
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.dictionaries(
+        _FIELD.filter(bool), st.lists(_FIELD, min_size=1, max_size=3).map(tuple), max_size=6
+    )
+)
+def test_variable_pool_round_trips_any_unicode(pool, tmp_path_factory):
+    path = tmp_path_factory.mktemp("vpool") / "vars.tsv"
+    VariablePool(values=list(pool), sources=pool).save(path)
+    again = VariablePool.load(path)
+    assert again.values == list(pool)
+    assert again.sources == pool
