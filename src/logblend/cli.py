@@ -15,19 +15,16 @@ from pathlib import Path
 
 from .corpus import Dataset, load_raw, load_structured, write_dataset
 from .errors import LogblendError
-from .fuzzing import MODE_LABELED, MODE_PARSED, FuzzConfig, fuzz
+from .fuzzing import FuzzConfig, fuzz
 from .harness import (
+    MODE_LABELED,
+    MODE_PARSED,
     EvaluationReport,
     build_combined_dataset,
     plan_from_dict,
     run_experiment,
 )
-from .heterogeneity import (
-    INDUSTRY_REFERENCE,
-    ReferenceStats,
-    h_score,
-    proxy_stats,
-)
+from .heterogeneity import INDUSTRY_REFERENCE, ProxyStats, h_score, proxy_stats
 from .metrics import evaluate
 from .mixing import MixConfig, mix, mix_with_parser_labels
 from .parsers import (
@@ -71,9 +68,9 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text)
 
 
-def _reference_from(args: argparse.Namespace) -> ReferenceStats:
+def _reference_from(args: argparse.Namespace) -> ProxyStats:
     if args.ref_nuw or args.ref_nuc or args.ref_nuldl:
-        return ReferenceStats(
+        return ProxyStats(
             nuw=args.ref_nuw or INDUSTRY_REFERENCE.nuw,
             nuc=args.ref_nuc or INDUSTRY_REFERENCE.nuc,
             nuldl=args.ref_nuldl or INDUSTRY_REFERENCE.nuldl,
@@ -228,13 +225,12 @@ def _cmd_mix(args) -> None:
 def _cmd_fuzz(args) -> None:
     ds = load_structured(args.input)
     vpool = VariablePool.load(args.vpool)
-    cfg = FuzzConfig(seed=args.seed, mode=args.mode)
     parsed = None
     if args.mode == MODE_PARSED:
         if not args.parsed:
             raise LogblendError("--parsed is required in parsed mode")
         parsed = read_parse_result(args.parsed, expected_len=len(ds.records))
-    result = fuzz(ds, vpool, cfg, parsed)
+    result = fuzz(ds, vpool, FuzzConfig(seed=args.seed), parsed)
     write_dataset(result.dataset, args.out)
     if result.skipped_line_ids:
         print(

@@ -79,9 +79,6 @@ class Dataset:
             )
         return [r.ground_truth for r in self.records]  # type: ignore[misc]
 
-    def is_labeled(self) -> bool:
-        return all(r.ground_truth is not None for r in self.records)
-
 
 def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
     """Header and non-empty rows of a CSV file, each with the line it starts on.
@@ -131,6 +128,7 @@ def read_columns(
 
     * the `required` columns are in the header; an `optional` column is
       returned only when the header has it, and other columns are ignored;
+    * no column read here (`LineId` included) is named twice in the header;
     * a `LineId` column, whenever the header has it, holds the integers
       1..n in any order, and rows come back in that order (file order when
       the column is absent); it is not itself returned;
@@ -148,6 +146,9 @@ def read_columns(
     for col in required:
         if col not in index:
             raise DataFormatError(f"{path}: missing column {col!r}")
+    for col in (*required, *optional, "LineId"):
+        if header.count(col) > 1:
+            raise DataFormatError(f"{path}: header repeats column {col!r}")
     columns = {
         col: [row[index[col]] for _, row in rows]
         for col in (*required, *optional)

@@ -22,18 +22,10 @@ from .corpus import (
 from .errors import EmptyPoolError, ShapeError
 from .pool import VariablePool
 
-MODE_LABELED = "labeled"
-MODE_PARSED = "parsed"
-
 
 @dataclass(frozen=True)
 class FuzzConfig:
     seed: int
-    mode: str = MODE_LABELED
-
-    def __post_init__(self) -> None:
-        if self.mode not in (MODE_LABELED, MODE_PARSED):
-            raise ValueError(f"mode must be {MODE_LABELED!r} or {MODE_PARSED!r}")
 
 
 @dataclass
@@ -51,24 +43,24 @@ def fuzz(
 ) -> FuzzResult:
     """Replace every variable of every line with pool samples.
 
-    Randomness is derived from (seed, line id), so the output is identical
-    however the records are scheduled. Lines whose template has no wildcard
+    Each line is aligned with its entry of `parsed` when that is given (one
+    template per record), and with its ground truth otherwise. Randomness
+    is derived from (seed, line id), so the output is identical however the
+    records are scheduled. Lines whose template has no wildcard
     pass through unchanged; lines that fail alignment (possible when parser
     templates are wrong) also pass through and are listed in the result's
     skip report.
     """
     if not vpool.values:
         raise EmptyPoolError("variable pool is empty")
-    if cfg.mode == MODE_PARSED:
-        if parsed is None:
-            raise ValueError("parsed templates are required in parsed mode")
-        if len(parsed) != len(ds.records):
-            raise ShapeError(
-                f"parse result has {len(parsed)} entries for {len(ds.records)} records"
-            )
+    if parsed is None:
+        templates = ds.labels()
+    elif len(parsed) == len(ds.records):
         templates = parsed
     else:
-        templates = ds.labels()
+        raise ShapeError(
+            f"parse result has {len(parsed)} entries for {len(ds.records)} records"
+        )
 
     values = vpool.values
     records: list[LogRecord] = []

@@ -16,17 +16,18 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from statistics import mean, stdev
 from typing import get_type_hints
 
 from .corpus import Dataset, LogRecord, load_structured
 from .errors import AllocationError, InsufficientDataError, LogblendError
-from .fuzzing import MODE_LABELED, MODE_PARSED, FuzzConfig, fuzz
+from .fuzzing import FuzzConfig, fuzz
 from .heterogeneity import (
     INDUSTRY_REFERENCE,
-    ReferenceStats,
+    ProxyStats,
+    check_reference,
     h_score,
     proxy_stats,
 )
@@ -46,6 +47,12 @@ SCHEMA_VERSION = 1
 
 LABELS_GROUND_TRUTH = "ground-truth"
 LABELS_PARSED = "parsed"
+#: What fuzz aligns each line with: its ground truth or its parsed template.
+MODE_LABELED = "labeled"
+MODE_PARSED = "parsed"
+
+#: The parser whose output stands in for labels (LABELS_PARSED, MODE_PARSED).
+LABEL_PARSER = TreeParserConfig()
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,6 @@ class SynthesisPlan:
     fuzz_mode: str | None = None
     #: Where surrogate labels come from when no ground truth is used.
     labels: str = LABELS_GROUND_TRUTH
-    label_parser: ParserConfig = field(default_factory=TreeParserConfig)
     outlier_pool: OutlierPool | None = None
     variable_pool: VariablePool | None = None
     outlier_pool_path: Path | None = None
@@ -95,11 +101,12 @@ class ExperimentPlan:
     synthesis: SynthesisPlan | None = None
     runs: int = 10
     base_seed: int = 0
-    reference: ReferenceStats = INDUSTRY_REFERENCE
+    reference: ProxyStats = INDUSTRY_REFERENCE
 
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise LogblendError(f"runs must be >= 1, got {self.runs}")
+        check_reference(self.reference, "plan.reference")
         # The report keys parsers and datasets by name; a repeat would overwrite.
         names = [f"parser {spec.name!r}" for spec in self.parsers]
         names += [f"dataset {Path(path).stem!r}" for path in self.datasets]
@@ -146,7 +153,7 @@ def _synthesis_summary(plan: SynthesisPlan | None) -> dict | None:
         return None
     summary = {name: getattr(plan, name) for name in _SYNTHESIS_SETTINGS}
     if plan.labels == LABELS_PARSED:
-        summary["label_parser"] = _parser_summary(plan.label_parser)
+        summary["label_parser"] = _parser_summary(LABEL_PARSER)
     pool_digests = {}
     if plan.outlier_pool_path is not None:
         pool_digests["outlier_pool"] = _digest(plan.outlier_pool_path)
@@ -164,16 +171,13 @@ def _synthesize(ds: Dataset, plan: SynthesisPlan, seed: int) -> Dataset:
             strength=plan.mix_strength, seed=seed, exclude_source=plan.exclude_source
         )
         if plan.labels == LABELS_PARSED:
-            surrogate = parse(data, plan.label_parser)
+            surrogate = parse(data, LABEL_PARSER)
             data = mix_with_parser_labels(data, surrogate, plan.outlier_pool, cfg)
         else:
             data = mix(data, plan.outlier_pool, cfg)
     if plan.fuzz_mode is not None:
-        surrogate = (
-            parse(data, plan.label_parser) if plan.fuzz_mode == MODE_PARSED else None
-        )
-        cfg = FuzzConfig(seed=seed, mode=plan.fuzz_mode)
-        data = fuzz(data, plan.variable_pool, cfg, surrogate).dataset
+        surrogate = parse(data, LABEL_PARSER) if plan.fuzz_mode == MODE_PARSED else None
+        data = fuzz(data, plan.variable_pool, FuzzConfig(seed=seed), surrogate).dataset
     return data
 
 
@@ -276,9 +280,7 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
     return EvaluationReport(plan_summary, datasets_doc, timings)
 
 
-def build_combined_dataset(
-    datasets: list[Dataset], size: int, seed: int, name: str = "combined"
-) -> Dataset:
+def build_combined_dataset(datasets: list[Dataset], size: int, seed: int) -> Dataset:
     """Draw a uniform per-dataset sample and shuffle it into one dataset.
 
     Each of the k datasets contributes size // k records (the first
@@ -312,7 +314,7 @@ def build_combined_dataset(
         )
         for pos, j in enumerate(order)
     ]
-    return Dataset(name=name, records=records)
+    return Dataset(name="combined", records=records)
 
 
 def _typed(key: str, value, kind):
@@ -420,7 +422,7 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
 
     reference = INDUSTRY_REFERENCE
     if doc["reference"]:
-        reference = _config("plan.reference", ReferenceStats, doc["reference"])
+        reference = _config("plan.reference", ProxyStats, doc["reference"])
 
     return ExperimentPlan(
         datasets=[_resolve(p) for p in doc["datasets"]],

@@ -17,13 +17,16 @@ import numpy as np
 from .corpus import Dataset
 from .errors import EmptyDatasetError, InsufficientDataError, InvalidReferenceError
 
-#: Default weights for (unique words, unique characters, unique line lengths).
-DEFAULT_WEIGHTS = (0.4, 0.2, 0.4)
+#: Weights of (unique words, unique characters, unique line lengths).
+WEIGHTS = (0.4, 0.2, 0.4)
 
 
 @dataclass(frozen=True)
 class ProxyStats:
-    """Unique-word, unique-character, and unique-line-length counts."""
+    """Unique-word, unique-character, and unique-line-length counts.
+
+    The same triple describes a dataset and the reference it is normalized by.
+    """
 
     nuw: int
     nuc: int
@@ -36,26 +39,21 @@ class ProxyStats:
         return {"nuw": self.nuw, "nuc": self.nuc, "nuldl": self.nuldl}
 
 
-@dataclass(frozen=True)
-class ReferenceStats:
-    """Normalization anchor; the reference corpus itself scores H = 1."""
+def check_reference(ref: ProxyStats, key: str = "reference") -> tuple[int, int, int]:
+    """The components of `ref`, which must all be positive to divide by.
 
-    nuw: int
-    nuc: int
-    nuldl: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.nuw, self.nuc, self.nuldl)
-
-    def validate(self) -> None:
-        if min(self.as_tuple()) <= 0:
-            raise InvalidReferenceError(
-                f"reference components must be positive, got {self.as_tuple()}"
-            )
+    Otherwise raises InvalidReferenceError naming `key`.
+    """
+    if min(ref.as_tuple()) <= 0:
+        raise InvalidReferenceError(
+            f"{key} components must be positive, got {ref.as_tuple()}"
+        )
+    return ref.as_tuple()
 
 
-#: Measured on a 2K-line industry log sample from a large production system.
-INDUSTRY_REFERENCE = ReferenceStats(nuw=4421, nuc=92, nuldl=181)
+#: Measured on a 2K-line industry log sample from a large production system;
+#: as the normalization anchor, it scores H = 1 itself.
+INDUSTRY_REFERENCE = ProxyStats(nuw=4421, nuc=92, nuldl=181)
 
 
 @dataclass(frozen=True)
@@ -93,31 +91,18 @@ def proxy_stats(ds: Dataset) -> ProxyStats:
     return ProxyStats(nuw=len(words), nuc=len(chars), nuldl=len(lengths))
 
 
-def h_score(
-    stats: ProxyStats,
-    ref: ReferenceStats = INDUSTRY_REFERENCE,
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
-) -> HeterogeneityScore:
+def h_score(stats: ProxyStats, ref: ProxyStats = INDUSTRY_REFERENCE) -> HeterogeneityScore:
     """Weighted sum of reference-normalized proxy ratios, each capped at 1."""
-    ref.validate()
     components = tuple(
-        min(s / r, 1.0) for s, r in zip(stats.as_tuple(), ref.as_tuple())
+        min(s / r, 1.0) for s, r in zip(stats.as_tuple(), check_reference(ref))
     )
-    h = sum(w * c for w, c in zip(weights, components))
+    h = sum(w * c for w, c in zip(WEIGHTS, components))
     return HeterogeneityScore(h=h, components=components)  # type: ignore[arg-type]
-
-
-def dataset_h(
-    ds: Dataset,
-    ref: ReferenceStats = INDUSTRY_REFERENCE,
-    weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
-) -> HeterogeneityScore:
-    return h_score(proxy_stats(ds), ref, weights)
 
 
 def metric_variability(
     stats_list: list[ProxyStats],
-    ref: ReferenceStats = INDUSTRY_REFERENCE,
+    ref: ProxyStats = INDUSTRY_REFERENCE,
 ) -> tuple[float, float, float]:
     """Spread of each proxy metric across datasets, reference-normalized.
 
@@ -130,8 +115,7 @@ def metric_variability(
         raise InsufficientDataError(
             f"need at least 2 datasets, got {len(stats_list)}"
         )
-    ref.validate()
     values = np.array([s.as_tuple() for s in stats_list], dtype=np.float64)
-    normalized = values / np.array(ref.as_tuple(), dtype=np.float64)
+    normalized = values / np.array(check_reference(ref), dtype=np.float64)
     spread = np.std(normalized, axis=0, ddof=1)
     return (float(spread[0]), float(spread[1]), float(spread[2]))

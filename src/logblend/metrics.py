@@ -16,6 +16,7 @@ are compared exactly as given.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -47,27 +48,23 @@ def _check_lengths(predicted: ParseResult, truth: ParseResult) -> None:
         )
 
 
-def _groups(templates: list[str]) -> list[tuple[int, ...]]:
-    """Map each index to the tuple of indices sharing its template."""
-    by_template: dict[str, list[int]] = {}
-    for idx, tpl in enumerate(templates):
-        by_template.setdefault(tpl, []).append(idx)
-    frozen = {tpl: tuple(idxs) for tpl, idxs in by_template.items()}
-    return [frozen[tpl] for tpl in templates]
-
-
 def grouping_accuracy(predicted: ParseResult, truth: ParseResult) -> float:
     """Fraction of records whose predicted group equals their truth group.
 
     Invariant under any renaming of the predicted template strings; empty
-    input is vacuously 1.0. Templates are grouped as given.
+    input is vacuously 1.0. Templates are grouped as given. A record's two
+    groups are equal exactly when its (predicted, truth) pair occurs as often
+    as its predicted template and as often as its truth template.
     """
     _check_lengths(predicted, truth)
     if not truth:
         return 1.0
-    pred_groups = _groups(predicted)
-    truth_groups = _groups(truth)
-    correct = sum(1 for p, t in zip(pred_groups, truth_groups) if p == t)
+    pred_sizes, truth_sizes = Counter(predicted), Counter(truth)
+    correct = sum(
+        n
+        for (p, t), n in Counter(zip(predicted, truth)).items()
+        if n == pred_sizes[p] == truth_sizes[t]
+    )
     return correct / len(truth)
 
 

@@ -81,7 +81,11 @@ class VariablePool:
 
     @classmethod
     def load(cls, path: str | Path) -> "VariablePool":
-        """Read a saved pool; an empty or repeated value names the file and line."""
+        """Read a saved pool: per line, a value and its tab-separated source tags.
+
+        An empty or repeated value, or a line with no source tag, raises
+        DataFormatError naming the file and line.
+        """
         values: list[str] = []
         sources: dict[str, tuple[str, ...]] = {}
         with open(path, encoding="utf-8") as f:
@@ -92,6 +96,8 @@ class VariablePool:
                 value, *tags = line.split("\t")
                 if not value:
                     raise DataFormatError(f"{path}: line {line_num} has an empty value")
+                if not tags:
+                    raise DataFormatError(f"{path}: line {line_num} has no source tag")
                 if value in sources:
                     raise DataFormatError(
                         f"{path}: line {line_num} repeats the value {value!r}"

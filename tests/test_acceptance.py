@@ -24,7 +24,7 @@ from logblend.harness import (
     build_combined_dataset,
     run_experiment,
 )
-from logblend.heterogeneity import dataset_h, h_score, metric_variability
+from logblend.heterogeneity import h_score, metric_variability, proxy_stats
 from logblend.metrics import (
     edit_distance,
     grouping_accuracy,
@@ -136,7 +136,7 @@ def test_criterion_5_mixing_monotonicity(tmp_path):
     means = []
     for s in strengths:
         hs = [
-            dataset_h(mix(ds, opool, MixConfig(strength=s, seed=seed))).h
+            h_score(proxy_stats(mix(ds, opool, MixConfig(strength=s, seed=seed)))).h
             for seed in range(10)
         ]
         means.append(sum(hs) / len(hs))

@@ -102,7 +102,7 @@ def test_fuzz_writes_labeled_dataset(cli_workspace, tmp_path):
     assert rc == EXIT_OK
     fuzzed = load_structured(out)
     assert len(fuzzed.records) == 2000
-    assert fuzzed.is_labeled()
+    assert all(r.ground_truth is not None for r in fuzzed)
 
 
 def test_parse_then_evaluate(cli_workspace, tmp_path, capsys):
@@ -168,6 +168,19 @@ def test_parsed_mode_fuzz_via_cli(cli_workspace, tmp_path):
         ]
     )
     assert rc == EXIT_OK
+
+
+def test_parsed_mode_fuzz_requires_parsed_file(cli_workspace, tmp_path, capsys):
+    argv = [
+        "fuzz",
+        "--in", str(cli_workspace / "apacheish.csv"),
+        "--vpool", str(cli_workspace / "pools" / "variable_pool.tsv"),
+        "--mode", "parsed",
+        "--out", str(tmp_path / "fuzzed.csv"),
+    ]
+    assert main(argv) == EXIT_DATA
+    assert "--parsed is required in parsed mode" in capsys.readouterr().err
+    assert not (tmp_path / "fuzzed.csv").exists()
 
 
 def test_combine_across_datasets(cli_workspace, tmp_path):
@@ -272,6 +285,11 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
         ({"parsers": [{"kind": "tree", "depth": "4"}]}, "plan.parsers[0].depth"),
         ({"parsers": [{"kind": "external"}]}, "plan.parsers[0].path"),
         ({"reference": {"nuw": 1, "nuldl": 1}}, "plan.reference.nuc"),
+        # Checked before any dataset is loaded, so the missing file is not reached.
+        (
+            {"datasets": ["missing.csv"], "reference": {"nuw": 0, "nuc": 9, "nuldl": 9}},
+            "plan.reference",
+        ),
         (
             {"parsers": [{"kind": "tree", "similarity_treshold": 0.5}]},
             "plan.parsers[0].similarity_treshold",
@@ -294,6 +312,7 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
         "depth-not-int",
         "external-without-path",
         "reference-without-nuc",
+        "reference-not-positive",
         "unknown-parser-key",
         "config-rejects-value",
         "mask-not-a-regex",
@@ -349,6 +368,7 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         ("stats", "LineId,Content,EventTemplate\n1,a,a\n3,b,b\n", "row 3"),
         ("fuzz", "\tsrc\n7\tsrc\n7\tother\n", "line 1"),
         ("fuzz", "7\tsrc\n7\tother\n", "line 2"),
+        ("fuzz", "7\n8\ta\n", "line 1"),
     ],
     ids=[
         "pool-short-row",
@@ -359,6 +379,7 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         "dataset-line-id-gap",
         "vpool-empty-value",
         "vpool-repeated-value",
+        "vpool-no-source",
     ],
 )
 def test_malformed_pool_or_parser_output_exits_2(

@@ -126,7 +126,7 @@ def test_nothing_after_the_read_boundary_canonicalizes_again(tmp_path, monkeypat
         mixed = mix(ds, opool, cfg)
         labeled = fuzz(mixed, vpool, FuzzConfig(seed=1)).dataset
         surrogate = parse(labeled, TreeParserConfig())
-        fuzzed = fuzz(labeled, vpool, FuzzConfig(seed=2, mode="parsed"), surrogate)
+        fuzzed = fuzz(labeled, vpool, FuzzConfig(seed=2), surrogate)
         truth = fuzzed.dataset.labels()
         for config in configs:
             evaluate(parse(fuzzed.dataset, config), truth)

@@ -177,3 +177,14 @@ def test_line_id_gap_or_duplicate_names_the_file_and_row(fmt, line_ids, match, t
     with pytest.raises(DataFormatError, match=match) as exc:
         _FORMATS[fmt][2](path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize("column", ["LineId", "EventTemplate"])
+def test_repeated_column_names_the_file_and_column(fmt, column, tmp_path):
+    header, row, read = _FORMATS[fmt]
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header},{column}\n{row.format(1)},1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"header repeats column '{column}'") as exc:
+        read(path)
+    assert str(path) in str(exc.value)

@@ -12,7 +12,7 @@ from logblend.corpus import (
     write_dataset,
 )
 from logblend.errors import EmptyPoolError
-from logblend.fuzzing import MODE_PARSED, FuzzConfig, fuzz
+from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.metrics import template_accuracy
 from logblend.mixing import MixConfig, mix
 from logblend.parsers import (
@@ -108,13 +108,13 @@ def test_record_randomness_depends_only_on_seed_and_line_id():
 def test_fuzz_raises_heterogeneity_in_expectation():
     # mean H over 10 seeds never drops below the input's H, for every source
     from helpers import source_datasets
-    from logblend.heterogeneity import dataset_h
+    from logblend.heterogeneity import h_score, proxy_stats
 
     _, vpool = standard_pools()
     for ds in source_datasets():
-        h0 = dataset_h(ds).h
+        h0 = h_score(proxy_stats(ds)).h
         mean_h = sum(
-            dataset_h(fuzz(ds, vpool, FuzzConfig(seed=s)).dataset).h
+            h_score(proxy_stats(fuzz(ds, vpool, FuzzConfig(seed=s)).dataset)).h
             for s in range(10)
         ) / 10
         assert mean_h >= h0, ds.name
@@ -125,7 +125,7 @@ def test_parsed_mode_relabels_with_parser_output():
     out = fuzz(
         ds,
         _vpool(["7"]),
-        FuzzConfig(seed=0, mode=MODE_PARSED),
+        FuzzConfig(seed=0),
         parsed=["Template log <*>"],
     ).dataset
     assert out.records[0].content == "Template log 7"
@@ -137,7 +137,7 @@ def test_parsed_mode_misalignment_passes_through_with_skip_report():
     result = fuzz(
         ds,
         _vpool(["7"]),
-        FuzzConfig(seed=0, mode=MODE_PARSED),
+        FuzzConfig(seed=0),
         parsed=["Template log <*>", "mismatched <*> thing"],
     )
     assert result.skipped_line_ids == [2]
@@ -152,26 +152,15 @@ def test_parsed_mode_refills_lines_with_non_space_whitespace(config):
     # stays inside its token and every line aligns with its parsed template.
     ds = _ds([(f"open\xa0f{i} done", None) for i in range(1, 6)])
     parsed = parse(ds, config)
-    result = fuzz(ds, _vpool(["x9"]), FuzzConfig(seed=0, mode=MODE_PARSED), parsed)
+    result = fuzz(ds, _vpool(["x9"]), FuzzConfig(seed=0), parsed)
     assert result.skipped_line_ids == []
     assert result.dataset.contents() == ["x9 done"] * 5
-
-
-def test_parsed_mode_requires_parse_result():
-    ds = _ds([("a 1", "a <*>")])
-    with pytest.raises(ValueError):
-        fuzz(ds, _vpool(["x"]), FuzzConfig(seed=0, mode=MODE_PARSED))
 
 
 def test_empty_pool_rejected():
     ds = _ds([("a 1", "a <*>")])
     with pytest.raises(EmptyPoolError):
         fuzz(ds, _vpool([]), FuzzConfig(seed=0))
-
-
-def test_mode_validated():
-    with pytest.raises(ValueError):
-        FuzzConfig(seed=0, mode="surprise")
 
 
 def _as_oracle_output(result):
@@ -196,7 +185,7 @@ def test_fuzz_equals_numpy_loop_on_mixed_corpus():
         # Each line paired with the next line's template: lines that do not
         # align are skipped, the rest are refilled under the other template.
         shifted = labels[1:] + labels[:1]
-        result = fuzz(mixed, vpool, FuzzConfig(seed=seed, mode=MODE_PARSED), shifted)
+        result = fuzz(mixed, vpool, FuzzConfig(seed=seed), shifted)
         assert 0 < len(result.skipped_line_ids) < len(labels)
         assert _as_oracle_output(result) == numpy_loop_fuzz(mixed, vpool, seed, shifted)
 

@@ -16,7 +16,7 @@ from logblend.harness import (
     plan_from_dict,
     run_experiment,
 )
-from logblend.heterogeneity import dataset_h
+from logblend.heterogeneity import h_score, proxy_stats
 from logblend.metrics import evaluate
 from logblend.parsers import (
     PARSER_CONFIGS,
@@ -216,7 +216,7 @@ def test_parsed_label_h_tracks_ground_truth_h(workspace):
             base_seed=2,
         )
         h[key] = run_experiment(plan).to_dict()["datasets"]["apacheish"]["h_mean"]
-    initial = dataset_h(apacheish()).h
+    initial = h_score(proxy_stats(apacheish())).h
     assert 0.5 * h["gdth"] <= h["parsed"] <= 1.5 * h["gdth"]
     assert h["parsed"] > initial and h["gdth"] > initial
 

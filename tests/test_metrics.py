@@ -190,6 +190,28 @@ def test_grouping_length_mismatch():
         grouping_accuracy(["a"], ["a", "b"])
 
 
+def _index_groups(templates: list[str]) -> list[tuple[int, ...]]:
+    """Each record's group as the tuple of indices sharing its template."""
+    by_template: dict[str, list[int]] = {}
+    for idx, tpl in enumerate(templates):
+        by_template.setdefault(tpl, []).append(idx)
+    return [tuple(by_template[tpl]) for tpl in templates]
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("pqrs"), st.sampled_from("tuvw")), max_size=40
+    )
+)
+def test_grouping_matches_index_group_oracle(pairs):
+    predicted = [p for p, _ in pairs]
+    truth = [t for _, t in pairs]
+    groups = zip(_index_groups(predicted), _index_groups(truth))
+    correct = sum(1 for p, t in groups if p == t)
+    expected = correct / len(truth) if truth else 1.0
+    assert grouping_accuracy(predicted, truth) == expected
+
+
 # --- template accuracy ------------------------------------------------------
 
 def test_template_accuracy_identity_and_disjoint():

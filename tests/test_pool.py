@@ -233,8 +233,9 @@ def test_variable_pool_build_is_deterministic(tmp_path):
         ("\tsrc\n7\tsrc\n7\tother\n", "line 1 has an empty value"),
         ("7\tsrc\n7\tother\n", "line 2 repeats the value '7'"),
         ("7\tsrc\n\n8\ta\n7\tother\n", "line 4 repeats the value '7'"),
+        ("7\n8\ta\n", "line 1 has no source tag"),
     ],
-    ids=["empty-value", "repeated-value", "repeat-after-blank-line"],
+    ids=["empty-value", "repeated-value", "repeat-after-blank-line", "no-source-tag"],
 )
 def test_variable_pool_load_names_malformed_line(tmp_path, text, match):
     p = tmp_path / "vars.tsv"
