@@ -17,8 +17,6 @@ from .corpus import Dataset, load_raw, load_structured, write_dataset
 from .errors import LogblendError
 from .fuzzing import FuzzConfig, fuzz
 from .harness import (
-    MODE_LABELED,
-    MODE_PARSED,
     EvaluationReport,
     build_combined_dataset,
     plan_from_dict,
@@ -26,7 +24,7 @@ from .harness import (
 )
 from .heterogeneity import INDUSTRY_REFERENCE, ProxyStats, h_score, proxy_stats
 from .metrics import evaluate
-from .mixing import MixConfig, mix, mix_with_parser_labels
+from .mixing import MixConfig, mix
 from .parsers import (
     PARSER_CONFIGS,
     IdentityParserConfig,
@@ -127,8 +125,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="resample every variable from the pool")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--vpool", required=True, help="variable pool file")
-    p.add_argument("--mode", choices=[MODE_LABELED, MODE_PARSED], default=MODE_LABELED)
-    p.add_argument("--parsed", help="parser output file (parsed mode)")
+    p.add_argument("--parsed", help="parser output file used as surrogate labels")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -206,6 +203,13 @@ def _resolve_outlier_pool(path: str) -> OutlierPool:
     return OutlierPool.load(p)
 
 
+def _read_parsed(path: str | None, ds: Dataset) -> list[str] | None:
+    """The templates of a --parsed file, one per record of `ds`; None without one."""
+    if path is None:
+        return None
+    return read_parse_result(path, expected_len=len(ds.records))
+
+
 def _cmd_mix(args) -> None:
     ds = load_structured(args.input)
     pool = _resolve_outlier_pool(args.pool)
@@ -214,23 +218,13 @@ def _cmd_mix(args) -> None:
         seed=args.seed,
         exclude_source=not args.include_own_source,
     )
-    if args.parsed:
-        parsed = read_parse_result(args.parsed, expected_len=len(ds.records))
-        mixed = mix_with_parser_labels(ds, parsed, pool, cfg)
-    else:
-        mixed = mix(ds, pool, cfg)
-    write_dataset(mixed, args.out)
+    write_dataset(mix(ds, pool, cfg, _read_parsed(args.parsed, ds)), args.out)
 
 
 def _cmd_fuzz(args) -> None:
     ds = load_structured(args.input)
     vpool = VariablePool.load(args.vpool)
-    parsed = None
-    if args.mode == MODE_PARSED:
-        if not args.parsed:
-            raise LogblendError("--parsed is required in parsed mode")
-        parsed = read_parse_result(args.parsed, expected_len=len(ds.records))
-    result = fuzz(ds, vpool, FuzzConfig(seed=args.seed), parsed)
+    result = fuzz(ds, vpool, FuzzConfig(seed=args.seed), _read_parsed(args.parsed, ds))
     write_dataset(result.dataset, args.out)
     if result.skipped_line_ids:
         print(

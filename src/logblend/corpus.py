@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from .errors import AlignmentError, DataFormatError, LabelingError
+from .errors import AlignmentError, DataFormatError, LabelingError, ShapeError
 
 WILDCARD = "<*>"
 
@@ -78,6 +78,19 @@ class Dataset:
                 f"dataset {self.name!r} has records without ground truth", missing
             )
         return [r.ground_truth for r in self.records]  # type: ignore[misc]
+
+    def templates(self, parsed: list[str] | None = None) -> list[str]:
+        """Per record, `parsed` (a parser's output) when given, else :meth:`labels`.
+
+        Lets synthesis stand parser templates in for missing ground truth.
+        """
+        if parsed is None:
+            return self.labels()
+        if len(parsed) != len(self.records):
+            raise ShapeError(
+                f"parse result has {len(parsed)} entries for {len(self.records)} records"
+            )
+        return parsed
 
 
 def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:

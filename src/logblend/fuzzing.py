@@ -19,7 +19,7 @@ from .corpus import (
     matches_template,
     substitute_variables,
 )
-from .errors import EmptyPoolError, ShapeError
+from .errors import EmptyPoolError
 from .pool import VariablePool
 
 
@@ -53,14 +53,7 @@ def fuzz(
     """
     if not vpool.values:
         raise EmptyPoolError("variable pool is empty")
-    if parsed is None:
-        templates = ds.labels()
-    elif len(parsed) == len(ds.records):
-        templates = parsed
-    else:
-        raise ShapeError(
-            f"parse result has {len(parsed)} entries for {len(ds.records)} records"
-        )
+    templates = ds.templates(parsed)
 
     values = vpool.values
     records: list[LogRecord] = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from statistics import mean, stdev
 from typing import get_type_hints
@@ -32,7 +32,7 @@ from .heterogeneity import (
     proxy_stats,
 )
 from .metrics import evaluate
-from .mixing import MixConfig, mix, mix_with_parser_labels
+from .mixing import MixConfig, mix
 from .parsers import (
     PARSER_CONFIGS,
     ParserConfig,
@@ -80,8 +80,8 @@ class SynthesisPlan:
     labels: str = LABELS_GROUND_TRUTH
     outlier_pool: OutlierPool | None = None
     variable_pool: VariablePool | None = None
-    outlier_pool_path: Path | None = None
-    variable_pool_path: Path | None = None
+    #: sha256 of each pool file as it was loaded, by plan key, for the report.
+    pool_digests: dict[str, str] = field(default_factory=dict)
 
 
 #: The settings a plan's synthesis section holds besides its pools, with the
@@ -154,13 +154,8 @@ def _synthesis_summary(plan: SynthesisPlan | None) -> dict | None:
     summary = {name: getattr(plan, name) for name in _SYNTHESIS_SETTINGS}
     if plan.labels == LABELS_PARSED:
         summary["label_parser"] = _parser_summary(LABEL_PARSER)
-    pool_digests = {}
-    if plan.outlier_pool_path is not None:
-        pool_digests["outlier_pool"] = _digest(plan.outlier_pool_path)
-    if plan.variable_pool_path is not None:
-        pool_digests["variable_pool"] = _digest(plan.variable_pool_path)
-    if pool_digests:
-        summary["pool_digests"] = pool_digests
+    if plan.pool_digests:
+        summary["pool_digests"] = dict(plan.pool_digests)
     return summary
 
 
@@ -170,11 +165,8 @@ def _synthesize(ds: Dataset, plan: SynthesisPlan, seed: int) -> Dataset:
         cfg = MixConfig(
             strength=plan.mix_strength, seed=seed, exclude_source=plan.exclude_source
         )
-        if plan.labels == LABELS_PARSED:
-            surrogate = parse(data, LABEL_PARSER)
-            data = mix_with_parser_labels(data, surrogate, plan.outlier_pool, cfg)
-        else:
-            data = mix(data, plan.outlier_pool, cfg)
+        surrogate = parse(data, LABEL_PARSER) if plan.labels == LABELS_PARSED else None
+        data = mix(data, plan.outlier_pool, cfg, surrogate)
     if plan.fuzz_mode is not None:
         surrogate = parse(data, LABEL_PARSER) if plan.fuzz_mode == MODE_PARSED else None
         data = fuzz(data, plan.variable_pool, FuzzConfig(seed=seed), surrogate).dataset
@@ -414,11 +406,13 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
         outlier_pool, variable_pool = s.pop("outlier_pool"), s.pop("variable_pool")
         synthesis = SynthesisPlan(**s)
         if outlier_pool:
-            synthesis.outlier_pool_path = _resolve(outlier_pool)
-            synthesis.outlier_pool = OutlierPool.load(synthesis.outlier_pool_path)
+            path = _resolve(outlier_pool)
+            synthesis.pool_digests["outlier_pool"] = _digest(path)
+            synthesis.outlier_pool = OutlierPool.load(path)
         if variable_pool:
-            synthesis.variable_pool_path = _resolve(variable_pool)
-            synthesis.variable_pool = VariablePool.load(synthesis.variable_pool_path)
+            path = _resolve(variable_pool)
+            synthesis.pool_digests["variable_pool"] = _digest(path)
+            synthesis.variable_pool = VariablePool.load(path)
 
     reference = INDUSTRY_REFERENCE
     if doc["reference"]:

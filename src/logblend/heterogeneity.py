@@ -11,8 +11,7 @@ spread across datasets is roughly half as large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from statistics import stdev
 
 from .corpus import Dataset
 from .errors import EmptyDatasetError, InsufficientDataError, InvalidReferenceError
@@ -115,7 +114,7 @@ def metric_variability(
         raise InsufficientDataError(
             f"need at least 2 datasets, got {len(stats_list)}"
         )
-    values = np.array([s.as_tuple() for s in stats_list], dtype=np.float64)
-    normalized = values / np.array(check_reference(ref), dtype=np.float64)
-    spread = np.std(normalized, axis=0, ddof=1)
-    return (float(spread[0]), float(spread[1]), float(spread[2]))
+    scale = check_reference(ref)
+    columns = zip(*(s.as_tuple() for s in stats_list))
+    nuw, nuc, nuldl = (stdev([v / r for v in col]) for col, r in zip(columns, scale))
+    return (nuw, nuc, nuldl)

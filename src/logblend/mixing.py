@@ -14,7 +14,7 @@ from itertools import groupby
 
 from ._rng import generator
 from .corpus import Dataset, LogRecord
-from .errors import EmptyPoolError, ShapeError
+from .errors import EmptyPoolError
 from .pool import OutlierPool
 
 #: Replacement fraction at strength 1.0.
@@ -59,9 +59,18 @@ def replacement_targets(labels: list[str], k: int) -> list[int]:
     return targets
 
 
-def _mix(
-    ds: Dataset, labels: list[str], pool: OutlierPool, cfg: MixConfig
+def mix(
+    ds: Dataset, pool: OutlierPool, cfg: MixConfig, parsed: list[str] | None = None
 ) -> Dataset:
+    """Replace the most frequent entries with pool lines.
+
+    Frequency is counted over `parsed` when that is given (one template per
+    record), so lines a parser lumped under one template are the frequent
+    entries and no ground truth is needed; over the ground truth otherwise.
+    Replaced records adopt the pool entry's content, ground truth, and
+    source; everything else is untouched and the output has the input's size.
+    """
+    labels = ds.templates(parsed)
     k = replacement_count(cfg.strength, len(ds.records))
     records = list(ds.records)
     if k == 0:
@@ -82,27 +91,3 @@ def _mix(
             source=entry.source,
         )
     return Dataset(name=ds.name, records=records)
-
-
-def mix(ds: Dataset, pool: OutlierPool, cfg: MixConfig) -> Dataset:
-    """Replace the most frequent entries (by ground-truth template) with pool lines.
-
-    Replaced records adopt the pool entry's content, ground truth, and source;
-    everything else is untouched and the output has the input's size.
-    """
-    return _mix(ds, ds.labels(), pool, cfg)
-
-
-def mix_with_parser_labels(
-    ds: Dataset, parsed: list[str], pool: OutlierPool, cfg: MixConfig
-) -> Dataset:
-    """Same as :func:`mix` but frequency-ranked by parser output templates.
-
-    Lets the pipeline run without ground-truth labels: lines a parser lumped
-    under one template are treated as the frequent entries to replace.
-    """
-    if len(parsed) != len(ds.records):
-        raise ShapeError(
-            f"parse result has {len(parsed)} entries for {len(ds.records)} records"
-        )
-    return _mix(ds, parsed, pool, cfg)

@@ -21,7 +21,7 @@ from .corpus import (
     template_frequency_map,
     write_csv_rows,
 )
-from .errors import AlignmentError, DataFormatError, LabelingError
+from .errors import AlignmentError, DataFormatError
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,25 @@ class VariablePool:
         return len(self.values)
 
     def save(self, path: str | Path) -> None:
+        """Write one line per value: the value, then its source tags, tab-separated.
+
+        Raises ValueError, before the file is opened, naming a value that would
+        not read back: an empty one, one with no tag, or a tab, CR or LF in it
+        or a tag.
+        """
+        lines = []
+        for value in self.values:
+            tags = self.sources[value]
+            line = "\t".join((value, *tags))
+            split = line.count("\t") != len(tags) or "\n" in line or "\r" in line
+            if split or not value or not tags:
+                raise ValueError(
+                    f"variable pool value {value!r} with sources {tags!r} would not "
+                    "read back: it needs a value, a tag, and no tab, CR or LF"
+                )
+            lines.append(line + "\n")
         with open(path, "w", encoding="utf-8") as f:
-            for value in self.values:
-                f.write(value + "\t" + "\t".join(self.sources[value]) + "\n")
+            f.writelines(lines)
 
     @classmethod
     def load(cls, path: str | Path) -> "VariablePool":
@@ -153,14 +169,9 @@ def build_variable_pool(datasets: list[Dataset]) -> VariablePool:
     sources: dict[str, list[str]] = {}
     skipped: dict[str, list[int]] = {}
     for ds in datasets:
-        missing = [r.line_id for r in ds.records if r.ground_truth is None]
-        if missing:
-            raise LabelingError(
-                f"dataset {ds.name!r} has unlabeled records", missing
-            )
-        for rec in ds.records:
+        for rec, template in zip(ds.records, ds.labels()):
             try:
-                captured = extract_variables(rec.content, rec.ground_truth)  # type: ignore[arg-type]
+                captured = extract_variables(rec.content, template)
             except AlignmentError:
                 skipped.setdefault(ds.name, []).append(rec.line_id)
                 continue

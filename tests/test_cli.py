@@ -9,6 +9,9 @@ import pytest
 
 from logblend.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from logblend.corpus import load_structured, write_dataset
+from logblend.fuzzing import FuzzConfig, fuzz
+from logblend.parsers import read_parse_result
+from logblend.pool import VariablePool
 
 from helpers import apacheish, source_datasets
 
@@ -147,40 +150,30 @@ def test_evaluate_canonicalizes_templates_where_read(tmp_path, capsys):
 
 
 def test_parsed_mode_fuzz_via_cli(cli_workspace, tmp_path):
+    # --parsed alone aligns each line with the parser's template, exactly as
+    # the library does when given the same templates.
+    ds = load_structured(cli_workspace / "apacheish.csv")
+    vpool_path = cli_workspace / "pools" / "variable_pool.tsv"
     parsed = tmp_path / "parsed.csv"
-    main(
-        [
-            "parse",
-            "--in", str(cli_workspace / "apacheish.csv"),
-            "--out", str(parsed),
-        ]
-    )
+    main(["parse", "--in", str(cli_workspace / "apacheish.csv"), "--out", str(parsed)])
+    templates = read_parse_result(parsed)
+    assert templates != ds.labels()
     out = tmp_path / "fuzzed_parsed.csv"
     rc = main(
         [
             "fuzz",
             "--in", str(cli_workspace / "apacheish.csv"),
-            "--vpool", str(cli_workspace / "pools" / "variable_pool.tsv"),
-            "--mode", "parsed",
+            "--vpool", str(vpool_path),
             "--parsed", str(parsed),
             "--seed", "3",
             "--out", str(out),
         ]
     )
     assert rc == EXIT_OK
-
-
-def test_parsed_mode_fuzz_requires_parsed_file(cli_workspace, tmp_path, capsys):
-    argv = [
-        "fuzz",
-        "--in", str(cli_workspace / "apacheish.csv"),
-        "--vpool", str(cli_workspace / "pools" / "variable_pool.tsv"),
-        "--mode", "parsed",
-        "--out", str(tmp_path / "fuzzed.csv"),
-    ]
-    assert main(argv) == EXIT_DATA
-    assert "--parsed is required in parsed mode" in capsys.readouterr().err
-    assert not (tmp_path / "fuzzed.csv").exists()
+    expected = tmp_path / "expected.csv"
+    vpool = VariablePool.load(vpool_path)
+    write_dataset(fuzz(ds, vpool, FuzzConfig(seed=3), templates).dataset, expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_combine_across_datasets(cli_workspace, tmp_path):
@@ -350,6 +343,14 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
     assert main(["benchmark", "--plan", str(plan), "--workers", "2"]) == EXIT_USAGE
     stats = ["stats", "--in", str(cli_workspace / "apacheish.csv")]
     assert main(stats + ["--format", "json"]) == EXIT_USAGE
+    fuzz_argv = [
+        "fuzz",
+        "--in", str(cli_workspace / "apacheish.csv"),
+        "--vpool", str(cli_workspace / "pools" / "variable_pool.tsv"),
+        "--out", str(tmp_path / "fuzzed.csv"),
+    ]
+    assert main(fuzz_argv + ["--mode", "parsed"]) == EXIT_USAGE
+    assert not (tmp_path / "fuzzed.csv").exists()
 
 
 @pytest.mark.parametrize(

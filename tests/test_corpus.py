@@ -22,10 +22,10 @@ from logblend.corpus import (
     template_frequency_map,
     write_dataset,
 )
-from logblend.errors import AlignmentError, DataFormatError, LabelingError
+from logblend.errors import AlignmentError, DataFormatError, LabelingError, ShapeError
 from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.metrics import evaluate
-from logblend.mixing import MixConfig, mix, mix_with_parser_labels
+from logblend.mixing import MixConfig, mix
 from logblend.parsers import (
     IdentityParserConfig,
     TokenFrequencyParserConfig,
@@ -39,7 +39,7 @@ from logblend.pool import (
     build_variable_pool,
 )
 
-from helpers import apacheish, source_datasets
+from helpers import apacheish, source_datasets, standard_pools
 
 
 # --- canonicalization -------------------------------------------------------
@@ -122,7 +122,7 @@ def test_nothing_after_the_read_boundary_canonicalizes_again(tmp_path, monkeypat
     configs = (TreeParserConfig(), TokenFrequencyParserConfig(), IdentityParserConfig())
     for ds in datasets:
         cfg = MixConfig(strength=1.0, seed=1)
-        mix_with_parser_labels(ds, parse(ds, TreeParserConfig()), opool, cfg)
+        mix(ds, opool, cfg, parse(ds, TreeParserConfig()))
         mixed = mix(ds, opool, cfg)
         labeled = fuzz(mixed, vpool, FuzzConfig(seed=1)).dataset
         surrogate = parse(labeled, TreeParserConfig())
@@ -526,3 +526,23 @@ def test_frequency_map_reports_unlabeled_line_ids():
     with pytest.raises(LabelingError) as exc:
         template_frequency_map(ds)
     assert exc.value.line_ids == [2]
+
+
+# --- parser templates in place of labels -------------------------------------
+
+def _mix_records(ds, parsed=None):
+    opool, _ = standard_pools(200)
+    return mix(ds, opool, MixConfig(strength=1.0, seed=3), parsed).records
+
+
+def _fuzz_records(ds, parsed=None):
+    _, vpool = standard_pools(200)
+    return fuzz(ds, vpool, FuzzConfig(seed=3), parsed).dataset.records
+
+
+@pytest.mark.parametrize("synthesize", [_mix_records, _fuzz_records], ids=["mix", "fuzz"])
+def test_parsed_must_cover_each_record_and_equal_labels_change_nothing(synthesize):
+    ds = apacheish(200)
+    with pytest.raises(ShapeError, match="parse result has 199 entries for 200 records"):
+        synthesize(ds, ds.labels()[:-1])
+    assert synthesize(ds, ds.labels()) == synthesize(ds)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from logblend.parsers import (
     parse,
     write_parse_result,
 )
+from logblend.pool import OutlierPool, VariablePool
 
 from helpers import apacheish, assert_well_formed, source_datasets, standard_pools
 
@@ -45,15 +49,9 @@ def workspace(tmp_path_factory):
 def _synthesis(root, strength=None, fuzz_mode=None) -> SynthesisPlan:
     plan = SynthesisPlan(mix_strength=strength, fuzz_mode=fuzz_mode)
     if strength is not None:
-        plan.outlier_pool_path = root / "outlier_pool.csv"
-        from logblend.pool import OutlierPool
-
-        plan.outlier_pool = OutlierPool.load(plan.outlier_pool_path)
+        plan.outlier_pool = OutlierPool.load(root / "outlier_pool.csv")
     if fuzz_mode is not None:
-        plan.variable_pool_path = root / "variable_pool.tsv"
-        from logblend.pool import VariablePool
-
-        plan.variable_pool = VariablePool.load(plan.variable_pool_path)
+        plan.variable_pool = VariablePool.load(root / "variable_pool.tsv")
     return plan
 
 
@@ -332,6 +330,33 @@ def test_plan_from_dict_round_trip(workspace):
     parsed_doc = json.loads(report.to_json())
     assert parsed_doc["plan"]["synthesis"]["mix_strength"] == 0.4
     assert "pool_digests" in parsed_doc["plan"]["synthesis"]
+
+
+def test_pool_digests_are_of_the_files_the_plan_loaded(workspace, tmp_path):
+    shutil.copy(workspace / "apacheish.csv", tmp_path)
+    opool_path = shutil.copy(workspace / "outlier_pool.csv", tmp_path)
+    vpool_path = shutil.copy(workspace / "variable_pool.tsv", tmp_path)
+    loaded = {
+        name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for name, path in (("outlier_pool", opool_path), ("variable_pool", vpool_path))
+    }
+    doc = {
+        "datasets": ["apacheish.csv"],
+        "parsers": [{"kind": "identity"}],
+        "synthesis": {
+            "mix_strength": 0.4,
+            "fuzz_mode": "labeled",
+            "outlier_pool": "outlier_pool.csv",
+            "variable_pool": "variable_pool.tsv",
+        },
+        "runs": 1,
+    }
+    plan = plan_from_dict(doc, base_dir=tmp_path)
+    # Regenerated after the plan was read; the runs still use the loaded pools.
+    OutlierPool(entries=[]).save(opool_path)
+    VariablePool(values=["x"], sources={"x": ("a",)}).save(vpool_path)
+    report = run_experiment(plan)
+    assert report.plan_summary["synthesis"]["pool_digests"] == loaded
 
 
 def test_plan_from_dict_rebuilds_each_builtin_config_from_its_summary(workspace):

@@ -9,7 +9,6 @@ from logblend.errors import EmptyPoolError
 from logblend.mixing import (
     MixConfig,
     mix,
-    mix_with_parser_labels,
     replacement_count,
     replacement_targets,
 )
@@ -163,7 +162,7 @@ def test_parser_labels_equal_truth_gives_identical_mix():
     opool, _ = standard_pools()
     cfg = MixConfig(strength=0.8, seed=21)
     via_truth = mix(ds, opool, cfg)
-    via_labels = mix_with_parser_labels(ds, ds.labels(), opool, cfg)
+    via_labels = mix(ds, opool, cfg, ds.labels())
     assert via_truth.records == via_labels.records
 
 
@@ -172,7 +171,7 @@ def test_parser_collapsing_all_lines_targets_leading_records():
     ds = _uniform_ds("u", 10)
     pool = _pool(6)
     parsed = ["<*>"] * 10
-    mixed = mix_with_parser_labels(ds, parsed, pool, MixConfig(strength=0.8, seed=4))
+    mixed = mix(ds, pool, MixConfig(strength=0.8, seed=4), parsed)
     k = replacement_count(0.8, 10)
     assert k == 2
     changed = [

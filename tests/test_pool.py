@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,6 +195,13 @@ def test_variable_pool_skip_report_counts_misaligned_records():
     assert pool.skipped == {"t": [2]}
 
 
+def test_variable_pool_requires_labels_and_names_the_unlabeled_lines():
+    ds = Dataset("x", [LogRecord(1, "a 1", "a <*>", "x"), LogRecord(2, "b", None, "x")])
+    with pytest.raises(LabelingError) as exc:
+        build_variable_pool([ds])
+    assert exc.value.line_ids == [2]
+
+
 def test_variable_pool_has_no_empty_values():
     _, vpool = standard_pools()
     assert all(v for v in vpool.values)
@@ -243,6 +252,19 @@ def test_variable_pool_load_names_malformed_line(tmp_path, text, match):
     with pytest.raises(DataFormatError, match=match) as exc:
         VariablePool.load(p)
     assert str(p) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "value, tags",
+    [("7", ()), ("", ("a",)), ("7\t8", ("a",)), ("7", ("a\rb",)), ("7\n", ("a",))],
+    ids=["no-source", "empty-value", "tab-in-value", "cr-in-tag", "lf-in-value"],
+)
+def test_variable_pool_save_rejects_what_would_not_read_back(tmp_path, value, tags):
+    p = tmp_path / "vars.tsv"
+    vpool = VariablePool(values=["ok", value], sources={"ok": ("a",), value: tags})
+    with pytest.raises(ValueError, match=re.escape(f"value {value!r} with sources")):
+        vpool.save(p)
+    assert not p.exists()
 
 
 #: Any text a saved variable pool can hold: no tab, CR or LF, no surrogate.
