@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .corpus import Dataset, load_raw, load_structured, write_dataset
-from .errors import LogblendError
+from .errors import DataFormatError, LogblendError
 from .fuzzing import FuzzConfig, fuzz
 from .harness import (
     EvaluationReport,
@@ -181,8 +181,13 @@ def _cmd_pool_build(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     opool = build_outlier_pool(datasets, outlier_fraction=args.outlier_fraction)
     vpool = build_variable_pool(datasets)
+    # The variable pool checks every line before it opens its file; the
+    # outlier pool's CSV holds any text. Saving it first writes both or none.
+    try:
+        vpool.save(out_dir / "variable_pool.tsv")
+    except ValueError as exc:  # a source tag from the data holds a tab, CR or LF
+        raise DataFormatError(str(exc)) from exc
     opool.save(out_dir / "outlier_pool.csv")
-    vpool.save(out_dir / "variable_pool.tsv")
     skipped = sum(len(v) for v in vpool.skipped.values())
     _emit(
         {

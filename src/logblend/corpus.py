@@ -39,10 +39,6 @@ def canonicalize_template(text: str) -> str:
     return " ".join(filter(None, text.split(" ")))
 
 
-def count_wildcards(template: str) -> int:
-    return template.count(WILDCARD)
-
-
 @dataclass(frozen=True, slots=True)
 class LogRecord:
     """One log line: 1-based position, message content, optional template."""

@@ -9,16 +9,11 @@ used, so it stays evaluable.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ._rng import record_picks
-from .corpus import (
-    Dataset,
-    LogRecord,
-    count_wildcards,
-    matches_template,
-    substitute_variables,
-)
+from .corpus import WILDCARD, Dataset, LogRecord, _pattern
 from .errors import EmptyPoolError
 from .pool import VariablePool
 
@@ -56,39 +51,39 @@ def fuzz(
     templates = ds.templates(parsed)
 
     values = vpool.values
-    records: list[LogRecord] = []
+    # Per distinct template: the text before its first wildcard, the piece
+    # after each wildcard, and its matcher.
+    shapes: dict[str, tuple[str, list[str], Callable]] = {}
+    records = list(ds.records)
     skipped: list[int] = []
     refill: list[int] = []  # positions of the lines whose slots are refilled
     slots: list[int] = []
-    for rec, template in zip(ds.records, templates):
-        count = count_wildcards(template)
-        if count == 0:
-            records.append(
-                LogRecord(
-                    line_id=rec.line_id,
-                    content=rec.content,
-                    ground_truth=template or None,
-                    source=rec.source,
+    for i, (rec, template) in enumerate(zip(records, templates)):
+        shape = shapes.get(template)
+        if shape is None:
+            head, *rest = template.split(WILDCARD)
+            shape = shapes[template] = (head, rest, _pattern(template).fullmatch)
+        _, rest, fullmatch = shape
+        if not rest:
+            if rec.ground_truth != (template or None):
+                records[i] = LogRecord(
+                    rec.line_id, rec.content, template or None, rec.source
                 )
-            )
-            continue
-        if matches_template(rec.content, template):
-            refill.append(len(records))
-            slots.append(count)
+        elif fullmatch(rec.content):
+            refill.append(i)
+            slots.append(len(rest))
         else:
             skipped.append(rec.line_id)
-        records.append(rec)
     picks = record_picks(
         cfg.seed, [records[i].line_id for i in refill], len(values), slots
     )
     for i, chosen in zip(refill, picks):
         rec = records[i]
-        records[i] = LogRecord(
-            line_id=rec.line_id,
-            content=substitute_variables(templates[i], [values[j] for j in chosen]),
-            ground_truth=templates[i],
-            source=rec.source,
-        )
+        template = templates[i]
+        content, rest, _ = shapes[template]
+        for j, piece in zip(chosen, rest):
+            content += values[j] + piece
+        records[i] = LogRecord(rec.line_id, content, template, rec.source)
     return FuzzResult(
         dataset=Dataset(name=ds.name, records=records), skipped_line_ids=skipped
     )

@@ -80,13 +80,11 @@ def proxy_stats(ds: Dataset) -> ProxyStats:
     """
     if not ds.records:
         raise EmptyDatasetError(f"dataset {ds.name!r} is empty")
-    words: set[str] = set()
-    chars: set[str] = set()
-    lengths: set[int] = set()
-    for rec in ds.records:
-        words.update(rec.content.split())
-        chars.update(rec.content)
-        lengths.add(len(rec.content))
+    contents = ds.contents()
+    # The joining space ends a word, so no two contents' words merge.
+    words = set(" ".join(contents).split())
+    chars = set("".join(contents))
+    lengths = set(map(len, contents))
     return ProxyStats(nuw=len(words), nuc=len(chars), nuldl=len(lengths))
 
 

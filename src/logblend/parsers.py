@@ -7,9 +7,10 @@ Two baselines are built in, enough to exercise the synthesis/evaluation loop:
   group templates generalize disagreeing positions to ``<*>``. Membership is
   decided online, in one pass; each record reports its group's final
   template.
-* an offline token-frequency parser: two passes; a token is kept when its
-  occurrence ratio within its (position, token-count) slot meets a
-  threshold, otherwise it becomes ``<*>``.
+* an offline token-frequency parser: lines are grouped by token count and
+  counted per column, that is per (token count, position); a token is kept
+  when its occurrence ratio within its column meets a threshold, otherwise
+  it becomes ``<*>``.
 
 Any other parser integrates by writing a `LineId,EventTemplate` file,
 index-aligned with the input dataset (see :func:`read_parse_result`).
@@ -126,7 +127,9 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
             results[idx] = ""
             continue
 
-        node = root.setdefault(len(tokens), _Node())
+        node = root.get(len(tokens))
+        if node is None:
+            node = root[len(tokens)] = _Node()
         for level in range(min(token_layers, len(tokens))):
             key = tokens[level]
             if _DIGIT.search(key):
@@ -180,20 +183,20 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
 
 def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResult:
     token_lists = [list(filter(None, rec.content.split(" "))) for rec in ds.records]
-    class_sizes: Counter[int] = Counter(len(toks) for toks in token_lists)
-    freq: dict[tuple[int, int, str], int] = defaultdict(int)
-    for toks in token_lists:
-        n = len(toks)
-        for pos, tok in enumerate(toks):
-            freq[(n, pos, tok)] += 1
-    results: list[str] = []
-    for toks in token_lists:
-        n = len(toks)
-        kept = [
-            tok if freq[(n, pos, tok)] / class_sizes[n] >= cfg.threshold else WILDCARD
-            for pos, tok in enumerate(toks)
-        ]
-        results.append(" ".join(kept))
+    classes: dict[int, list[int]] = defaultdict(list)
+    for idx, toks in enumerate(token_lists):
+        classes[len(toks)].append(idx)
+    # Rows without tokens drop out of the transpose and keep "".
+    results = [""] * len(token_lists)
+    for rows in classes.values():
+        size = len(rows)
+        columns = []
+        for column in zip(*[token_lists[idx] for idx in rows]):
+            counts = Counter(column).items()
+            kept = {tok for tok, n in counts if n / size >= cfg.threshold}
+            columns.append([tok if tok in kept else WILDCARD for tok in column])
+        for idx, row in zip(rows, zip(*columns)):
+            results[idx] = " ".join(row)
     return results
 
 

@@ -10,20 +10,25 @@ data genuinely hard to parse.
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from logblend._rng import record_picks
 from logblend.corpus import (
+    WILDCARD,
     Dataset,
     LogRecord,
     canonicalize_template,
-    count_wildcards,
     extract_variables,
+    matches_template,
     substitute_variables,
 )
 from logblend.errors import AlignmentError
+from logblend.fuzzing import FuzzResult
+from logblend.heterogeneity import ProxyStats
 from logblend.pool import OutlierPool, VariablePool, build_outlier_pool, build_variable_pool
 
 _ADJ = [
@@ -332,7 +337,7 @@ def numpy_loop_fuzz(ds, vpool, seed, templates):
     values = vpool.values
     contents, truths, skipped = [], [], []
     for rec, template in zip(ds.records, templates):
-        slots = count_wildcards(template)
+        slots = template.count(WILDCARD)
         if slots == 0:
             contents.append(rec.content)
             truths.append(template or None)
@@ -351,3 +356,72 @@ def numpy_loop_fuzz(ds, vpool, seed, templates):
         contents.append(substitute_variables(template, [values[i] for i in picks]))
         truths.append(template)
     return contents, truths, skipped
+
+
+# Per-record reference implementations: the straightforward loops that the
+# column-wise token-frequency parser, `proxy_stats` and `fuzz` must equal.
+
+
+def reference_tokenfreq(ds: Dataset, threshold: float) -> list[str]:
+    """Token-frequency parse by one count per (token count, position, token)."""
+    token_lists = [list(filter(None, rec.content.split(" "))) for rec in ds.records]
+    class_sizes: Counter[int] = Counter(len(toks) for toks in token_lists)
+    freq: dict[tuple[int, int, str], int] = defaultdict(int)
+    for toks in token_lists:
+        n = len(toks)
+        for pos, tok in enumerate(toks):
+            freq[(n, pos, tok)] += 1
+    results: list[str] = []
+    for toks in token_lists:
+        n = len(toks)
+        kept = [
+            tok if freq[(n, pos, tok)] / class_sizes[n] >= threshold else WILDCARD
+            for pos, tok in enumerate(toks)
+        ]
+        results.append(" ".join(kept))
+    return results
+
+
+def reference_proxy_stats(ds: Dataset) -> ProxyStats:
+    """Unique words, characters and lengths, gathered record by record."""
+    words: set[str] = set()
+    chars: set[str] = set()
+    lengths: set[int] = set()
+    for rec in ds.records:
+        words.update(rec.content.split())
+        chars.update(rec.content)
+        lengths.add(len(rec.content))
+    return ProxyStats(nuw=len(words), nuc=len(chars), nuldl=len(lengths))
+
+
+def reference_fuzz(ds, vpool, seed, parsed=None) -> FuzzResult:
+    """Fuzzing that splits and matches each record's template afresh."""
+    templates = ds.templates(parsed)
+    values = vpool.values
+    records: list[LogRecord] = []
+    skipped: list[int] = []
+    refill: list[int] = []
+    slots: list[int] = []
+    for rec, template in zip(ds.records, templates):
+        count = template.count(WILDCARD)
+        if count == 0:
+            records.append(
+                LogRecord(rec.line_id, rec.content, template or None, rec.source)
+            )
+            continue
+        if matches_template(rec.content, template):
+            refill.append(len(records))
+            slots.append(count)
+        else:
+            skipped.append(rec.line_id)
+        records.append(rec)
+    picks = record_picks(seed, [records[i].line_id for i in refill], len(values), slots)
+    for i, chosen in zip(refill, picks):
+        rec = records[i]
+        records[i] = LogRecord(
+            rec.line_id,
+            substitute_variables(templates[i], [values[j] for j in chosen]),
+            templates[i],
+            rec.source,
+        )
+    return FuzzResult(Dataset(ds.name, records), skipped)

@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 from logblend.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from logblend.corpus import load_structured, write_dataset
+from logblend.corpus import Dataset, LogRecord, load_structured, write_dataset
 from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.parsers import read_parse_result
 from logblend.pool import VariablePool
@@ -71,6 +71,22 @@ def test_heterogeneity_with_reference_flags(cli_workspace, capsys):
 def test_pool_build_created_both_files(cli_workspace):
     assert (cli_workspace / "pools" / "outlier_pool.csv").exists()
     assert (cli_workspace / "pools" / "variable_pool.tsv").exists()
+
+
+def test_pool_build_with_unsavable_source_exits_2_and_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "tabbed.csv"
+    write_dataset(
+        Dataset("tabbed", [
+            LogRecord(1, "open 1", "open <*>", "a\tb"),
+            LogRecord(2, "open 2", "open <*>", "tabbed"),
+        ]),
+        data,
+    )
+    out = tmp_path / "pools"
+    assert main(["pool", "build", "--out", str(out), str(data)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'1'" in err and "'a\\tb'" in err
+    assert list(out.iterdir()) == []
 
 
 def test_mix_writes_dataset(cli_workspace, tmp_path):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logblend.corpus import (
     Dataset,
     LogRecord,
     extract_variables,
+    substitute_variables,
     write_dataset,
 )
 from logblend.errors import EmptyPoolError
@@ -23,7 +26,13 @@ from logblend.parsers import (
 )
 from logblend.pool import VariablePool
 
-from helpers import apacheish, numpy_loop_fuzz, source_datasets, standard_pools
+from helpers import (
+    apacheish,
+    numpy_loop_fuzz,
+    reference_fuzz,
+    source_datasets,
+    standard_pools,
+)
 
 
 def _vpool(values: list[str]) -> VariablePool:
@@ -188,6 +197,46 @@ def test_fuzz_equals_numpy_loop_on_mixed_corpus():
         result = fuzz(mixed, vpool, FuzzConfig(seed=seed), shifted)
         assert 0 < len(result.skipped_line_ids) < len(labels)
         assert _as_oracle_output(result) == numpy_loop_fuzz(mixed, vpool, seed, shifted)
+
+
+#: Zero-wildcard, empty, all-wildcard and embedded-wildcard templates.
+_TEMPLATES = ["", "a", "a b", "<*>", "a <*>", "<*> b <*>", "a<*>b", "<*> <*>", "x\t<*>"]
+_VALUE = st.text(alphabet="ab <*>\t\xa0", min_size=1, max_size=4)
+
+
+@st.composite
+def _fuzz_case(draw):
+    """Records whose content fills its template or is free text, labeled or not."""
+    n = draw(st.integers(1, 12))
+    templates = draw(st.lists(st.sampled_from(_TEMPLATES), min_size=n, max_size=n))
+    records = []
+    for i, template in enumerate(templates, start=1):
+        if draw(st.booleans()):
+            values = draw(st.lists(_VALUE, min_size=template.count("<*>"),
+                                   max_size=template.count("<*>")))
+            content = substitute_variables(template, values)
+        else:
+            content = draw(st.text(alphabet="ab <*>\t", max_size=8))
+        truth = draw(st.sampled_from([template, *_TEMPLATES]))
+        records.append(LogRecord(i, content, truth or None, "t"))
+    labeled = all(r.ground_truth for r in records)
+    parsed = draw(st.sampled_from([None, templates] if labeled else [templates]))
+    return Dataset("t", records), parsed
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_fuzz_case(),
+    values=st.lists(_VALUE, min_size=1, max_size=5, unique=True),
+    seed=st.integers(-(2**63), 2**64 - 1),
+)
+def test_fuzz_equals_per_record_reference(case, values, seed):
+    ds, parsed = case
+    vpool = _vpool(values)
+    result = fuzz(ds, vpool, FuzzConfig(seed=seed), parsed)
+    expected = reference_fuzz(ds, vpool, seed, parsed)
+    assert result.dataset == expected.dataset
+    assert result.skipped_line_ids == expected.skipped_line_ids
 
 
 def test_duplicate_line_ids_each_draw_the_line_id_stream():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logblend.corpus import Dataset, LogRecord
 from logblend.errors import (
@@ -20,7 +22,7 @@ from logblend.heterogeneity import (
     proxy_stats,
 )
 
-from helpers import apacheish
+from helpers import apacheish, reference_proxy_stats
 
 # Published per-dataset stat triples (unique words, chars, line lengths) for
 # the nine public 2K benchmark sets plus the combined and industry sets.
@@ -77,6 +79,22 @@ def test_proxy_stats_permutation_invariant():
         ],
     )
     assert proxy_stats(ds) == proxy_stats(reversed_ds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.text(alphabet=" \xa0\t\x1c\u2028\u3000ab<*>\u00e9", max_size=12),
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_proxy_stats_equals_per_record_reference(contents):
+    ds = _ds(contents)
+    assert proxy_stats(ds) == reference_proxy_stats(ds)
 
 
 def test_proxy_stats_monotone_under_added_record():

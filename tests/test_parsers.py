@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logblend.corpus import Dataset, LogRecord, substitute_variables
 from logblend.errors import (
@@ -24,7 +26,7 @@ from logblend.parsers import (
     write_parse_result,
 )
 
-from helpers import apacheish
+from helpers import apacheish, reference_tokenfreq
 
 
 def _ds(lines: list[str]) -> Dataset:
@@ -178,6 +180,10 @@ def test_tokenfreq_threshold_boundaries():
     assert result[2] == "put <*> here" or result[2] == "put 3 here"
     kept = parse(_ds(["x 3", "x 3"]), TokenFrequencyParserConfig(threshold=1.0))
     assert kept == ["x 3", "x 3"]
+    # 7 of 25 meets 0.28 as a quotient, though 0.28 * 25 exceeds 7 in floats.
+    lines = ["a x"] * 7 + [f"b{i} x" for i in range(18)]
+    result = parse(_ds(lines), TokenFrequencyParserConfig(threshold=0.28))
+    assert result == ["a x"] * 7 + ["<*> x"] * 18
 
 
 def test_tokenfreq_mixed_length_classes_are_independent():
@@ -185,6 +191,36 @@ def test_tokenfreq_mixed_length_classes_are_independent():
     result = parse(_ds(lines), TokenFrequencyParserConfig(threshold=0.6))
     assert result[0] == "a <*>"
     assert result[2] == "a b <*>"
+
+
+#: Tokens split on U+0020 alone, so NBSP, a tab and U+001C stay inside them.
+_TOKEN = st.sampled_from(["a", "b", "<*>", "a\xa0b", "\t", "x\x1cy", "\u00e9", "7"])
+
+
+@st.composite
+def _spaced_tokens(draw) -> str:
+    """Tokens between runs of spaces, maybe at either end; may be "" or spaces only."""
+    tokens = draw(st.lists(_TOKEN, max_size=4))
+    inner = draw(st.lists(st.sampled_from([" ", "  "]), min_size=len(tokens) + 1,
+                          max_size=len(tokens) + 1))
+    inner[0] = draw(st.sampled_from(["", " ", "   "]))
+    inner[-1] = draw(st.sampled_from(["", " "]))
+    return inner[0] + "".join(t + sep for t, sep in zip(tokens, inner[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    contents=st.lists(_spaced_tokens(), min_size=1, max_size=30),
+    threshold=st.one_of(
+        st.sampled_from([0.28, 0.5, 0.6, 1.0]), st.floats(min_value=0.01, max_value=1.0)
+    ),
+)
+@example(contents=["a x"] * 7 + [f"b{i} x" for i in range(18)], threshold=0.28)
+@example(contents=["", "  ", "a", "a  b", " a b ", "<*> b"], threshold=1.0)
+def test_tokenfreq_equals_per_token_reference(contents, threshold):
+    ds = _ds(contents)
+    expected = reference_tokenfreq(ds, threshold)
+    assert parse(ds, TokenFrequencyParserConfig(threshold=threshold)) == expected
 
 
 def test_tokenfreq_is_deterministic():
