@@ -66,16 +66,6 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text)
 
 
-def _reference_from(args: argparse.Namespace) -> ProxyStats:
-    if args.ref_nuw or args.ref_nuc or args.ref_nuldl:
-        return ProxyStats(
-            nuw=args.ref_nuw or INDUSTRY_REFERENCE.nuw,
-            nuc=args.ref_nuc or INDUSTRY_REFERENCE.nuc,
-            nuldl=args.ref_nuldl or INDUSTRY_REFERENCE.nuldl,
-        )
-    return INDUSTRY_REFERENCE
-
-
 def _parser_config(args: argparse.Namespace):
     if args.parser == "tree":
         return TreeParserConfig(
@@ -101,9 +91,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heterogeneity", help="heterogeneity score of a dataset")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--raw", action="store_true")
-    p.add_argument("--ref-nuw", type=int, default=0)
-    p.add_argument("--ref-nuc", type=int, default=0)
-    p.add_argument("--ref-nuldl", type=int, default=0)
+    p.add_argument("--ref-nuw", type=int, default=INDUSTRY_REFERENCE.nuw)
+    p.add_argument("--ref-nuc", type=int, default=INDUSTRY_REFERENCE.nuc)
+    p.add_argument("--ref-nuldl", type=int, default=INDUSTRY_REFERENCE.nuldl)
     p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("pool", help="build synthesis pools")
@@ -171,22 +161,25 @@ def _cmd_stats(args) -> None:
 
 def _cmd_heterogeneity(args) -> None:
     ds = _load(args.input, args.raw)
-    score = h_score(proxy_stats(ds), _reference_from(args))
+    reference = ProxyStats(args.ref_nuw, args.ref_nuc, args.ref_nuldl)
+    score = h_score(proxy_stats(ds), reference)
     _emit(score.as_dict(), args.out)
 
 
 def _cmd_pool_build(args) -> None:
     datasets = [load_structured(p) for p in args.datasets]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     opool = build_outlier_pool(datasets, outlier_fraction=args.outlier_fraction)
     vpool = build_variable_pool(datasets)
-    # The variable pool checks every line before it opens its file; the
-    # outlier pool's CSV holds any text. Saving it first writes both or none.
+    # Only the variable pool can fail to save; the outlier pool's CSV holds any
+    # text. Its checks run before anything is created, so a data error leaves
+    # no directory or file behind.
     try:
-        vpool.save(out_dir / "variable_pool.tsv")
+        vpool_text = vpool.to_text()
     except ValueError as exc:  # a source tag from the data holds a tab, CR or LF
         raise DataFormatError(str(exc)) from exc
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "variable_pool.tsv").write_text(vpool_text, encoding="utf-8")
     opool.save(out_dir / "outlier_pool.csv")
     skipped = sum(len(v) for v in vpool.skipped.values())
     _emit(

@@ -83,14 +83,28 @@ class SynthesisPlan:
     #: sha256 of each pool file as it was loaded, by plan key, for the report.
     pool_digests: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Each message starts with the field; the plan reader prefixes its key.
+        strength = self.mix_strength
+        if strength is not None and not 0.0 <= strength <= 1.0:
+            raise LogblendError(f"mix_strength must be in [0, 1], got {strength}")
+        for name, allowed in (
+            ("fuzz_mode", (None, MODE_LABELED, MODE_PARSED)),
+            ("labels", (LABELS_GROUND_TRUTH, LABELS_PARSED)),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise LogblendError(f"{name} must be one of {allowed}, got {value!r}")
+
 
 #: The settings a plan's synthesis section holds besides its pools, with the
-#: type and default of each; the report's plan summary repeats them.
+#: JSON type and default of each (`SynthesisPlan` checks their values); the
+#: report's plan summary repeats them.
 _SYNTHESIS_SETTINGS = {
     "mix_strength": (float, None),
     "exclude_source": (bool, SynthesisPlan.exclude_source),
-    "fuzz_mode": ((MODE_LABELED, MODE_PARSED), None),
-    "labels": ((LABELS_GROUND_TRUTH, LABELS_PARSED), SynthesisPlan.labels),
+    "fuzz_mode": (str, None),
+    "labels": (str, SynthesisPlan.labels),
 }
 
 
@@ -398,13 +412,11 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
     if doc["synthesis"]:
         pools = {"outlier_pool": (str, None), "variable_pool": (str, None)}
         s = _read("plan.synthesis", doc["synthesis"], {**_SYNTHESIS_SETTINGS, **pools})
-        strength = s["mix_strength"]
-        if strength is not None and not 0.0 <= strength <= 1.0:
-            raise LogblendError(
-                f"plan.synthesis.mix_strength must be in [0, 1], got {strength}"
-            )
         outlier_pool, variable_pool = s.pop("outlier_pool"), s.pop("variable_pool")
-        synthesis = SynthesisPlan(**s)
+        try:
+            synthesis = SynthesisPlan(**s)
+        except LogblendError as exc:
+            raise LogblendError(f"plan.synthesis.{exc}") from exc
         if outlier_pool:
             path = _resolve(outlier_pool)
             synthesis.pool_digests["outlier_pool"] = _digest(path)

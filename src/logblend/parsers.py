@@ -5,8 +5,8 @@ Two baselines are built in, enough to exercise the synthesis/evaluation loop:
 * a streaming fixed-depth-tree parser: lines are routed by token count and
   leading tokens, matched against groups by positional token similarity, and
   group templates generalize disagreeing positions to ``<*>``. Membership is
-  decided online, in one pass; each record reports its group's final
-  template.
+  decided online, in one pass, and groups never merge; each record reports
+  its group's final template.
 * an offline token-frequency parser: lines are grouped by token count and
   counted per column, that is per (token count, position); a token is kept
   when its occurrence ratio within its column meets a threshold, otherwise
@@ -84,20 +84,13 @@ PARSER_CONFIGS: dict[str, type] = {cls.name: cls for cls in get_args(ParserConfi
 _DIGIT = re.compile(r"\d")
 
 
-class _Group:
-    __slots__ = ("template", "members")
-
-    def __init__(self, template: list[str], first_member: int):
-        self.template = template
-        self.members = [first_member]
-
-
 class _Node:
     __slots__ = ("children", "groups")
 
     def __init__(self) -> None:
         self.children: dict[str, _Node] = {}
-        self.groups: list[_Group] = []
+        #: The leaf's groups, as indices into the parse's template list.
+        self.groups: list[int] = []
 
 
 def _similarity(template: list[str], tokens: list[str]) -> tuple[float, int]:
@@ -116,15 +109,16 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
     masks = [re.compile(m) for m in cfg.masks]
     token_layers = max(cfg.depth - 2, 0)
     root: dict[int, _Node] = {}
-    all_groups: list[_Group] = []
-    results: list[str | None] = [None] * len(ds.records)
-    for idx, rec in enumerate(ds.records):
+    templates: list[list[str]] = []
+    # The group each record joined; -1 for a line without tokens.
+    joined: list[int] = []
+    for rec in ds.records:
         content = rec.content
         for mask in masks:
             content = mask.sub(WILDCARD, content)
         tokens = list(filter(None, content.split(" ")))
         if not tokens:
-            results[idx] = ""
+            joined.append(-1)
             continue
 
         node = root.get(len(tokens))
@@ -147,38 +141,32 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
                     node.children[key] = child
             node = child
 
-        best = None
+        # Groups never merge, since no two groups of a leaf that a line can
+        # join hold equal templates. Generalizing the chosen group by the line
+        # cannot give another group's template: that group would match the
+        # line as well, with more wildcards, and would have been chosen. A new
+        # group can repeat a template only when the line's share of literal
+        # tokens is below the threshold, and a group like that is never chosen.
+        best = -1
         best_sim = -1.0
         best_params = -1
         for group in node.groups:
-            sim, params = _similarity(group.template, tokens)
+            sim, params = _similarity(templates[group], tokens)
             if sim > best_sim or (sim == best_sim and params > best_params):
                 best, best_sim, best_params = group, sim, params
-        if best is None or best_sim < cfg.similarity_threshold:
-            group = _Group(list(tokens), idx)
-            node.groups.append(group)
-            all_groups.append(group)
+        if best < 0 or best_sim < cfg.similarity_threshold:
+            best = len(templates)
+            templates.append(tokens)
+            node.groups.append(best)
         else:
-            group = best
-            group.members.append(idx)
+            template = templates[best]
             for i, tok in enumerate(tokens):
-                if group.template[i] != tok:
-                    group.template[i] = WILDCARD
-            # Two groups can converge to one template after wildcarding; merge
-            # so a leaf never holds duplicate templates.
-            survivors = []
-            for g in node.groups:
-                if g is not group and g.template == group.template:
-                    group.members.extend(g.members)
-                    g.members.clear()
-                else:
-                    survivors.append(g)
-            node.groups = survivors
-    for group in all_groups:
-        template = " ".join(group.template)
-        for idx in group.members:
-            results[idx] = template
-    return results  # type: ignore[return-value]
+                if template[i] != tok:
+                    template[i] = WILDCARD
+        joined.append(best)
+    # The trailing "" is what index -1 reads.
+    final = [" ".join(template) for template in templates] + [""]
+    return [final[group] for group in joined]
 
 
 def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResult:

@@ -74,12 +74,11 @@ class VariablePool:
     def __len__(self) -> int:
         return len(self.values)
 
-    def save(self, path: str | Path) -> None:
-        """Write one line per value: the value, then its source tags, tab-separated.
+    def to_text(self) -> str:
+        """The saved form: per value, the value, then its source tags, tab-separated.
 
-        Raises ValueError, before the file is opened, naming a value that would
-        not read back: an empty one, one with no tag, or a tab, CR or LF in it
-        or a tag.
+        Raises ValueError naming a value that would not read back: an empty
+        one, one with no tag, or a tab, CR or LF in it or a tag.
         """
         lines = []
         for value in self.values:
@@ -92,8 +91,11 @@ class VariablePool:
                     "read back: it needs a value, a tag, and no tab, CR or LF"
                 )
             lines.append(line + "\n")
-        with open(path, "w", encoding="utf-8") as f:
-            f.writelines(lines)
+        return "".join(lines)
+
+    def save(self, path: str | Path) -> None:
+        """Write :meth:`to_text` to `path`; where that raises, nothing is opened."""
+        Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "VariablePool":

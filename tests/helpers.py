@@ -10,6 +10,7 @@ data genuinely hard to parse.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +30,7 @@ from logblend.corpus import (
 from logblend.errors import AlignmentError
 from logblend.fuzzing import FuzzResult
 from logblend.heterogeneity import ProxyStats
+from logblend.parsers import TreeParserConfig
 from logblend.pool import OutlierPool, VariablePool, build_outlier_pool, build_variable_pool
 
 _ADJ = [
@@ -359,7 +361,95 @@ def numpy_loop_fuzz(ds, vpool, seed, templates):
 
 
 # Per-record reference implementations: the straightforward loops that the
-# column-wise token-frequency parser, `proxy_stats` and `fuzz` must equal.
+# tree parser, the column-wise token-frequency parser, `proxy_stats` and
+# `fuzz` must equal.
+
+
+class _RefGroup:
+    def __init__(self, template: list[str], first_member: int):
+        self.template = template
+        self.members = [first_member]
+
+
+class _RefNode:
+    def __init__(self) -> None:
+        self.children: dict[str, _RefNode] = {}
+        self.groups: list[_RefGroup] = []
+
+
+def _ref_similarity(template: list[str], tokens: list[str]) -> tuple[float, int]:
+    same = 0
+    params = 0
+    for t, s in zip(template, tokens):
+        if t == WILDCARD:
+            params += 1
+        elif t == s:
+            same += 1
+    return same / len(template), params
+
+
+def reference_tree(ds: Dataset, cfg: TreeParserConfig) -> list[str]:
+    """Tree parse with group objects and member lists, merging any two groups
+    of a leaf whose templates become equal after an update."""
+    masks = [re.compile(m) for m in cfg.masks]
+    token_layers = max(cfg.depth - 2, 0)
+    root: dict[int, _RefNode] = {}
+    all_groups: list[_RefGroup] = []
+    results: list[str | None] = [None] * len(ds.records)
+    for idx, rec in enumerate(ds.records):
+        content = rec.content
+        for mask in masks:
+            content = mask.sub(WILDCARD, content)
+        tokens = list(filter(None, content.split(" ")))
+        if not tokens:
+            results[idx] = ""
+            continue
+        node = root.setdefault(len(tokens), _RefNode())
+        for level in range(min(token_layers, len(tokens))):
+            key = tokens[level]
+            if re.search(r"\d", key):
+                key = WILDCARD
+            child = node.children.get(key)
+            if child is None:
+                if key != WILDCARD and len(node.children) + (
+                    0 if WILDCARD in node.children else 1
+                ) >= cfg.max_children:
+                    key = WILDCARD
+                    child = node.children.get(key)
+                if child is None:
+                    child = _RefNode()
+                    node.children[key] = child
+            node = child
+        best = None
+        best_sim = -1.0
+        best_params = -1
+        for group in node.groups:
+            sim, params = _ref_similarity(group.template, tokens)
+            if sim > best_sim or (sim == best_sim and params > best_params):
+                best, best_sim, best_params = group, sim, params
+        if best is None or best_sim < cfg.similarity_threshold:
+            group = _RefGroup(list(tokens), idx)
+            node.groups.append(group)
+            all_groups.append(group)
+        else:
+            group = best
+            group.members.append(idx)
+            for i, tok in enumerate(tokens):
+                if group.template[i] != tok:
+                    group.template[i] = WILDCARD
+            survivors = []
+            for g in node.groups:
+                if g is not group and g.template == group.template:
+                    group.members.extend(g.members)
+                    g.members.clear()
+                else:
+                    survivors.append(g)
+            node.groups = survivors
+    for group in all_groups:
+        template = " ".join(group.template)
+        for idx in group.members:
+            results[idx] = template
+    return results  # type: ignore[return-value]
 
 
 def reference_tokenfreq(ds: Dataset, threshold: float) -> list[str]:

@@ -10,7 +10,8 @@ import pytest
 from logblend.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from logblend.corpus import Dataset, LogRecord, load_structured, write_dataset
 from logblend.fuzzing import FuzzConfig, fuzz
-from logblend.parsers import read_parse_result
+from logblend.heterogeneity import INDUSTRY_REFERENCE, ProxyStats, h_score, proxy_stats
+from logblend.parsers import read_parse_result, write_parse_result
 from logblend.pool import VariablePool
 
 from helpers import apacheish, source_datasets
@@ -68,6 +69,31 @@ def test_heterogeneity_with_reference_flags(cli_workspace, capsys):
     assert set(doc["components"]) == {"nuw_ratio", "nuc_ratio", "nuldl_ratio"}
 
 
+@pytest.mark.parametrize(
+    "flags, reference",
+    [
+        ([], INDUSTRY_REFERENCE),
+        (["--ref-nuc", "40"], ProxyStats(nuw=4421, nuc=40, nuldl=181)),
+    ],
+    ids=["industry-default", "one-flag-overrides-its-component"],
+)
+def test_heterogeneity_reference_defaults_to_industry(
+    cli_workspace, capsys, flags, reference
+):
+    path = cli_workspace / "apacheish.csv"
+    assert main(["heterogeneity", "--in", str(path), *flags]) == EXIT_OK
+    expected = h_score(proxy_stats(load_structured(path)), reference).as_dict()
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_heterogeneity_non_positive_reference_exits_2(cli_workspace, capsys, value):
+    path = cli_workspace / "apacheish.csv"
+    argv = ["heterogeneity", "--in", str(path), "--ref-nuc", value]
+    assert main(argv) == EXIT_DATA
+    assert "components must be positive" in capsys.readouterr().err
+
+
 def test_pool_build_created_both_files(cli_workspace):
     assert (cli_workspace / "pools" / "outlier_pool.csv").exists()
     assert (cli_workspace / "pools" / "variable_pool.tsv").exists()
@@ -86,7 +112,18 @@ def test_pool_build_with_unsavable_source_exits_2_and_writes_nothing(tmp_path, c
     assert main(["pool", "build", "--out", str(out), str(data)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "'1'" in err and "'a\\tb'" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_pool_build_with_unsavable_source_leaves_an_existing_out_as_it_was(tmp_path):
+    data = tmp_path / "tabbed.csv"
+    write_dataset(Dataset("tabbed", [LogRecord(1, "open 1", "open <*>", "a\tb")]), data)
+    out = tmp_path / "pools"
+    out.mkdir()
+    (out / "outlier_pool.csv").write_text("kept\n", encoding="utf-8")
+    assert main(["pool", "build", "--out", str(out), str(data)]) == EXIT_DATA
+    assert [p.name for p in out.iterdir()] == ["outlier_pool.csv"]
+    assert (out / "outlier_pool.csv").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_mix_writes_dataset(cli_workspace, tmp_path):
@@ -236,6 +273,30 @@ def test_benchmark_runs_plan(cli_workspace, tmp_path, capsys):
     assert "timings" not in doc
 
 
+def test_benchmark_resolves_external_output_against_the_plan_directory(
+    tmp_path, capsys, monkeypatch
+):
+    plan_dir = tmp_path / "plans"
+    plan_dir.mkdir()
+    ds = apacheish()
+    write_dataset(ds, plan_dir / "apacheish.csv")
+    write_parse_result(ds.labels(), plan_dir / "truth.csv")
+    plan = {
+        "datasets": ["apacheish.csv"],
+        "parsers": [{"kind": "external", "path": "truth.csv"}],
+        "runs": 1,
+    }
+    (plan_dir / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["benchmark", "--plan", "plans/plan.json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["plan"]["parsers"] == [{"kind": "external", "path": "plans/truth.csv"}]
+    external = doc["datasets"]["apacheish"]["parsers"]["external:truth.csv"]
+    assert external["mean"] == {
+        "grouping_accuracy": 1.0, "template_accuracy": 1.0, "mean_edit_distance": 0.0
+    }
+
+
 def test_benchmark_overrides_and_timings(cli_workspace, tmp_path, capsys):
     plan = {
         "datasets": ["apacheish.csv"],
@@ -314,6 +375,10 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
         ),
         ({"synthesis": {"mix_strength": 2.0}}, "plan.synthesis.mix_strength"),
         ({"synthesis": {"mix_strength": -0.1}}, "plan.synthesis.mix_strength"),
+        ({"synthesis": {"fuzz_mode": "labeled"}}, "no variable pool"),
+        ({"synthesis": {"fuzz_mode": "bogus"}}, "plan.synthesis.fuzz_mode"),
+        ({"synthesis": {"labels": "bogus"}}, "plan.synthesis.labels"),
+        ({"parsers": [{"kind": "drain"}]}, "plan.parsers[0].kind"),
     ],
     ids=[
         "not-an-object",
@@ -331,6 +396,10 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
         "mix-without-pool",
         "mix-strength-above-1",
         "mix-strength-below-0",
+        "fuzz-without-pool",
+        "fuzz-mode-unknown",
+        "labels-unknown",
+        "parser-kind-unknown",
     ],
 )
 def test_malformed_plan_exits_2_naming_the_key(
@@ -386,6 +455,9 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         ("fuzz", "\tsrc\n7\tsrc\n7\tother\n", "line 1"),
         ("fuzz", "7\tsrc\n7\tother\n", "line 2"),
         ("fuzz", "7\n8\ta\n", "line 1"),
+        ("evaluate", "", "empty file"),
+        # The blank row is skipped; the short row after it keeps its own number.
+        ("evaluate", "LineId,EventTemplate\n1,a\n\n2\n", "row 4"),
     ],
     ids=[
         "pool-short-row",
@@ -397,6 +469,8 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         "vpool-empty-value",
         "vpool-repeated-value",
         "vpool-no-source",
+        "parsed-empty-file",
+        "parsed-short-row-after-blank-row",
     ],
 )
 def test_malformed_pool_or_parser_output_exits_2(

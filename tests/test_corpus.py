@@ -528,6 +528,14 @@ def test_frequency_map_reports_unlabeled_line_ids():
     assert exc.value.line_ids == [2]
 
 
+def test_labeling_error_previews_the_first_ten_line_ids():
+    ds = Dataset("f", [LogRecord(i, f"x{i}", None, "f") for i in range(1, 13)])
+    with pytest.raises(LabelingError) as exc:
+        template_frequency_map(ds)
+    assert exc.value.line_ids == list(range(1, 13))
+    assert "(line ids: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ... (12 total))" in str(exc.value)
+
+
 # --- parser templates in place of labels -------------------------------------
 
 def _mix_records(ds, parsed=None):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from logblend.corpus import Dataset, LogRecord, load_structured, write_dataset
-from logblend.errors import AllocationError
+from logblend.errors import AllocationError, LogblendError
 from logblend.harness import (
     ExperimentPlan,
     ExternalParser,
@@ -29,7 +29,7 @@ from logblend.parsers import (
     parse,
     write_parse_result,
 )
-from logblend.pool import OutlierPool, VariablePool
+from logblend.pool import OutlierPool, VariablePool, build_outlier_pool
 
 from helpers import apacheish, assert_well_formed, source_datasets, standard_pools
 
@@ -176,6 +176,57 @@ def test_failed_cells_are_reported_not_fatal(workspace, tmp_path):
     parsers = doc["datasets"]["apacheish"]["parsers"]
     assert "failures" in parsers[f"external:{short.name}"]
     assert parsers["identity"]["mean"]["template_accuracy"] == 1.0
+
+
+def test_failed_synthesis_fails_every_cell_of_its_run(workspace):
+    # Excluding the dataset's own source leaves mixing an empty pool.
+    synthesis = SynthesisPlan(mix_strength=1.0)
+    synthesis.outlier_pool = build_outlier_pool([apacheish()], outlier_fraction=0.05)
+    plan = ExperimentPlan(
+        datasets=[workspace / "apacheish.csv"],
+        parsers=[TreeParserConfig(), IdentityParserConfig()],
+        synthesis=synthesis,
+        runs=2,
+    )
+    ds_doc = run_experiment(plan).to_dict()["datasets"]["apacheish"]
+    assert ds_doc["proxy_stats_per_run"] == [None, None]
+    assert ds_doc["h_per_run"] == [None, None]
+    assert ds_doc["h_mean"] is None
+    for parser_doc in ds_doc["parsers"].values():
+        assert "mean" not in parser_doc
+        failures = parser_doc["failures"]
+        assert len(failures) == 2
+        assert all(error.startswith("EmptyPoolError: ") for error in failures)
+        assert [cell["metrics"] for cell in parser_doc["runs"]] == [None, None]
+
+
+def test_unlabeled_data_without_synthesis_fails_every_cell(tmp_path):
+    ds = apacheish()
+    records = [LogRecord(r.line_id, r.content, None, r.source) for r in ds.records]
+    unlabeled = Dataset(ds.name, records)
+    write_dataset(unlabeled, tmp_path / "apacheish.csv")
+    plan = ExperimentPlan(
+        datasets=[tmp_path / "apacheish.csv"], parsers=[TreeParserConfig()], runs=1
+    )
+    ds_doc = run_experiment(plan).to_dict()["datasets"]["apacheish"]
+    assert ds_doc["proxy_stats_per_run"] == [proxy_stats(unlabeled).as_dict()]
+    assert ds_doc["parsers"]["tree"]["failures"] == [
+        "LabelingError: dataset has no ground truth"
+    ]
+
+
+@pytest.mark.parametrize(
+    "settings, field",
+    [
+        ({"mix_strength": 1.5}, "mix_strength"),
+        ({"mix_strength": -0.1}, "mix_strength"),
+        ({"fuzz_mode": "bogus"}, "fuzz_mode"),
+        ({"labels": "bogus"}, "labels"),
+    ],
+)
+def test_synthesis_plan_rejects_bad_values_when_built(settings, field):
+    with pytest.raises(LogblendError, match=f"^{field} must be"):
+        SynthesisPlan(**settings)
 
 
 def test_parser_driven_synthesis_runs_without_labels(workspace):

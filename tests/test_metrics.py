@@ -220,6 +220,10 @@ def test_template_accuracy_identity_and_disjoint():
     assert template_accuracy(["x", "y", "z"], truth) == 0.0
 
 
+def test_template_accuracy_empty_input():
+    assert template_accuracy([], []) == 1.0
+
+
 def test_template_accuracy_not_invariant_under_renaming():
     truth = ["a", "a", "b"]
     predicted = ["a", "a", "b"]

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logblend.corpus import Dataset, LogRecord, substitute_variables
+from logblend.fuzzing import FuzzConfig, fuzz
+from logblend.mixing import MixConfig, mix
 from logblend.errors import (
     DataFormatError,
     EmptyDatasetError,
@@ -26,7 +28,13 @@ from logblend.parsers import (
     write_parse_result,
 )
 
-from helpers import apacheish, reference_tokenfreq
+from helpers import (
+    apacheish,
+    reference_tokenfreq,
+    reference_tree,
+    source_datasets,
+    standard_pools,
+)
 
 
 def _ds(lines: list[str]) -> Dataset:
@@ -198,9 +206,9 @@ _TOKEN = st.sampled_from(["a", "b", "<*>", "a\xa0b", "\t", "x\x1cy", "\u00e9", "
 
 
 @st.composite
-def _spaced_tokens(draw) -> str:
+def _spaced_tokens(draw, token=_TOKEN) -> str:
     """Tokens between runs of spaces, maybe at either end; may be "" or spaces only."""
-    tokens = draw(st.lists(_TOKEN, max_size=4))
+    tokens = draw(st.lists(token, max_size=4))
     inner = draw(st.lists(st.sampled_from([" ", "  "]), min_size=len(tokens) + 1,
                           max_size=len(tokens) + 1))
     inner[0] = draw(st.sampled_from(["", " ", "   "]))
@@ -221,6 +229,46 @@ def test_tokenfreq_equals_per_token_reference(contents, threshold):
     ds = _ds(contents)
     expected = reference_tokenfreq(ds, threshold)
     assert parse(ds, TokenFrequencyParserConfig(threshold=threshold)) == expected
+
+
+#: Few tokens, so lines collide; literal `<*>` and digits exercise the tie-break
+#: on wildcards and the digit routing.
+_TREE_TOKEN = st.sampled_from(["a", "b", "c", "<*>", "<*>", "1", "23", "a1", "\u00e9"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    contents=st.lists(_spaced_tokens(_TREE_TOKEN), min_size=1, max_size=40),
+    depth=st.integers(1, 6),
+    threshold=st.one_of(
+        st.sampled_from([0.05, 0.25, 0.4, 0.5, 0.99]),
+        st.floats(min_value=0.01, max_value=0.99),
+    ),
+    max_children=st.integers(1, 3),
+    masks=st.sampled_from([(), ("a",), (r"\w",), (r"\d+",)]),
+)
+@example(
+    contents=["", "  ", "<*> <*> a", "<*> <*> a", "b <*> a", "b c a", "b c 1"],
+    depth=1, threshold=0.5, max_children=1, masks=(),
+)
+@example(
+    contents=["a a b b", "b <*> a a", "b a a b"],
+    depth=1, threshold=0.05, max_children=1, masks=(),
+)
+def test_tree_equals_merging_reference(contents, depth, threshold, max_children, masks):
+    cfg = TreeParserConfig(depth, threshold, max_children, masks)
+    ds = _ds(contents)
+    assert parse(ds, cfg) == reference_tree(ds, cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tree_equals_merging_reference_on_synthesized_corpus(seed):
+    opool, vpool = standard_pools()
+    cfg = TreeParserConfig()
+    for ds in source_datasets():
+        data = mix(ds, opool, MixConfig(strength=1.0, seed=seed))
+        data = fuzz(data, vpool, FuzzConfig(seed=seed)).dataset
+        assert parse(data, cfg) == reference_tree(data, cfg)
 
 
 def test_tokenfreq_is_deterministic():
