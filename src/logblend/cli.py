@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .corpus import Dataset, load_raw, load_structured, write_dataset
+from .corpus import Dataset, load_raw, load_structured, not_utf8, write_dataset
 from .errors import DataFormatError, LogblendError
 from .fuzzing import FuzzConfig, fuzz
 from .harness import (
@@ -252,7 +252,12 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_benchmark(args) -> None:
     plan_path = Path(args.plan)
-    doc = json.loads(plan_path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(plan_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise not_utf8(plan_path) from None
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{plan_path}: {exc}") from exc
     plan = plan_from_dict(doc, base_dir=plan_path.parent)
     # replace() runs the plan's own checks on the overridden values.
     overrides = {"runs": args.runs, "base_seed": args.seed}
@@ -286,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _COMMANDS[args.command](args)
         return EXIT_OK
-    except (LogblendError, OSError, json.JSONDecodeError) as exc:
+    except (LogblendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -89,11 +89,30 @@ class Dataset:
         return parsed
 
 
+def not_utf8(path: str | Path) -> DataFormatError:
+    """The error for a file whose read failed to decode: its name, and the line
+    and value of its first byte that is not UTF-8.
+
+    The file is read again, because a text reader's decode error gives the
+    offset within its buffer, not the file. CR, LF and CRLF each end a line.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        byte = raw[exc.start]
+        return DataFormatError(f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8")
+    return DataFormatError(f"{path}: not UTF-8")
+
+
 def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
     """Header and non-empty rows of a CSV file, each with the line it starts on.
 
     Bad quoting, or a row whose field count differs from the header's,
-    raises DataFormatError naming the file and the row.
+    raises DataFormatError naming the file and the row; a byte that is not
+    UTF-8, naming the file and the line.
     """
     rows: list[tuple[int, list[str]]] = []
     with open(path, newline="", encoding="utf-8") as f:
@@ -114,6 +133,8 @@ def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[st
                 rows.append((row_num, row))
         except csv.Error as exc:
             raise DataFormatError(f"{path}: row {next_row}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return header, rows
 
 
@@ -228,20 +249,24 @@ def load_raw(path: str | Path, name: str | None = None) -> Dataset:
     """Load a newline-delimited text file, one message per line.
 
     Blank lines are skipped; line ids stay contiguous. Records carry no
-    ground truth.
+    ground truth. A byte that is not UTF-8 raises DataFormatError naming the
+    file and the line.
     """
     path = Path(path)
     if name is None:
         name = path.stem
     records: list[LogRecord] = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            content = line.rstrip("\r\n")
-            if not content.strip():
-                continue
-            records.append(
-                LogRecord(line_id=len(records) + 1, content=content, source=name)
-            )
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                content = line.rstrip("\r\n")
+                if not content.strip():
+                    continue
+                records.append(
+                    LogRecord(line_id=len(records) + 1, content=content, source=name)
+                )
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return Dataset(name=name, records=records)
 
 

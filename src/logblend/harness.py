@@ -69,7 +69,7 @@ class ExternalParser:
 ParserSpec = ParserConfig | ExternalParser
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisPlan:
     """Mix and/or fuzz settings applied per run with that run's seed."""
 
@@ -95,6 +95,10 @@ class SynthesisPlan:
             value = getattr(self, name)
             if value not in allowed:
                 raise LogblendError(f"{name} must be one of {allowed}, got {value!r}")
+        if strength is not None and self.outlier_pool is None:
+            raise LogblendError("outlier_pool is missing: no outlier pool to mix from")
+        if self.fuzz_mode is not None and self.variable_pool is None:
+            raise LogblendError("variable_pool is missing: no variable pool to fuzz from")
 
 
 #: The settings a plan's synthesis section holds besides its pools, with the
@@ -108,18 +112,20 @@ _SYNTHESIS_SETTINGS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentPlan:
-    datasets: list[Path]
-    parsers: list[ParserSpec]
+    datasets: tuple[Path, ...]
+    parsers: tuple[ParserSpec, ...]
     synthesis: SynthesisPlan | None = None
     runs: int = 10
     base_seed: int = 0
     reference: ProxyStats = INDUSTRY_REFERENCE
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "datasets", tuple(self.datasets))
+        object.__setattr__(self, "parsers", tuple(self.parsers))
         if self.runs < 1:
-            raise LogblendError(f"runs must be >= 1, got {self.runs}")
+            raise LogblendError(f"plan.runs must be >= 1, got {self.runs}")
         check_reference(self.reference, "plan.reference")
         # The report keys parsers and datasets by name; a repeat would overwrite.
         names = [f"parser {spec.name!r}" for spec in self.parsers]
@@ -213,16 +219,10 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
     """Execute the plan and aggregate per-run metrics.
 
     Cells that fail keep their error message in the report; the remaining
-    cells still aggregate. A synthesis plan without the pool it needs is
-    rejected before any work starts.
+    cells still aggregate.
     """
     started = time.perf_counter()
     synthesis = plan.synthesis
-    if synthesis is not None:
-        if synthesis.mix_strength is not None and synthesis.outlier_pool is None:
-            raise LogblendError("synthesis plan mixes but has no outlier pool")
-        if synthesis.fuzz_mode is not None and synthesis.variable_pool is None:
-            raise LogblendError("synthesis plan fuzzes but has no variable pool")
     datasets_doc: dict[str, dict] = {}
     timings: dict[str, float] = {}
     seeds = [plan.base_seed + r for r in range(plan.runs)]
@@ -412,19 +412,17 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
     if doc["synthesis"]:
         pools = {"outlier_pool": (str, None), "variable_pool": (str, None)}
         s = _read("plan.synthesis", doc["synthesis"], {**_SYNTHESIS_SETTINGS, **pools})
-        outlier_pool, variable_pool = s.pop("outlier_pool"), s.pop("variable_pool")
+        digests = {}
+        for key, cls in (("outlier_pool", OutlierPool), ("variable_pool", VariablePool)):
+            name = s.pop(key)
+            if name:
+                path = _resolve(name)
+                digests[key] = _digest(path)
+                s[key] = cls.load(path)
         try:
-            synthesis = SynthesisPlan(**s)
+            synthesis = SynthesisPlan(**s, pool_digests=digests)
         except LogblendError as exc:
             raise LogblendError(f"plan.synthesis.{exc}") from exc
-        if outlier_pool:
-            path = _resolve(outlier_pool)
-            synthesis.pool_digests["outlier_pool"] = _digest(path)
-            synthesis.outlier_pool = OutlierPool.load(path)
-        if variable_pool:
-            path = _resolve(variable_pool)
-            synthesis.pool_digests["variable_pool"] = _digest(path)
-            synthesis.variable_pool = VariablePool.load(path)
 
     reference = INDUSTRY_REFERENCE
     if doc["reference"]:

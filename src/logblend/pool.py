@@ -17,6 +17,7 @@ from pathlib import Path
 from .corpus import (
     Dataset,
     extract_variables,
+    not_utf8,
     read_columns,
     template_frequency_map,
     write_csv_rows,
@@ -101,27 +102,34 @@ class VariablePool:
     def load(cls, path: str | Path) -> "VariablePool":
         """Read a saved pool: per line, a value and its tab-separated source tags.
 
-        An empty or repeated value, or a line with no source tag, raises
-        DataFormatError naming the file and line.
+        An empty or repeated value, a line with no source tag, or a byte that
+        is not UTF-8 raises DataFormatError naming the file and line.
         """
         values: list[str] = []
         sources: dict[str, tuple[str, ...]] = {}
-        with open(path, encoding="utf-8") as f:
-            for line_num, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                value, *tags = line.split("\t")
-                if not value:
-                    raise DataFormatError(f"{path}: line {line_num} has an empty value")
-                if not tags:
-                    raise DataFormatError(f"{path}: line {line_num} has no source tag")
-                if value in sources:
-                    raise DataFormatError(
-                        f"{path}: line {line_num} repeats the value {value!r}"
-                    )
-                values.append(value)
-                sources[value] = tuple(tags)
+        try:
+            with open(path, encoding="utf-8") as f:
+                for line_num, line in enumerate(f, start=1):
+                    line = line.rstrip("\n")
+                    if not line:
+                        continue
+                    value, *tags = line.split("\t")
+                    if not value:
+                        raise DataFormatError(
+                            f"{path}: line {line_num} has an empty value"
+                        )
+                    if not tags:
+                        raise DataFormatError(
+                            f"{path}: line {line_num} has no source tag"
+                        )
+                    if value in sources:
+                        raise DataFormatError(
+                            f"{path}: line {line_num} repeats the value {value!r}"
+                        )
+                    values.append(value)
+                    sources[value] = tuple(tags)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
         return cls(values=values, sources=sources)
 
 

@@ -247,9 +247,9 @@ def test_criterion_9_determinism_suite(tmp_path):
 
     ds_path = tmp_path / "ds.csv"
     write_dataset(ds, ds_path)
-    synthesis = SynthesisPlan(mix_strength=0.8, fuzz_mode="labeled")
-    synthesis.outlier_pool = opool
-    synthesis.variable_pool = vpool
+    synthesis = SynthesisPlan(
+        mix_strength=0.8, fuzz_mode="labeled", outlier_pool=opool, variable_pool=vpool
+    )
 
     def experiment() -> str:
         plan = ExperimentPlan(

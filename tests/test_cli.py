@@ -379,6 +379,9 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
         ({"synthesis": {"fuzz_mode": "bogus"}}, "plan.synthesis.fuzz_mode"),
         ({"synthesis": {"labels": "bogus"}}, "plan.synthesis.labels"),
         ({"parsers": [{"kind": "drain"}]}, "plan.parsers[0].kind"),
+        ({"synthesis": {"mix_strength": 0.5}}, "plan.synthesis.outlier_pool"),
+        ({"synthesis": {"fuzz_mode": "parsed"}}, "plan.synthesis.variable_pool"),
+        ({"runs": 0}, "plan.runs"),
     ],
     ids=[
         "not-an-object",
@@ -400,6 +403,9 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
         "fuzz-mode-unknown",
         "labels-unknown",
         "parser-kind-unknown",
+        "mix-without-pool-names-the-key",
+        "fuzz-without-pool-names-the-key",
+        "runs-below-1",
     ],
 )
 def test_malformed_plan_exits_2_naming_the_key(
@@ -458,6 +464,25 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         ("evaluate", "", "empty file"),
         # The blank row is skipped; the short row after it keeps its own number.
         ("evaluate", "LineId,EventTemplate\n1,a\n\n2\n", "row 4"),
+        # Past the first read buffer, so the line is counted in the file.
+        (
+            "stats",
+            b"LineId,Content,EventTemplate\n"
+            + b"".join(b"%d,a,a\n" % i for i in range(1, 3001))
+            + b"3001,\xff,a\n",
+            "line 3002: byte 0xff is not UTF-8",
+        ),
+        (
+            "mix",
+            b"LineId,Content,EventTemplate,Source\n1,x \xe9,x <*>,a\n",
+            "line 2: byte 0xe9 is not UTF-8",
+        ),
+        ("evaluate", b"LineId,EventTemplate\r\n1,a\r\n2,\xfe\r\n", "line 3: byte 0xfe"),
+        ("fuzz", b"v\tsrc\nw\xc3\tsrc\n", "line 2: byte 0xc3 is not UTF-8"),
+        # A lone CR ends a line, as the raw reader splits it.
+        ("raw", b"one\rtwo\n\xff\n", "line 3: byte 0xff is not UTF-8"),
+        ("benchmark", b'{"runs": 1,\n "base_seed": "\xff"}', "line 2: byte 0xff"),
+        ("benchmark", '{"runs": ', "line 1 column 10"),
     ],
     ids=[
         "pool-short-row",
@@ -471,13 +496,23 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         "vpool-no-source",
         "parsed-empty-file",
         "parsed-short-row-after-blank-row",
+        "dataset-not-utf8",
+        "pool-not-utf8",
+        "parsed-not-utf8",
+        "vpool-not-utf8",
+        "raw-not-utf8",
+        "plan-not-utf8",
+        "plan-truncated",
     ],
 )
 def test_malformed_pool_or_parser_output_exits_2(
     cli_workspace, tmp_path, capsys, command, text, where
 ):
     bad = tmp_path / "bad.csv"
-    bad.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text, encoding="utf-8")
     dataset = str(cli_workspace / "apacheish.csv")
     argv = {
         "mix": ["mix", "--in", dataset, "--pool", str(bad), "--strength", "1.0",
@@ -486,6 +521,8 @@ def test_malformed_pool_or_parser_output_exits_2(
         "stats": ["stats", "--in", str(bad)],
         "fuzz": ["fuzz", "--in", dataset, "--vpool", str(bad),
                  "--out", str(tmp_path / "fuzzed.csv")],
+        "raw": ["stats", "--raw", "--in", str(bad)],
+        "benchmark": ["benchmark", "--plan", str(bad)],
     }[command]
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err

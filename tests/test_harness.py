@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -46,13 +47,16 @@ def workspace(tmp_path_factory):
     return root
 
 
-def _synthesis(root, strength=None, fuzz_mode=None) -> SynthesisPlan:
-    plan = SynthesisPlan(mix_strength=strength, fuzz_mode=fuzz_mode)
-    if strength is not None:
-        plan.outlier_pool = OutlierPool.load(root / "outlier_pool.csv")
-    if fuzz_mode is not None:
-        plan.variable_pool = VariablePool.load(root / "variable_pool.tsv")
-    return plan
+def _synthesis(root, strength=None, fuzz_mode=None, **settings) -> SynthesisPlan:
+    opool = None if strength is None else OutlierPool.load(root / "outlier_pool.csv")
+    vpool = None if fuzz_mode is None else VariablePool.load(root / "variable_pool.tsv")
+    return SynthesisPlan(
+        mix_strength=strength,
+        fuzz_mode=fuzz_mode,
+        outlier_pool=opool,
+        variable_pool=vpool,
+        **settings,
+    )
 
 
 def test_identity_parser_plan_scores_one_with_zero_std(workspace):
@@ -180,8 +184,10 @@ def test_failed_cells_are_reported_not_fatal(workspace, tmp_path):
 
 def test_failed_synthesis_fails_every_cell_of_its_run(workspace):
     # Excluding the dataset's own source leaves mixing an empty pool.
-    synthesis = SynthesisPlan(mix_strength=1.0)
-    synthesis.outlier_pool = build_outlier_pool([apacheish()], outlier_fraction=0.05)
+    synthesis = SynthesisPlan(
+        mix_strength=1.0,
+        outlier_pool=build_outlier_pool([apacheish()], outlier_fraction=0.05),
+    )
     plan = ExperimentPlan(
         datasets=[workspace / "apacheish.csv"],
         parsers=[TreeParserConfig(), IdentityParserConfig()],
@@ -229,10 +235,56 @@ def test_synthesis_plan_rejects_bad_values_when_built(settings, field):
         SynthesisPlan(**settings)
 
 
+@pytest.mark.parametrize(
+    "settings, pool",
+    [
+        ({"mix_strength": 1.0}, "outlier_pool"),
+        ({"fuzz_mode": "labeled"}, "variable_pool"),
+    ],
+)
+def test_synthesis_plan_rejects_a_missing_pool_when_built(settings, pool):
+    with pytest.raises(LogblendError, match=f"^{pool} is missing: no "):
+        SynthesisPlan(**settings)
+
+
+def _built_plans(root) -> tuple[SynthesisPlan, ExperimentPlan]:
+    synthesis = _synthesis(root, strength=1.0, fuzz_mode="labeled")
+    plan = ExperimentPlan(
+        datasets=[root / "apacheish.csv"],
+        parsers=[TreeParserConfig()],
+        synthesis=synthesis,
+    )
+    return synthesis, plan
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, f.name) for cls in (SynthesisPlan, ExperimentPlan) for f in fields(cls)],
+)
+def test_built_plan_fields_cannot_be_assigned(workspace, cls, name):
+    synthesis, plan = _built_plans(workspace)
+    built = synthesis if cls is SynthesisPlan else plan
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, name, getattr(built, name))
+
+
+def test_built_plan_is_checked_once_and_stays_as_checked(workspace):
+    synthesis, plan = _built_plans(workspace)
+    with pytest.raises(FrozenInstanceError):
+        synthesis.fuzz_mode = "bogus"
+    with pytest.raises(AttributeError):
+        plan.parsers.append(TreeParserConfig())
+    assert plan.datasets == (workspace / "apacheish.csv",)
+    # A variant is a new plan, checked as it is built.
+    with pytest.raises(LogblendError, match="^fuzz_mode must be"):
+        replace(synthesis, fuzz_mode="bogus")
+    with pytest.raises(LogblendError, match="^plan.runs must be >= 1"):
+        replace(plan, runs=0)
+
+
 def test_parser_driven_synthesis_runs_without_labels(workspace):
     # surrogate labels from the tree parser drive both mixing and fuzzing
-    synthesis = _synthesis(workspace, strength=0.6, fuzz_mode="parsed")
-    synthesis.labels = "parsed"
+    synthesis = _synthesis(workspace, strength=0.6, fuzz_mode="parsed", labels="parsed")
     plan = ExperimentPlan(
         datasets=[workspace / "apacheish.csv"],
         parsers=[TreeParserConfig()],
@@ -253,8 +305,7 @@ def test_parsed_label_h_tracks_ground_truth_h(workspace):
     # the same ballpark as the label-driven pipeline, and both clearly beat
     # the untouched data
     truth_side = _synthesis(workspace, strength=1.0, fuzz_mode="labeled")
-    parsed_side = _synthesis(workspace, strength=1.0, fuzz_mode="parsed")
-    parsed_side.labels = "parsed"
+    parsed_side = _synthesis(workspace, strength=1.0, fuzz_mode="parsed", labels="parsed")
     h = {}
     for key, synthesis in (("gdth", truth_side), ("parsed", parsed_side)):
         plan = ExperimentPlan(
@@ -424,4 +475,4 @@ def test_plan_from_dict_rebuilds_each_builtin_config_from_its_summary(workspace)
     )
     summaries = json.loads(run_experiment(plan).to_json())["plan"]["parsers"]
     for cfg, summary in zip(configs, summaries):
-        assert plan_from_dict({"parsers": [summary]}).parsers == [cfg]
+        assert plan_from_dict({"parsers": [summary]}).parsers == (cfg,)
