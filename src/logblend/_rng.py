@@ -15,7 +15,8 @@ returns: the SeedSequence hash, PCG64 seeding and its XSL-RR output, and
 ``Generator.integers``' 32-bit Lemire rejection, reproduced here. Building
 those three numpy objects per record took most of the fuzzing time, so the
 hash runs once over an array of all line ids and the 128-bit generator
-steps run on Python ints.
+steps run on Python ints. Line ids must fit in 32 bits, so each spawn key
+is one uint32 word; every line id the package makes is a row position.
 """
 
 from __future__ import annotations
@@ -37,22 +38,8 @@ _XSHIFT = 16
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def seed_entropy(seed: int) -> int:
-    return seed & _MASK64
-
-
 def generator(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed_entropy(seed)))
-
-
-def _words(n: int) -> list[int]:
-    """SeedSequence's uint32 words of a non-negative int, low word first."""
-    out = [n & _MASK32]
-    n >>= 32
-    while n:
-        out.append(n & _MASK32)
-        n >>= 32
-    return out
+    return np.random.default_rng(seed & _MASK64)
 
 
 def _hash_consts(init: int, mult: int):
@@ -83,7 +70,7 @@ def record_picks(
 
     The picks equal numpy's for ``SeedSequence(seed, spawn_key=(line_id,))``
     (see the module docstring). `n` must be below 2**32, the limit of the
-    32-bit draw this reproduces; line ids must be non-negative.
+    32-bit draw this reproduces; line ids must be in [0, 2**32 - 1].
     """
     if not 1 <= n <= _MASK32:
         raise ValueError(
@@ -91,36 +78,26 @@ def record_picks(
         )
     if not line_ids:
         return []
-    if min(line_ids) < 0:
-        raise ValueError("line ids must be non-negative")
+    if min(line_ids) < 0 or max(line_ids) > _MASK32:
+        raise ValueError("line ids must be non-negative and below 2**32")
 
-    # SeedSequence.mix_entropy. The run entropy is padded to the pool size
-    # because a spawn key is present, so the first two stages, and the
-    # constants every later hash uses, depend only on the seed.
+    # SeedSequence.mix_entropy. The seed's two uint32 words are padded to
+    # the pool size because a spawn key is present, so the first two stages,
+    # and the constants every later hash uses, depend only on the seed.
     consts = _hash_consts(_INIT_A, _MULT_A)
-    entropy = _words(seed_entropy(seed))
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    pool = [_hashmix(e, consts) for e in entropy]
+    e = seed & _MASK64
+    pool = [_hashmix(w, consts) for w in (e & _MASK32, e >> 32, 0, 0)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
                 pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], consts))
 
-    # The spawn key's words, one column per word. An id of 2**32 or more has
-    # several, and the hash runs over only the words an id has.
-    if max(line_ids) <= _MASK32:
-        key = np.array(line_ids, dtype=np.uint64)[:, None]
-        lengths = np.ones(len(line_ids))
-    else:
-        per_id = [_words(i) for i in line_ids]
-        width = max(map(len, per_id))
-        key = np.array([w + [0] * (width - len(w)) for w in per_id], dtype=np.uint64)
-        lengths = np.array([len(w) for w in per_id])
-    mixer = [np.full(len(line_ids), p, dtype=np.uint64) for p in pool]
-    for j in range(key.shape[1]):
-        for i_dst in range(_POOL_SIZE):
-            mixed = _mix(mixer[i_dst], _hashmix(key[:, j], consts))
-            mixer[i_dst] = np.where(lengths > j, mixed, mixer[i_dst])
+    # The spawn key, one uint32 word per line id.
+    key = np.array(line_ids, dtype=np.uint64)
+    mixer = [
+        _mix(np.full(len(line_ids), p, dtype=np.uint64), _hashmix(key, consts))
+        for p in pool
+    ]
 
     # SeedSequence.generate_state(4, np.uint64): eight uint32 words, paired
     # little-endian into uint64s u0..u3; PCG64 takes (u0, u1) as its initial

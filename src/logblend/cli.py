@@ -170,9 +170,9 @@ def _cmd_pool_build(args) -> None:
     datasets = [load_structured(p) for p in args.datasets]
     opool = build_outlier_pool(datasets, outlier_fraction=args.outlier_fraction)
     vpool = build_variable_pool(datasets)
-    # Only the variable pool can fail to save; the outlier pool's CSV holds any
-    # text. Its checks run before anything is created, so a data error leaves
-    # no directory or file behind.
+    # Only the variable pool can fail to save; the outlier pool holds contents
+    # of loaded datasets, which have no line break. Its checks run before
+    # anything is created, so a data error leaves no directory or file behind.
     try:
         vpool_text = vpool.to_text()
     except ValueError as exc:  # a source tag from the data holds a tab, CR or LF
@@ -194,13 +194,6 @@ def _cmd_pool_build(args) -> None:
     )
 
 
-def _resolve_outlier_pool(path: str) -> OutlierPool:
-    p = Path(path)
-    if p.is_dir():
-        p = p / "outlier_pool.csv"
-    return OutlierPool.load(p)
-
-
 def _read_parsed(path: str | None, ds: Dataset) -> list[str] | None:
     """The templates of a --parsed file, one per record of `ds`; None without one."""
     if path is None:
@@ -210,7 +203,8 @@ def _read_parsed(path: str | None, ds: Dataset) -> list[str] | None:
 
 def _cmd_mix(args) -> None:
     ds = load_structured(args.input)
-    pool = _resolve_outlier_pool(args.pool)
+    pool = Path(args.pool)  # a pool directory or the outlier pool file itself
+    pool = OutlierPool.load(pool / "outlier_pool.csv" if pool.is_dir() else pool)
     cfg = MixConfig(
         strength=args.strength,
         seed=args.seed,

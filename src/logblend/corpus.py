@@ -17,7 +17,7 @@ import csv
 import functools
 import re
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -197,6 +197,15 @@ def read_columns(
     return columns
 
 
+def check_contents(contents: list[str], line_ids: Sequence[int]) -> None:
+    """Raise ValueError naming the line id of the first content holding a CR or
+    LF, which :func:`read_columns` rejects; writers call it before writing."""
+    joined = "".join(contents)  # one scan in C when, as usual, none has one
+    if "\n" in joined or "\r" in joined:
+        i = next(i for i, text in enumerate(contents) if "\n" in text or "\r" in text)
+        raise ValueError(f"line {line_ids[i]} content contains a line break")
+
+
 def _line_id_order(path: Path, rows: list[tuple[int, list[str]]], line_idx: int) -> list[int]:
     """Row positions in `LineId` order; the ids must be 1..n, each once."""
     n = len(rows)
@@ -274,9 +283,11 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset in the structured format; round-trips exactly.
 
     A `Source` column is emitted only when some record's source differs from
-    the dataset name (as after mixing).
+    the dataset name (as after mixing). A content holding a line break
+    raises ValueError naming its line id before the file is opened.
     """
     records = ds.records
+    check_contents([r.content for r in records], [r.line_id for r in records])
     if any(r.source != ds.name for r in records):
         header = ["LineId", "Content", "EventTemplate", "Source"]
         rows = ((r.line_id, r.content, r.ground_truth or "", r.source) for r in records)

@@ -19,6 +19,7 @@ import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from statistics import mean, stdev
+from types import MappingProxyType
 from typing import get_type_hints
 
 from .corpus import Dataset, LogRecord, load_structured
@@ -81,9 +82,11 @@ class SynthesisPlan:
     outlier_pool: OutlierPool | None = None
     variable_pool: VariablePool | None = None
     #: sha256 of each pool file as it was loaded, by plan key, for the report.
-    pool_digests: dict[str, str] = field(default_factory=dict)
+    pool_digests: MappingProxyType[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        digests = MappingProxyType(dict(self.pool_digests))
+        object.__setattr__(self, "pool_digests", digests)
         # Each message starts with the field; the plan reader prefixes its key.
         strength = self.mix_strength
         if strength is not None and not 0.0 <= strength <= 1.0:
@@ -95,6 +98,8 @@ class SynthesisPlan:
             value = getattr(self, name)
             if value not in allowed:
                 raise LogblendError(f"{name} must be one of {allowed}, got {value!r}")
+        if self.labels == LABELS_PARSED and strength is None:
+            raise LogblendError("labels 'parsed' needs mix_strength: only mixing reads it")
         if strength is not None and self.outlier_pool is None:
             raise LogblendError("outlier_pool is missing: no outlier pool to mix from")
         if self.fuzz_mode is not None and self.variable_pool is None:
@@ -127,6 +132,12 @@ class ExperimentPlan:
         if self.runs < 1:
             raise LogblendError(f"plan.runs must be >= 1, got {self.runs}")
         check_reference(self.reference, "plan.reference")
+        external = [isinstance(spec, ExternalParser) for spec in self.parsers]
+        if any(external) and len(self.datasets) > 1:
+            raise LogblendError(
+                f"plan.parsers[{external.index(True)}] is external, so the plan "
+                f"must have one dataset, got {len(self.datasets)}"
+            )
         # The report keys parsers and datasets by name; a repeat would overwrite.
         names = [f"parser {spec.name!r}" for spec in self.parsers]
         names += [f"dataset {Path(path).stem!r}" for path in self.datasets]
@@ -153,10 +164,6 @@ class EvaluationReport:
 
     def to_json(self, include_timings: bool = False) -> str:
         return json.dumps(self.to_dict(include_timings), indent=2)
-
-
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _parser_summary(spec: ParserSpec) -> dict:
@@ -417,7 +424,7 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
             name = s.pop(key)
             if name:
                 path = _resolve(name)
-                digests[key] = _digest(path)
+                digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
                 s[key] = cls.load(path)
         try:
             synthesis = SynthesisPlan(**s, pool_digests=digests)

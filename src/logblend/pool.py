@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from .corpus import (
     Dataset,
+    check_contents,
     extract_variables,
     not_utf8,
     read_columns,
@@ -32,11 +34,14 @@ class PoolEntry:
     source: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutlierPool:
     """Rare log lines pooled across datasets, deduplicated by content."""
 
-    entries: list[PoolEntry] = field(default_factory=list)
+    entries: tuple[PoolEntry, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -45,6 +50,7 @@ class OutlierPool:
         return [e for e in self.entries if e.source != source]
 
     def save(self, path: str | Path) -> None:
+        check_contents([e.content for e in self.entries], range(1, len(self) + 1))
         rows = (
             (i, e.content, e.ground_truth, e.source)
             for i, e in enumerate(self.entries, start=1)
@@ -56,10 +62,10 @@ class OutlierPool:
         """Read a saved pool with :func:`~logblend.corpus.read_columns`."""
         columns = read_columns(path, ("LineId", "Content", "EventTemplate", "Source"))
         fields = (columns[col] for col in ("Content", "EventTemplate", "Source"))
-        return cls(entries=list(map(PoolEntry, *fields)))
+        return cls(entries=map(PoolEntry, *fields))
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariablePool:
     """Deduplicated variable values with the datasets each was seen in.
 
@@ -68,9 +74,13 @@ class VariablePool:
     nothing but the build does not fail.
     """
 
-    values: list[str] = field(default_factory=list)
-    sources: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    values: tuple[str, ...] = ()
+    sources: MappingProxyType[str, tuple[str, ...]] = field(default_factory=dict)
     skipped: dict[str, list[int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "sources", MappingProxyType(dict(self.sources)))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -11,7 +11,13 @@ from logblend.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from logblend.corpus import Dataset, LogRecord, load_structured, write_dataset
 from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.heterogeneity import INDUSTRY_REFERENCE, ProxyStats, h_score, proxy_stats
-from logblend.parsers import read_parse_result, write_parse_result
+from logblend.parsers import (
+    IdentityParserConfig,
+    TokenFrequencyParserConfig,
+    parse,
+    read_parse_result,
+    write_parse_result,
+)
 from logblend.pool import VariablePool
 
 from helpers import apacheish, source_datasets
@@ -161,6 +167,21 @@ def test_fuzz_writes_labeled_dataset(cli_workspace, tmp_path):
     assert all(r.ground_truth is not None for r in fuzzed)
 
 
+def test_fuzz_counts_skipped_records_on_stderr(cli_workspace, tmp_path, capsys):
+    # Row 2's content does not match its template, so fuzz passes it through.
+    source = tmp_path / "unaligned.csv"
+    source.write_text(
+        "LineId,Content,EventTemplate\n1,open 1,open <*>\n2,close 2,open <*>\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "fuzzed.csv"
+    vpool = cli_workspace / "pools" / "variable_pool.tsv"
+    argv = ["fuzz", "--in", str(source), "--vpool", str(vpool), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == "skipped 1 unalignable records\n"
+    assert load_structured(out).records[1].content == "close 2"
+
+
 def test_parse_then_evaluate(cli_workspace, tmp_path, capsys):
     parsed = tmp_path / "parsed.csv"
     rc = main(
@@ -188,6 +209,26 @@ def test_parse_then_evaluate(cli_workspace, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["template_accuracy"] > 0.9
     assert doc["grouping_accuracy"] > 0.9
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--parser", "tokenfreq", "--tf-threshold", "0.3"],
+         TokenFrequencyParserConfig(threshold=0.3)),
+        (["--parser", "identity"], IdentityParserConfig()),
+    ],
+    ids=["tokenfreq", "identity"],
+)
+def test_parse_writes_what_the_library_parser_returns(
+    cli_workspace, tmp_path, argv, config
+):
+    source = cli_workspace / "apacheish.csv"
+    got = tmp_path / "got.csv"
+    assert main(["parse", "--in", str(source), *argv, "--out", str(got)]) == EXIT_OK
+    want = tmp_path / "want.csv"
+    write_parse_result(parse(load_structured(source), config), want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_evaluate_canonicalizes_templates_where_read(tmp_path, capsys):
@@ -245,6 +286,14 @@ def test_combine_across_datasets(cli_workspace, tmp_path):
     combined = load_structured(out)
     sources = {r.source for r in combined.records}
     assert sources == {"apacheish", "dbsvc"}
+
+
+def test_combine_size_below_1_is_usage_error(cli_workspace, tmp_path, capsys):
+    out = tmp_path / "combined.csv"
+    argv = ["combine", str(cli_workspace / "apacheish.csv"), "--size", "0"]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert "size must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_benchmark_runs_plan(cli_workspace, tmp_path, capsys):
@@ -347,6 +396,13 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
     assert "mask '('" in capsys.readouterr().err
 
 
+def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, capsys):
+    argv = ["parse", "--in", str(cli_workspace / "apacheish.csv"),
+            "--max-children", "0", "--out", str(tmp_path / "parsed.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert "max_children must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "plan, named",
     [
@@ -382,6 +438,14 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
         ({"synthesis": {"mix_strength": 0.5}}, "plan.synthesis.outlier_pool"),
         ({"synthesis": {"fuzz_mode": "parsed"}}, "plan.synthesis.variable_pool"),
         ({"runs": 0}, "plan.runs"),
+        (
+            {
+                "datasets": ["a.csv", "b.csv"],
+                "parsers": [{"kind": "tree"}, {"kind": "external", "path": "a.out"}],
+            },
+            "plan.parsers[1] is external",
+        ),
+        ({"synthesis": {"labels": "parsed"}}, "plan.synthesis.labels 'parsed' needs"),
     ],
     ids=[
         "not-an-object",
@@ -406,6 +470,8 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
         "mix-without-pool-names-the-key",
         "fuzz-without-pool-names-the-key",
         "runs-below-1",
+        "external-in-multi-dataset-plan",
+        "parsed-labels-without-mixing",
     ],
 )
 def test_malformed_plan_exits_2_naming_the_key(

@@ -20,6 +20,7 @@ from logblend.corpus import (
     matches_template,
     substitute_variables,
     template_frequency_map,
+    write_csv_rows,
     write_dataset,
 )
 from logblend.errors import AlignmentError, DataFormatError, LabelingError, ShapeError
@@ -76,13 +77,18 @@ def test_each_whitespace_row_loads_matches_and_is_refilled(w, tmp_path):
     # longer aligns with, whatever the whitespace inside it.
     path = tmp_path / "ds.csv"
     template = f"open{w}<*> done"
-    write_dataset(
-        Dataset("t", [LogRecord(1, f"open{w}f1 done", template, "t")]), path
-    )
+    ds = Dataset("t", [LogRecord(1, f"open{w}f1 done", template, "t")])
     if w in "\n\r":
+        # Content may not hold a line break: the writer refuses it, and the
+        # reader rejects a file that holds one.
+        with pytest.raises(ValueError, match="^line 1 content"):
+            write_dataset(ds, path)
+        header = ["LineId", "Content", "EventTemplate"]
+        write_csv_rows(path, header, [(1, f"open{w}f1 done", template)])
         with pytest.raises(DataFormatError, match="row 2"):
-            load_structured(path)  # content may not hold a line break
+            load_structured(path)
         return
+    write_dataset(ds, path)
     (rec,) = load_structured(path).records
     assert rec.ground_truth == canonicalize_template(template)
     assert matches_template(rec.content, rec.ground_truth)
@@ -443,6 +449,12 @@ def test_substitution_then_extraction_round_trips(tv):
     content = substitute_variables(template, values)
     captured = extract_variables(content, template)
     assert substitute_variables(template, captured) == content
+
+
+@pytest.mark.parametrize("values", [[], ["b", "c"]])
+def test_substitution_needs_one_value_per_slot(values):
+    with pytest.raises(ValueError, match=f"1 wildcard slots, got {len(values)} values"):
+        substitute_variables("a <*> d", values)
 
 
 def test_alignment_totality_on_synthetic_corpus():

@@ -117,7 +117,19 @@ def test_dataset_round_trips(rows, tmp_path_factory):
 def test_outlier_pool_round_trips(entries, tmp_path_factory):
     path = tmp_path_factory.mktemp("pool") / "outliers.csv"
     OutlierPool(entries).save(path)
-    assert OutlierPool.load(path).entries == entries
+    assert OutlierPool.load(path).entries == tuple(entries)
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+def test_writers_reject_a_line_break_in_content_and_write_nothing(brk, tmp_path):
+    # The readers reject such a file, so the writers do not make one.
+    records = [LogRecord(1, "a", "a"), LogRecord(2, f"b{brk}c", "b <*>")]
+    with pytest.raises(ValueError, match="^line 2 content contains a line break"):
+        write_dataset(Dataset("ds", records), tmp_path / "ds.csv")
+    entries = [PoolEntry("a", "a", "s"), PoolEntry(f"b{brk}c", "b <*>", "s")]
+    with pytest.raises(ValueError, match="^line 2 content contains a line break"):
+        OutlierPool(entries).save(tmp_path / "pool.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from logblend.corpus import Dataset, LogRecord, load_structured, write_dataset
-from logblend.errors import AllocationError, LogblendError
+from logblend.errors import AllocationError, InsufficientDataError, LogblendError
 from logblend.harness import (
     ExperimentPlan,
     ExternalParser,
@@ -282,6 +282,56 @@ def test_built_plan_is_checked_once_and_stays_as_checked(workspace):
         replace(plan, runs=0)
 
 
+def test_built_plan_pools_and_digests_cannot_be_changed(workspace):
+    doc = {
+        "datasets": ["apacheish.csv"],
+        "parsers": [{"kind": "tree"}],
+        "synthesis": {
+            "mix_strength": 1.0,
+            "fuzz_mode": "labeled",
+            "outlier_pool": "outlier_pool.csv",
+            "variable_pool": "variable_pool.tsv",
+        },
+        "runs": 1,
+    }
+    synthesis = plan_from_dict(doc, base_dir=workspace).synthesis
+    opool, vpool, digests = (
+        synthesis.outlier_pool, synthesis.variable_pool, synthesis.pool_digests
+    )
+    with pytest.raises(FrozenInstanceError):
+        opool.entries = opool.entries[::2]
+    with pytest.raises(FrozenInstanceError):
+        vpool.values = vpool.values[::-1]
+    with pytest.raises(TypeError):
+        del opool.entries[::2]
+    with pytest.raises(AttributeError):
+        vpool.values.reverse()
+    with pytest.raises(TypeError):
+        vpool.sources[vpool.values[0]] = ("bogus",)
+    with pytest.raises(TypeError):
+        digests["outlier_pool"] = "bogus"
+    # The digests are copied when the plan is built, so the caller's dict
+    # cannot change them afterwards either.
+    given = dict(digests)
+    copied = SynthesisPlan(mix_strength=1.0, outlier_pool=opool, pool_digests=given)
+    given["outlier_pool"] = "bogus"
+    assert copied.pool_digests == digests
+
+
+def test_synthesis_plan_rejects_parsed_labels_without_mixing():
+    with pytest.raises(LogblendError, match="^labels 'parsed' needs mix_strength"):
+        SynthesisPlan(labels="parsed")
+
+
+def test_external_parser_needs_a_plan_of_one_dataset(workspace, tmp_path):
+    external = ExternalParser(path=tmp_path / "out.csv")
+    two = [workspace / "apacheish.csv", tmp_path / "dbsvc.csv"]
+    with pytest.raises(LogblendError, match=r"^plan.parsers\[1\] is external"):
+        ExperimentPlan(datasets=two, parsers=[TreeParserConfig(), external])
+    plan = ExperimentPlan(datasets=two[:1], parsers=[TreeParserConfig(), external])
+    assert plan.parsers[1] == external
+
+
 def test_parser_driven_synthesis_runs_without_labels(workspace):
     # surrogate labels from the tree parser drive both mixing and fuzzing
     synthesis = _synthesis(workspace, strength=0.6, fuzz_mode="parsed", labels="parsed")
@@ -395,6 +445,11 @@ def test_combined_insufficient_records_names_dataset():
     ]
     with pytest.raises(AllocationError, match="tiny"):
         build_combined_dataset(datasets, size=10, seed=0)
+
+
+def test_combined_of_no_datasets_raises():
+    with pytest.raises(InsufficientDataError, match="no datasets"):
+        build_combined_dataset([], size=10, seed=0)
 
 
 def test_combined_deterministic_under_seed():

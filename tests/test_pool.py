@@ -117,7 +117,7 @@ def test_outlier_pool_load_canonicalizes_templates(tmp_path):
     p.write_text(
         "LineId,Content,EventTemplate,Source\n1,x 1,x   <*> ,a\n", encoding="utf-8"
     )
-    assert OutlierPool.load(p).entries == [PoolEntry("x 1", "x <*>", "a")]
+    assert OutlierPool.load(p).entries == (PoolEntry("x 1", "x <*>", "a"),)
 
 
 @pytest.mark.parametrize(
@@ -141,7 +141,7 @@ def test_outlier_pool_load_names_malformed_row(tmp_path, rows, match):
 def test_outlier_pool_load_needs_the_four_columns_in_any_order(tmp_path):
     p = tmp_path / "outliers.csv"
     p.write_text("Source,EventTemplate,LineId,Content\na,x <*>,1,x 1\n", encoding="utf-8")
-    assert OutlierPool.load(p).entries == [PoolEntry("x 1", "x <*>", "a")]
+    assert OutlierPool.load(p).entries == (PoolEntry("x 1", "x <*>", "a"),)
     p.write_text("LineId,Content,EventTemplate\n1,x 1,x <*>\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="missing column 'Source'"):
         OutlierPool.load(p)
@@ -166,7 +166,7 @@ def test_variable_pool_from_paper_style_records():
         ],
     )
     pool = build_variable_pool([ds])
-    assert pool.values == ["1", "2"]
+    assert pool.values == ("1", "2")
 
 
 def test_variable_pool_empty_when_no_wildcards():
@@ -178,7 +178,7 @@ def test_variable_pool_merges_sources_for_shared_value():
     a = _labeled("a", [("ip 10.0.0.1 up", "ip <*> up")])
     b = _labeled("b", [("peer 10.0.0.1 down", "peer <*> down")])
     pool = build_variable_pool([a, b])
-    assert pool.values == ["10.0.0.1"]
+    assert pool.values == ("10.0.0.1",)
     assert pool.sources["10.0.0.1"] == ("a", "b")
 
 
@@ -191,7 +191,7 @@ def test_variable_pool_skip_report_counts_misaligned_records():
         ],
     )
     pool = build_variable_pool([ds])
-    assert pool.values == ["1"]
+    assert pool.values == ("1",)
     assert pool.skipped == {"t": [2]}
 
 
@@ -220,7 +220,7 @@ def test_variable_pool_file_round_trip(tmp_path):
 def test_variable_pool_with_tab_in_a_value_round_trips(tmp_path):
     ds = _labeled("t", [("set a\tb", "set <*>"), ("set c", "set <*>")])
     vpool = build_variable_pool([ds])
-    assert vpool.values == ["c"]
+    assert vpool.values == ("c",)
     p = tmp_path / "vars.tsv"
     vpool.save(p)
     again = VariablePool.load(p)
@@ -283,5 +283,5 @@ def test_variable_pool_round_trips_any_unicode(pool, tmp_path_factory):
     path = tmp_path_factory.mktemp("vpool") / "vars.tsv"
     VariablePool(values=list(pool), sources=pool).save(path)
     again = VariablePool.load(path)
-    assert again.values == list(pool)
+    assert again.values == tuple(pool)
     assert again.sources == pool

@@ -25,9 +25,8 @@ seeds = st.one_of(
     st.integers(-(2**64), 2**64),
 )
 line_ids = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**70 + 1]),
+    st.sampled_from([0, 1, 2**32 - 1]),
     st.integers(0, 2**32 - 1),
-    st.integers(0, 2**66),
 )
 # 2**31 + 1 and 3 * 2**30 reject about half and a quarter of 32-bit draws.
 pool_sizes = st.one_of(
@@ -57,7 +56,6 @@ def test_record_picks_golden_values():
             (-1, [2**32 - 1], 2**32 - 1, [4]),
             [[3946205059, 2945503201, 3749608837, 391217729]],
         ),
-        ((2**63, [2**40 + 3], 1000, [3]), [[833, 85, 627]]),
         (
             (7, [5], 2**31 + 1, [6]),
             [[1029472635, 1606065939, 1815271131, 2087895875, 692322579, 740213703]],
@@ -70,7 +68,7 @@ def test_record_picks_golden_values():
 
 
 def test_record_picks_are_independent_of_batch_and_order():
-    ids = [9, 3, 2**33, 3, 1]
+    ids = [9, 3, 2**32 - 1, 3, 1]
     counts = [2, 1, 4, 3, 0]
     batched = record_picks(11, ids, 77, counts)
     assert batched == [record_picks(11, [i], 77, [k])[0] for i, k in zip(ids, counts)]
@@ -95,3 +93,8 @@ def test_pool_size_outside_32_bits_raises(n):
     with pytest.raises(ValueError, match=r"2\*\*32 - 1"):
         record_picks(0, [1], n, [1])
 
+
+@pytest.mark.parametrize("line_id", [2**32, 2**70 + 1])
+def test_line_id_outside_32_bits_raises(line_id):
+    with pytest.raises(ValueError, match=r"below 2\*\*32"):
+        record_picks(2**63, [line_id], 1000, [3])
