@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .corpus import Dataset, load_raw, load_structured, not_utf8, write_dataset
+from .corpus import Dataset, load_raw, load_structured, read_text, write_dataset
 from .errors import DataFormatError, LogblendError
 from .fuzzing import FuzzConfig, fuzz
 from .harness import (
@@ -246,12 +246,21 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_benchmark(args) -> None:
     plan_path = Path(args.plan)
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise DataFormatError(f"{plan_path}: an object repeats the key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
-        doc = json.loads(plan_path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise not_utf8(plan_path) from None
+        doc = json.loads(read_text(plan_path), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{plan_path}: {exc}") from exc
+    except RecursionError:
+        raise DataFormatError(f"{plan_path}: JSON nested too deeply to read") from None
     plan = plan_from_dict(doc, base_dir=plan_path.parent)
     # replace() runs the plan's own checks on the overridden values.
     overrides = {"runs": args.runs, "base_seed": args.seed}

@@ -5,16 +5,17 @@ message content (no timestamp/level/PID header) and, when available, a
 ground-truth template whose variable positions are marked with the ``<*>``
 wildcard token.
 
-Every CSV format (dataset, outlier pool, parser output) is read by
-:func:`read_columns`, which canonicalizes templates once, where they are
-read; every other function expects canonical templates and compares them as
-given.
+Every input file is read and decoded by :func:`read_text`. Every CSV format
+(dataset, outlier pool, parser output) is read by :func:`read_columns`,
+which canonicalizes templates once, where they are read; every other
+function expects canonical templates and compares them as given.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -89,57 +90,38 @@ class Dataset:
         return parsed
 
 
-def not_utf8(path: str | Path) -> DataFormatError:
-    """The error for a file whose read failed to decode: its name, and the line
-    and value of its first byte that is not UTF-8.
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file. Every input file is read and decoded here, once.
 
-    The file is read again, because a text reader's decode error gives the
-    offset within its buffer, not the file. CR, LF and CRLF each end a line.
+    A byte that is not UTF-8 raises DataFormatError naming the file, the
+    line (CR, LF and CRLF each end one) and the byte.
     """
     raw = Path(path).read_bytes()
     try:
-        raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         line = head.count(b"\n") + 1
         byte = raw[exc.start]
-        return DataFormatError(f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8")
-    return DataFormatError(f"{path}: not UTF-8")
+        raise DataFormatError(
+            f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8"
+        ) from None
 
 
-def read_csv_rows(path: Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
-    """Header and non-empty rows of a CSV file, each with the line it starts on.
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file, without their line breaks.
 
-    Bad quoting, or a row whose field count differs from the header's,
-    raises DataFormatError naming the file and the row; a byte that is not
-    UTF-8, naming the file and the line.
+    Only CR, LF and CRLF end a line, as in text-mode reading; unlike
+    :meth:`str.splitlines`, VT, FF, NEL, U+2028 and the like stay inside one.
     """
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f, strict=True)
-        next_row = 1
-        try:
-            header = next(reader, None)
-            next_row = reader.line_num + 1
-            for row in reader:
-                row_num, next_row = next_row, reader.line_num + 1
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataFormatError(
-                        f"{path}: row {row_num} has {len(row)} fields, "
-                        f"expected {len(header)}"
-                    )
-                rows.append((row_num, row))
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}: row {next_row}: {exc}") from exc
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-    return header, rows
+    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write a header and rows as UTF-8 CSV that :func:`read_csv_rows` reads back.
+    """Write a header and rows as UTF-8 CSV that :func:`read_columns` reads back.
 
     Fields are written with ``str()``; quoting is minimal and rows end in CRLF.
     """
@@ -159,6 +141,7 @@ def read_columns(
     * the `required` columns are in the header; an `optional` column is
       returned only when the header has it, and other columns are ignored;
     * no column read here (`LineId` included) is named twice in the header;
+    * empty rows are skipped, and every other row has the header's fields;
     * a `LineId` column, whenever the header has it, holds the integers
       1..n in any order, and rows come back in that order (file order when
       the column is absent); it is not itself returned;
@@ -166,10 +149,27 @@ def read_columns(
     * each distinct `EventTemplate` field is canonicalized once.
 
     A violation, bad quoting or a ragged row raises DataFormatError naming
-    the file and the row.
+    the file and the row (the line it starts on); a byte that is not UTF-8,
+    naming the file and the line.
     """
     path = Path(path)
-    header, rows = read_csv_rows(path)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""), strict=True)
+    rows: list[tuple[int, list[str]]] = []
+    next_row = 1
+    try:
+        header = next(reader, None)
+        next_row = reader.line_num + 1
+        for row in reader:
+            row_num, next_row = next_row, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}"
+                )
+            rows.append((row_num, row))
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: row {next_row}: {exc}") from exc
     if header is None:
         raise DataFormatError(f"{path}: empty file, expected a header row")
     index = {col: idx for idx, col in enumerate(header)}
@@ -264,18 +264,11 @@ def load_raw(path: str | Path, name: str | None = None) -> Dataset:
     path = Path(path)
     if name is None:
         name = path.stem
-    records: list[LogRecord] = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                content = line.rstrip("\r\n")
-                if not content.strip():
-                    continue
-                records.append(
-                    LogRecord(line_id=len(records) + 1, content=content, source=name)
-                )
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    contents = (line for line in read_lines(path) if line.strip())
+    records = [
+        LogRecord(line_id=line_id, content=content, source=name)
+        for line_id, content in enumerate(contents, start=1)
+    ]
     return Dataset(name=name, records=records)
 
 
@@ -283,10 +276,15 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset in the structured format; round-trips exactly.
 
     A `Source` column is emitted only when some record's source differs from
-    the dataset name (as after mixing). A content holding a line break
-    raises ValueError naming its line id before the file is opened.
+    the dataset name (as after mixing). A record whose line id is not its
+    row position 1..n (the reader would reject or reorder it), or a content
+    holding a line break, raises ValueError naming it before the file is
+    opened.
     """
     records = ds.records
+    for row, r in enumerate(records, start=1):
+        if r.line_id != row:
+            raise ValueError(f"record {row} has line id {r.line_id}, not its row position")
     check_contents([r.content for r in records], [r.line_id for r in records])
     if any(r.source != ds.name for r in records):
         header = ["LineId", "Content", "EventTemplate", "Source"]

@@ -85,7 +85,7 @@ def mix(
     for pos, pick in zip(targets, picks):
         entry = candidates[pick]
         records[pos] = LogRecord(
-            line_id=pos + 1,
+            line_id=records[pos].line_id,
             content=entry.content,
             ground_truth=entry.ground_truth,
             source=entry.source,

@@ -19,8 +19,8 @@ from .corpus import (
     Dataset,
     check_contents,
     extract_variables,
-    not_utf8,
     read_columns,
+    read_lines,
     template_frequency_map,
     write_csv_rows,
 )
@@ -117,29 +117,20 @@ class VariablePool:
         """
         values: list[str] = []
         sources: dict[str, tuple[str, ...]] = {}
-        try:
-            with open(path, encoding="utf-8") as f:
-                for line_num, line in enumerate(f, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    value, *tags = line.split("\t")
-                    if not value:
-                        raise DataFormatError(
-                            f"{path}: line {line_num} has an empty value"
-                        )
-                    if not tags:
-                        raise DataFormatError(
-                            f"{path}: line {line_num} has no source tag"
-                        )
-                    if value in sources:
-                        raise DataFormatError(
-                            f"{path}: line {line_num} repeats the value {value!r}"
-                        )
-                    values.append(value)
-                    sources[value] = tuple(tags)
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+        for line_num, line in enumerate(read_lines(path), start=1):
+            if not line:
+                continue
+            value, *tags = line.split("\t")
+            if not value:
+                raise DataFormatError(f"{path}: line {line_num} has an empty value")
+            if not tags:
+                raise DataFormatError(f"{path}: line {line_num} has no source tag")
+            if value in sources:
+                raise DataFormatError(
+                    f"{path}: line {line_num} repeats the value {value!r}"
+                )
+            values.append(value)
+            sources[value] = tuple(tags)
         return cls(values=values, sources=sources)
 
 

@@ -515,3 +515,14 @@ def reference_fuzz(ds, vpool, seed, parsed=None) -> FuzzResult:
             rec.source,
         )
     return FuzzResult(Dataset(ds.name, records), skipped)
+
+
+def text_mode_lines(path) -> list[str]:
+    """The lines of a file as the loaders read it before `corpus.read_lines`.
+
+    A text-mode reader ends a line at CR, LF or CRLF only and gives each
+    line break as "\\n", which is stripped here. A byte that is not UTF-8 is
+    kept as a lone surrogate (U+DC80..U+DCFF).
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        return [line.rstrip("\n") for line in f]

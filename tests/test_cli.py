@@ -549,6 +549,8 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         ("raw", b"one\rtwo\n\xff\n", "line 3: byte 0xff is not UTF-8"),
         ("benchmark", b'{"runs": 1,\n "base_seed": "\xff"}', "line 2: byte 0xff"),
         ("benchmark", '{"runs": ', "line 1 column 10"),
+        ("benchmark", "[" * 200_000, "JSON nested too deeply to read"),
+        ("benchmark", '{"runs": 1, "runs": 10}', "an object repeats the key 'runs'"),
     ],
     ids=[
         "pool-short-row",
@@ -569,6 +571,8 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         "raw-not-utf8",
         "plan-not-utf8",
         "plan-truncated",
+        "plan-nested-too-deeply",
+        "plan-repeated-key",
     ],
 )
 def test_malformed_pool_or_parser_output_exits_2(

@@ -13,7 +13,7 @@ from logblend.corpus import (
     LogRecord,
     canonicalize_template,
     load_structured,
-    read_csv_rows,
+    read_columns,
     write_csv_rows,
     write_dataset,
 )
@@ -89,10 +89,9 @@ def test_writers_emit_what_a_plain_csv_writer_emits(tmp_path):
 def test_write_csv_rows_is_read_back(rows, tmp_path_factory):
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
     write_csv_rows(path, ["a", "b", "c"], rows)
-    header, got = read_csv_rows(path)
-    assert header == ["a", "b", "c"]
+    columns = read_columns(path, ("a", "b", "c"))
     # A row of three empty fields is written as ",,", which is not skipped.
-    assert [row for _, row in got] == rows
+    assert list(map(list, zip(columns["a"], columns["b"], columns["c"]))) == rows
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,6 +128,24 @@ def test_writers_reject_a_line_break_in_content_and_write_nothing(brk, tmp_path)
     entries = [PoolEntry("a", "a", "s"), PoolEntry(f"b{brk}c", "b <*>", "s")]
     with pytest.raises(ValueError, match="^line 2 content contains a line break"):
         OutlierPool(entries).save(tmp_path / "pool.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "line_ids, match",
+    [
+        ([5, 6], "^record 1 has line id 5, not its row position"),
+        ([1, 3, 2], "^record 2 has line id 3, not its row position"),
+    ],
+    ids=["offset", "permuted"],
+)
+def test_write_dataset_rejects_line_ids_out_of_row_order_and_writes_nothing(
+    line_ids, match, tmp_path
+):
+    # The reader rejects the first file and reorders the second.
+    records = [LogRecord(i, f"x {i}", "x <*>") for i in line_ids]
+    with pytest.raises(ValueError, match=match):
+        write_dataset(Dataset("ds", records), tmp_path / "ds.csv")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -117,6 +117,18 @@ def test_line_ids_stay_contiguous():
     assert_well_formed(mixed)
 
 
+@pytest.mark.parametrize("line_ids", [[5, 6, 7, 8], [3, 3, 7, 7]], ids=["offset", "repeated"])
+def test_replaced_records_keep_their_line_ids(line_ids):
+    # A replaced record keeps the id of the record it overwrites, and with it
+    # that record's fuzz stream.
+    ds = Dataset(
+        "u", [LogRecord(i, f"event {i} fired", "event <*> fired", "u") for i in line_ids]
+    )
+    mixed = mix(ds, _pool(), MixConfig(strength=1.0, seed=5))
+    assert [r.content for r in mixed.records] != ds.contents()
+    assert [r.line_id for r in mixed.records] == line_ids
+
+
 def test_source_exclusion():
     ds = apacheish()
     opool, _ = standard_pools()
