@@ -70,7 +70,7 @@ def corpus_groups() -> dict[str, list[str]]:
 
     groups: dict[str, list[str]] = {}
     for content, template in sorted(
-        {(r.content, r.ground_truth) for ds in source_datasets() for r in ds}
+        {pair for ds in source_datasets() for pair in zip(ds.contents(), ds.labels())}
     ):
         groups.setdefault(template, []).append(content)
     return groups

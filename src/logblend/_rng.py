@@ -16,7 +16,7 @@ returns: the SeedSequence hash, PCG64 seeding and its XSL-RR output, and
 those three numpy objects per record took most of the fuzzing time, so the
 hash runs once over an array of all line ids and the 128-bit generator
 steps run on Python ints. Line ids must fit in 32 bits, so each spawn key
-is one uint32 word; every line id the package makes is a row position.
+is one uint32 word; the package gives row i of a dataset line id i + 1.
 """
 
 from __future__ import annotations

@@ -198,7 +198,7 @@ def _read_parsed(path: str | None, ds: Dataset) -> list[str] | None:
     """The templates of a --parsed file, one per record of `ds`; None without one."""
     if path is None:
         return None
-    return read_parse_result(path, expected_len=len(ds.records))
+    return read_parse_result(path, expected_len=len(ds))
 
 
 def _cmd_mix(args) -> None:
@@ -239,7 +239,7 @@ def _cmd_combine(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     truth_ds = load_structured(args.truth)
-    predicted = read_parse_result(args.predicted, expected_len=len(truth_ds.records))
+    predicted = read_parse_result(args.predicted, expected_len=len(truth_ds))
     report = evaluate(predicted, truth_ds.labels())
     _emit(report.as_dict(), args.out)
 
@@ -256,7 +256,7 @@ def _cmd_benchmark(args) -> None:
         return doc
 
     try:
-        doc = json.loads(read_text(plan_path), object_pairs_hook=unique_keys)
+        doc = json.loads(read_text(plan_path)[0], object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{plan_path}: {exc}") from exc
     except RecursionError:

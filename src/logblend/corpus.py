@@ -1,9 +1,9 @@
 """Log dataset representation, ingestion, and template/variable alignment.
 
-A dataset is an ordered list of log records. Each record carries the free-text
-message content (no timestamp/level/PID header) and, when available, a
-ground-truth template whose variable positions are marked with the ``<*>``
-wildcard token.
+A dataset is three columns: per line, the free-text message content (no
+timestamp/level/PID header), the ground-truth template with its variable
+positions marked by the ``<*>`` wildcard token (None where unlabeled), and the
+source tag. A line id is the line's row position + 1.
 
 Every input file is read and decoded by :func:`read_text`. Every CSV format
 (dataset, outlier pool, parser output) is read by :func:`read_columns`,
@@ -17,10 +17,10 @@ import csv
 import functools
 import io
 import re
-from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
+from hashlib import sha256
+from itertools import count
 from pathlib import Path
 
 from .errors import AlignmentError, DataFormatError, LabelingError, ShapeError
@@ -51,54 +51,95 @@ class LogRecord:
     source: str = ""
 
 
-@dataclass
-class Dataset:
-    """Named, ordered collection of log records with contiguous line ids."""
+class _Records(Sequence):
+    """A dataset's rows as :class:`LogRecord` values, each built when it is read."""
 
-    name: str
-    records: list[LogRecord] = field(default_factory=list)
+    def __init__(self, ds: Dataset) -> None:
+        self._ds = ds
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ds)
 
-    def __iter__(self):
-        return iter(self.records)
+    def __getitem__(self, i):
+        row = range(len(self))[i]  # IndexError past the end; a range for a slice
+        if isinstance(row, range):
+            return [self[j] for j in row]
+        ds = self._ds
+        return LogRecord(row + 1, ds._contents[row], ds.ground_truths[row], ds.sources[row])
 
-    def contents(self) -> list[str]:
-        return [r.content for r in self.records]
 
-    def labels(self) -> list[str]:
+@dataclass(frozen=True, init=False)
+class Dataset:
+    """A named dataset stored as three equally long columns.
+
+    Row i holds a line's content, its canonical ground-truth template (None
+    where unlabeled) and its source tag; its line id is i + 1.
+    """
+
+    name: str
+    _contents: tuple[str, ...]
+    ground_truths: tuple[str | None, ...]
+    sources: tuple[str, ...]
+
+    def __init__(
+        self,
+        name: str,
+        contents: Iterable[str],
+        ground_truths: Iterable[str | None],
+        sources: Iterable[str],
+    ) -> None:
+        columns = tuple(contents), tuple(ground_truths), tuple(sources)
+        n, m, k = map(len, columns)
+        if not n == m == k:
+            message = f"{n} contents, {m} ground truths and {k} sources"
+            raise ShapeError(f"dataset {name!r} has {message}")
+        object.__setattr__(self, "name", name)
+        for field, column in zip(("_contents", "ground_truths", "sources"), columns):
+            object.__setattr__(self, field, column)
+
+    def __len__(self) -> int:
+        return len(self._contents)
+
+    @property
+    def records(self) -> Sequence[LogRecord]:
+        """The rows as :class:`LogRecord` values; `len` of it builds none."""
+        return _Records(self)
+
+    def contents(self) -> tuple[str, ...]:
+        return self._contents
+
+    def labels(self) -> tuple[str, ...]:
         """Ground-truth templates in line order; raises if any are missing."""
-        missing = [r.line_id for r in self.records if r.ground_truth is None]
-        if missing:
-            raise LabelingError(
-                f"dataset {self.name!r} has records without ground truth", missing
-            )
-        return [r.ground_truth for r in self.records]  # type: ignore[misc]
+        if None in self.ground_truths:
+            missing = [i for i, t in enumerate(self.ground_truths, 1) if t is None]
+            message = f"dataset {self.name!r} has records without ground truth"
+            raise LabelingError(message, missing)
+        return self.ground_truths  # type: ignore[return-value]
 
-    def templates(self, parsed: list[str] | None = None) -> list[str]:
+    def templates(self, parsed: Sequence[str] | None = None) -> Sequence[str]:
         """Per record, `parsed` (a parser's output) when given, else :meth:`labels`.
 
         Lets synthesis stand parser templates in for missing ground truth.
         """
         if parsed is None:
             return self.labels()
-        if len(parsed) != len(self.records):
+        if len(parsed) != len(self):
             raise ShapeError(
-                f"parse result has {len(parsed)} entries for {len(self.records)} records"
+                f"parse result has {len(parsed)} entries for {len(self)} records"
             )
         return parsed
 
 
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file. Every input file is read and decoded here, once.
+def read_text(path: str | Path) -> tuple[str, str]:
+    """The text of a UTF-8 file and the sha256 of the bytes it was decoded from.
 
-    A byte that is not UTF-8 raises DataFormatError naming the file, the
-    line (CR, LF and CRLF each end one) and the byte.
+    Every input file is read and decoded here, once. A byte that is not
+    UTF-8 raises DataFormatError naming the file, the line (CR, LF and CRLF
+    each end one) and the byte.
     """
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8"), sha256(raw).hexdigest()
     except UnicodeDecodeError as exc:
         head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         line = head.count(b"\n") + 1
@@ -108,16 +149,17 @@ def read_text(path: str | Path) -> str:
         ) from None
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 file, without their line breaks.
+def read_lines(path: str | Path) -> tuple[list[str], str]:
+    """The lines of a UTF-8 file, without their line breaks, and its sha256.
 
     Only CR, LF and CRLF end a line, as in text-mode reading; unlike
     :meth:`str.splitlines`, VT, FF, NEL, U+2028 and the like stay inside one.
     """
-    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    text, digest = read_text(path)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
-    return lines
+    return lines, digest
 
 
 def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
@@ -133,8 +175,9 @@ def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]
 
 def read_columns(
     path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
-) -> dict[str, list[str]]:
-    """The named columns of a CSV file, each a list of fields in `LineId` order.
+) -> tuple[dict[str, list[str]], str]:
+    """The named columns of a CSV file, each a list of fields in `LineId` order,
+    and the file's sha256.
 
     Every CSV format is read here, so each row rule is applied in one place:
 
@@ -153,7 +196,8 @@ def read_columns(
     naming the file and the line.
     """
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path), newline=""), strict=True)
+    text, digest = read_text(path)
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     rows: list[tuple[int, list[str]]] = []
     next_row = 1
     try:
@@ -194,16 +238,16 @@ def read_columns(
     if "LineId" in index:
         order = _line_id_order(path, rows, index["LineId"])
         columns = {col: [fields[i] for i in order] for col, fields in columns.items()}
-    return columns
+    return columns, digest
 
 
-def check_contents(contents: list[str], line_ids: Sequence[int]) -> None:
+def check_contents(contents: Sequence[str]) -> None:
     """Raise ValueError naming the line id of the first content holding a CR or
     LF, which :func:`read_columns` rejects; writers call it before writing."""
     joined = "".join(contents)  # one scan in C when, as usual, none has one
     if "\n" in joined or "\r" in joined:
         i = next(i for i, text in enumerate(contents) if "\n" in text or "\r" in text)
-        raise ValueError(f"line {line_ids[i]} content contains a line break")
+        raise ValueError(f"line {i + 1} content contains a line break")
 
 
 def _line_id_order(path: Path, rows: list[tuple[int, list[str]]], line_idx: int) -> list[int]:
@@ -236,63 +280,43 @@ def _line_id_order(path: Path, rows: list[tuple[int, list[str]]], line_idx: int)
 def load_structured(path: str | Path, name: str | None = None) -> Dataset:
     """Load a comma-separated dataset with `Content` and `EventTemplate` columns.
 
-    Read by :func:`read_columns`, so records are in `LineId` order when the
+    Read by :func:`read_columns`, so rows are in `LineId` order when the
     file has that column. An optional `Source` column overrides the
-    per-record source tag; an empty `EventTemplate` field means unlabeled.
+    per-line source tag; an empty `EventTemplate` field means unlabeled.
     """
-    path = Path(path)
-    if name is None:
-        name = path.stem
-    columns = read_columns(path, ("Content", "EventTemplate"), ("Source",))
-    sources = columns.get("Source") or repeat(name)
-    records = [
-        LogRecord(line_id, content, template or None, source)
-        for line_id, (content, template, source) in enumerate(
-            zip(columns["Content"], columns["EventTemplate"], sources), start=1
-        )
-    ]
-    return Dataset(name=name, records=records)
+    name = Path(path).stem if name is None else name
+    columns, _ = read_columns(path, ("Content", "EventTemplate"), ("Source",))
+    contents = columns["Content"]
+    truths = [template or None for template in columns["EventTemplate"]]
+    return Dataset(name, contents, truths, columns.get("Source") or (name,) * len(contents))
 
 
 def load_raw(path: str | Path, name: str | None = None) -> Dataset:
     """Load a newline-delimited text file, one message per line.
 
-    Blank lines are skipped; line ids stay contiguous. Records carry no
-    ground truth. A byte that is not UTF-8 raises DataFormatError naming the
-    file and the line.
+    Blank lines are skipped; the rest are the dataset's rows in file order.
+    Lines carry no ground truth. A byte that is not UTF-8 raises
+    DataFormatError naming the file and the line.
     """
-    path = Path(path)
-    if name is None:
-        name = path.stem
-    contents = (line for line in read_lines(path) if line.strip())
-    records = [
-        LogRecord(line_id=line_id, content=content, source=name)
-        for line_id, content in enumerate(contents, start=1)
-    ]
-    return Dataset(name=name, records=records)
+    name = Path(path).stem if name is None else name
+    contents = [line for line in read_lines(Path(path))[0] if line.strip()]
+    return Dataset(name, contents, (None,) * len(contents), (name,) * len(contents))
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset in the structured format; round-trips exactly.
 
-    A `Source` column is emitted only when some record's source differs from
-    the dataset name (as after mixing). A record whose line id is not its
-    row position 1..n (the reader would reject or reorder it), or a content
-    holding a line break, raises ValueError naming it before the file is
-    opened.
+    A `Source` column is emitted only when some line's source differs from
+    the dataset name (as after mixing). A content holding a line break
+    raises ValueError naming its line id before the file is opened.
     """
-    records = ds.records
-    for row, r in enumerate(records, start=1):
-        if r.line_id != row:
-            raise ValueError(f"record {row} has line id {r.line_id}, not its row position")
-    check_contents([r.content for r in records], [r.line_id for r in records])
-    if any(r.source != ds.name for r in records):
-        header = ["LineId", "Content", "EventTemplate", "Source"]
-        rows = ((r.line_id, r.content, r.ground_truth or "", r.source) for r in records)
-    else:
-        header = ["LineId", "Content", "EventTemplate"]
-        rows = ((r.line_id, r.content, r.ground_truth or "") for r in records)
-    write_csv_rows(path, header, rows)
+    check_contents(ds.contents())
+    header = ["LineId", "Content", "EventTemplate"]
+    columns = [ds.contents(), [template or "" for template in ds.ground_truths]]
+    if ds.sources.count(ds.name) != len(ds):
+        header.append("Source")
+        columns.append(ds.sources)
+    write_csv_rows(path, header, zip(count(1), *columns))
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,9 +360,3 @@ def substitute_variables(template: str, variables: list[str]) -> str:
 def matches_template(content: str, template: str) -> bool:
     """Whether :func:`extract_variables` would align `content` with `template`."""
     return _pattern(template).fullmatch(content) is not None
-
-
-def template_frequency_map(ds: Dataset) -> dict[str, int]:
-    """Count records per ground-truth template."""
-    return dict(Counter(ds.labels()))
-

@@ -13,7 +13,6 @@ that byte-for-byte comparisons leave out.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -22,7 +21,7 @@ from statistics import mean, stdev
 from types import MappingProxyType
 from typing import get_type_hints
 
-from .corpus import Dataset, LogRecord, load_structured
+from .corpus import Dataset, load_structured
 from .errors import AllocationError, InsufficientDataError, LogblendError
 from .fuzzing import FuzzConfig, fuzz
 from .heterogeneity import (
@@ -200,9 +199,9 @@ def _synthesize(ds: Dataset, plan: SynthesisPlan, seed: int) -> Dataset:
     return data
 
 
-def _evaluate_cell(data: Dataset, truth: list[str], spec: ParserSpec) -> dict:
+def _evaluate_cell(data: Dataset, truth: tuple[str, ...], spec: ParserSpec) -> dict:
     if isinstance(spec, ExternalParser):
-        predicted = read_parse_result(spec.path, expected_len=len(data.records))
+        predicted = read_parse_result(spec.path, expected_len=len(data))
     else:
         predicted = parse(data, spec)
     return evaluate(predicted, truth).as_dict()
@@ -241,7 +240,7 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
         h_per_run: list[float | None] = []
         for run, seed in enumerate(seeds):
             mark = time.perf_counter()
-            data, error, truth = ds, None, []
+            data, error, truth = ds, None, ()
             if synthesis is not None:
                 try:
                     data = _synthesize(ds, synthesis, seed)
@@ -273,7 +272,7 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
         ok_h = [h for h in h_per_run if h is not None]
         datasets_doc[ds.name] = {
             "path": str(path),
-            "records": len(ds.records),
+            "records": len(ds),
             "proxy_stats_per_run": stats_per_run,
             "h_per_run": h_per_run,
             "h_mean": mean(ok_h) if ok_h else None,
@@ -296,9 +295,10 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
 def build_combined_dataset(datasets: list[Dataset], size: int, seed: int) -> Dataset:
     """Draw a uniform per-dataset sample and shuffle it into one dataset.
 
-    Each of the k datasets contributes size // k records (the first
-    size % k datasets one more), sampled without replacement. Line ids are
-    reassigned contiguously; records keep their ground truth and source.
+    Each of the k datasets contributes size // k lines (the first
+    size % k datasets one more), sampled without replacement; each line
+    keeps its content, ground truth and source, and takes its row in the
+    shuffled order.
     """
     if not datasets:
         raise InsufficientDataError("no datasets to combine")
@@ -307,27 +307,19 @@ def build_combined_dataset(datasets: list[Dataset], size: int, seed: int) -> Dat
     k = len(datasets)
     base, extra = divmod(size, k)
     rng = generator(seed)
-    picked: list[LogRecord] = []
+    picked: tuple[list, list, list] = ([], [], [])  # contents, truths, sources
     for i, ds in enumerate(datasets):
         ds.labels()  # combining is for evaluation; require labels
         alloc = base + (1 if i < extra else 0)
-        if alloc > len(ds.records):
+        if alloc > len(ds):
             raise AllocationError(
-                f"dataset {ds.name!r} has {len(ds.records)} records, needs {alloc}"
+                f"dataset {ds.name!r} has {len(ds)} records, needs {alloc}"
             )
-        idxs = rng.choice(len(ds.records), size=alloc, replace=False)
-        picked.extend(ds.records[j] for j in idxs)
-    order = rng.permutation(len(picked))
-    records = [
-        LogRecord(
-            line_id=pos + 1,
-            content=picked[j].content,
-            ground_truth=picked[j].ground_truth,
-            source=picked[j].source,
-        )
-        for pos, j in enumerate(order)
-    ]
-    return Dataset(name="combined", records=records)
+        idxs = rng.choice(len(ds), size=alloc, replace=False).tolist()
+        for column, values in zip(picked, (ds.contents(), ds.ground_truths, ds.sources)):
+            column.extend(values[j] for j in idxs)
+    order = rng.permutation(len(picked[0])).tolist()
+    return Dataset("combined", *([column[j] for j in order] for column in picked))
 
 
 def _typed(key: str, value, kind):
@@ -423,9 +415,8 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
         for key, cls in (("outlier_pool", OutlierPool), ("variable_pool", VariablePool)):
             name = s.pop(key)
             if name:
-                path = _resolve(name)
-                digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
-                s[key] = cls.load(path)
+                s[key] = cls.load(_resolve(name))
+                digests[key] = s[key].sha256
         try:
             synthesis = SynthesisPlan(**s, pool_digests=digests)
         except LogblendError as exc:

@@ -78,7 +78,7 @@ def proxy_stats(ds: Dataset) -> ProxyStats:
     spaces (contents carry no line terminators); line length is the
     code-point count of the content.
     """
-    if not ds.records:
+    if not len(ds):
         raise EmptyDatasetError(f"dataset {ds.name!r} is empty")
     contents = ds.contents()
     # The joining space ends a word, so no two contents' words merge.

@@ -1,19 +1,21 @@
 """Raise a dataset's heterogeneity by swapping frequent lines for pooled outliers.
 
 The user knob runs from 0 to 1 and maps linearly onto replacing 0% to 25% of
-the dataset: the records with the most frequent templates are overwritten in
-place by lines sampled from the outlier pool, so line ids and dataset size
-stay fixed and results remain comparable across strengths.
+the dataset: the rows with the most frequent templates are overwritten in
+place by lines sampled from the outlier pool, so every other row keeps its
+position and the dataset its size, and results remain comparable across
+strengths.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
 from ._rng import generator
-from .corpus import Dataset, LogRecord
+from .corpus import Dataset
 from .errors import EmptyPoolError
 from .pool import OutlierPool
 
@@ -36,11 +38,11 @@ def replacement_count(strength: float, size: int) -> int:
     return math.floor(round(MAX_REPLACEMENT_FRACTION * strength * size, 9))
 
 
-def replacement_targets(labels: list[str], k: int) -> list[int]:
-    """Indices of the k records with the most frequent templates.
+def replacement_targets(labels: Sequence[str], k: int) -> list[int]:
+    """Row positions of the k lines with the most frequent templates.
 
-    Templates are ranked by descending frequency; records of one template
-    are taken in ascending line order; templates of equal frequency are
+    Templates are ranked by descending frequency; lines of one template
+    are taken in ascending row order; templates of equal frequency are
     drained round-robin so none is exhausted before its peers.
     """
     by_template: dict[str, list[int]] = {}
@@ -60,21 +62,20 @@ def replacement_targets(labels: list[str], k: int) -> list[int]:
 
 
 def mix(
-    ds: Dataset, pool: OutlierPool, cfg: MixConfig, parsed: list[str] | None = None
+    ds: Dataset, pool: OutlierPool, cfg: MixConfig, parsed: Sequence[str] | None = None
 ) -> Dataset:
     """Replace the most frequent entries with pool lines.
 
     Frequency is counted over `parsed` when that is given (one template per
-    record), so lines a parser lumped under one template are the frequent
+    line), so lines a parser lumped under one template are the frequent
     entries and no ground truth is needed; over the ground truth otherwise.
-    Replaced records adopt the pool entry's content, ground truth, and
-    source; everything else is untouched and the output has the input's size.
+    Replaced rows adopt the pool entry's content, ground truth, and source;
+    everything else is untouched and the output has the input's size.
     """
     labels = ds.templates(parsed)
-    k = replacement_count(cfg.strength, len(ds.records))
-    records = list(ds.records)
+    k = replacement_count(cfg.strength, len(ds))
     if k == 0:
-        return Dataset(name=ds.name, records=records)
+        return ds
     candidates = pool.excluding(ds.name) if cfg.exclude_source else pool.entries
     if not candidates:
         raise EmptyPoolError(
@@ -82,12 +83,10 @@ def mix(
         )
     targets = replacement_targets(labels, k)
     picks = generator(cfg.seed).integers(0, len(candidates), size=k)
+    contents, truths, sources = map(list, (ds.contents(), ds.ground_truths, ds.sources))
     for pos, pick in zip(targets, picks):
         entry = candidates[pick]
-        records[pos] = LogRecord(
-            line_id=records[pos].line_id,
-            content=entry.content,
-            ground_truth=entry.ground_truth,
-            source=entry.source,
+        contents[pos], truths[pos], sources[pos] = (
+            entry.content, entry.ground_truth, entry.source
         )
-    return Dataset(name=ds.name, records=records)
+    return Dataset(ds.name, contents, truths, sources)

@@ -110,10 +110,9 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
     token_layers = max(cfg.depth - 2, 0)
     root: dict[int, _Node] = {}
     templates: list[list[str]] = []
-    # The group each record joined; -1 for a line without tokens.
+    # The group each line joined; -1 for a line without tokens.
     joined: list[int] = []
-    for rec in ds.records:
-        content = rec.content
+    for content in ds.contents():
         for mask in masks:
             content = mask.sub(WILDCARD, content)
         tokens = list(filter(None, content.split(" ")))
@@ -170,7 +169,7 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
 
 
 def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResult:
-    token_lists = [list(filter(None, rec.content.split(" "))) for rec in ds.records]
+    token_lists = [list(filter(None, content.split(" "))) for content in ds.contents()]
     classes: dict[int, list[int]] = defaultdict(list)
     for idx, toks in enumerate(token_lists):
         classes[len(toks)].append(idx)
@@ -189,13 +188,13 @@ def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResul
 
 
 def identity_parser(ds: Dataset) -> ParseResult:
-    """Return each record's stored ground truth."""
-    return ds.labels()
+    """Return each line's stored ground truth."""
+    return list(ds.labels())
 
 
 def parse(ds: Dataset, cfg: ParserConfig) -> ParseResult:
     """One canonical template per record, index-aligned with the dataset."""
-    if not ds.records:
+    if not len(ds):
         raise EmptyDatasetError(f"dataset {ds.name!r} is empty")
     if isinstance(cfg, TreeParserConfig):
         return _parse_tree(ds, cfg)
@@ -217,7 +216,7 @@ def read_parse_result(path: str | Path, expected_len: int | None = None) -> Pars
     Read by :func:`~logblend.corpus.read_columns`, which orders the templates
     by `LineId` and canonicalizes them.
     """
-    result = read_columns(path, ("EventTemplate",))["EventTemplate"]
+    result = read_columns(path, ("EventTemplate",))[0]["EventTemplate"]
     if expected_len is not None and len(result) != expected_len:
         raise ShapeError(f"{path}: {len(result)} templates for {expected_len} records")
     return result

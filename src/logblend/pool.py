@@ -11,6 +11,7 @@ fuzzing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -21,7 +22,6 @@ from .corpus import (
     extract_variables,
     read_columns,
     read_lines,
-    template_frequency_map,
     write_csv_rows,
 )
 from .errors import AlignmentError, DataFormatError
@@ -39,6 +39,8 @@ class OutlierPool:
     """Rare log lines pooled across datasets, deduplicated by content."""
 
     entries: tuple[PoolEntry, ...] = ()
+    #: sha256 of the file the pool was loaded from; None for a built pool.
+    sha256: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -50,7 +52,7 @@ class OutlierPool:
         return [e for e in self.entries if e.source != source]
 
     def save(self, path: str | Path) -> None:
-        check_contents([e.content for e in self.entries], range(1, len(self) + 1))
+        check_contents([e.content for e in self.entries])
         rows = (
             (i, e.content, e.ground_truth, e.source)
             for i, e in enumerate(self.entries, start=1)
@@ -60,27 +62,31 @@ class OutlierPool:
     @classmethod
     def load(cls, path: str | Path) -> "OutlierPool":
         """Read a saved pool with :func:`~logblend.corpus.read_columns`."""
-        columns = read_columns(path, ("LineId", "Content", "EventTemplate", "Source"))
-        fields = (columns[col] for col in ("Content", "EventTemplate", "Source"))
-        return cls(entries=map(PoolEntry, *fields))
+        names = ("Content", "EventTemplate", "Source")
+        columns, digest = read_columns(path, ("LineId", *names))
+        return cls(entries=map(PoolEntry, *map(columns.get, names)), sha256=digest)
 
 
 @dataclass(frozen=True)
 class VariablePool:
     """Deduplicated variable values with the datasets each was seen in.
 
-    `skipped` maps dataset name to the line ids whose content could not be
-    aligned against its template during extraction; those lines contribute
-    nothing but the build does not fail.
+    `skipped` maps dataset name to the line ids (row position + 1) whose
+    content could not be aligned against its template during extraction;
+    those lines contribute nothing but the build does not fail.
     """
 
     values: tuple[str, ...] = ()
     sources: MappingProxyType[str, tuple[str, ...]] = field(default_factory=dict)
-    skipped: dict[str, list[int]] = field(default_factory=dict)
+    skipped: MappingProxyType[str, tuple[int, ...]] = field(default_factory=dict)
+    #: sha256 of the file the pool was loaded from; None for a built pool.
+    sha256: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "sources", MappingProxyType(dict(self.sources)))
+        skipped = {name: tuple(ids) for name, ids in self.skipped.items()}
+        object.__setattr__(self, "skipped", MappingProxyType(skipped))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -117,7 +123,8 @@ class VariablePool:
         """
         values: list[str] = []
         sources: dict[str, tuple[str, ...]] = {}
-        for line_num, line in enumerate(read_lines(path), start=1):
+        lines, digest = read_lines(path)
+        for line_num, line in enumerate(lines, start=1):
             if not line:
                 continue
             value, *tags = line.split("\t")
@@ -131,7 +138,7 @@ class VariablePool:
                 )
             values.append(value)
             sources[value] = tuple(tags)
-        return cls(values=values, sources=sources)
+        return cls(values=values, sources=sources, sha256=digest)
 
 
 def build_outlier_pool(
@@ -139,33 +146,24 @@ def build_outlier_pool(
 ) -> OutlierPool:
     """Pool the rarest lines of each dataset.
 
-    Per dataset, records are ranked by ascending ground-truth template
-    frequency (ties by line id) and the first ceil(fraction * N) are taken.
-    The union across datasets is deduplicated by content, keeping the first
-    occurrence and its source tag.
+    Per dataset, rows are ranked by ascending ground-truth template
+    frequency (ties by row position) and the first ceil(fraction * N) are
+    taken. The union across datasets is deduplicated by content, keeping the
+    first occurrence and its source tag.
     """
     if not 0.0 < outlier_fraction <= 1.0:
         raise ValueError(f"outlier_fraction must be in (0, 1], got {outlier_fraction}")
     seen: set[str] = set()
     entries: list[PoolEntry] = []
     for ds in datasets:
-        freq = template_frequency_map(ds)  # raises LabelingError when unlabeled
-        take = math.ceil(round(outlier_fraction * len(ds.records), 9))
-        ranked = sorted(
-            ds.records,
-            key=lambda r: (freq[r.ground_truth], r.line_id),  # type: ignore[index]
-        )
-        for rec in ranked[:take]:
-            if rec.content in seen:
-                continue
-            seen.add(rec.content)
-            entries.append(
-                PoolEntry(
-                    content=rec.content,
-                    ground_truth=rec.ground_truth,  # type: ignore[arg-type]
-                    source=rec.source,
-                )
-            )
+        freq = Counter(ds.labels())  # raises LabelingError when unlabeled
+        take = math.ceil(round(outlier_fraction * len(ds), 9))
+        rows = zip(ds.contents(), ds.ground_truths, ds.sources)
+        # A stable sort, so rows of equal frequency keep their order.
+        for content, truth, source in sorted(rows, key=lambda row: freq[row[1]])[:take]:
+            if content not in seen:
+                seen.add(content)
+                entries.append(PoolEntry(content, truth, source))
     return OutlierPool(entries=entries)
 
 
@@ -173,28 +171,29 @@ def build_variable_pool(datasets: list[Dataset]) -> VariablePool:
     """Collect every variable value extractable from the datasets' labels.
 
     Values are deduplicated in encounter order; a value seen in several
-    datasets accumulates all their source tags. Records that fail alignment
+    datasets accumulates all their source tags. Lines that fail alignment
     are recorded in the pool's skip report.
     """
     values: list[str] = []
     sources: dict[str, list[str]] = {}
     skipped: dict[str, list[int]] = {}
     for ds in datasets:
-        for rec, template in zip(ds.records, ds.labels()):
+        rows = zip(ds.labels(), ds.contents(), ds.sources)
+        for line_id, (template, content, source) in enumerate(rows, start=1):
             try:
-                captured = extract_variables(rec.content, template)
+                captured = extract_variables(content, template)
             except AlignmentError:
-                skipped.setdefault(ds.name, []).append(rec.line_id)
+                skipped.setdefault(ds.name, []).append(line_id)
                 continue
             for value in captured:
                 # A tab, CR or LF would split the value in the saved file.
                 if not value or "\t" in value or "\n" in value or "\r" in value:
                     continue
                 if value not in sources:
-                    sources[value] = [rec.source]
+                    sources[value] = [source]
                     values.append(value)
-                elif rec.source not in sources[value]:
-                    sources[value].append(rec.source)
+                elif source not in sources[value]:
+                    sources[value].append(source)
     return VariablePool(
         values=values,
         sources={v: tuple(s) for v, s in sources.items()},

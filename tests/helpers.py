@@ -21,7 +21,6 @@ from logblend._rng import record_picks
 from logblend.corpus import (
     WILDCARD,
     Dataset,
-    LogRecord,
     canonicalize_template,
     extract_variables,
     matches_template,
@@ -128,8 +127,8 @@ def build_dataset(name: str, n: int, seed: int, specs: list[TemplateSpec]) -> Da
     rng.shuffle(line_specs)
 
     seen_per_spec: dict[str, int] = {}
-    records: list[LogRecord] = []
-    for i, spec in enumerate(line_specs):
+    contents: list[str] = []
+    for spec in line_specs:
         occurrence = seen_per_spec.get(spec.template, 0)
         seen_per_spec[spec.template] = occurrence + 1
         values = []
@@ -138,13 +137,9 @@ def build_dataset(name: str, n: int, seed: int, specs: list[TemplateSpec]) -> Da
                 values.append(slot[occurrence % len(slot)])
             else:
                 values.append(rng.choice(slot))
-        content = substitute_variables(spec.template, values)
-        records.append(
-            LogRecord(
-                line_id=i + 1, content=content, ground_truth=spec.template, source=name
-            )
-        )
-    return Dataset(name=name, records=records)
+        contents.append(substitute_variables(spec.template, values))
+    templates = [spec.template for spec in line_specs]
+    return Dataset(name, contents, templates, [name] * n)
 
 
 def apacheish_specs() -> list[TemplateSpec]:
@@ -310,25 +305,33 @@ def standard_pools(n: int = 2000) -> tuple[OutlierPool, VariablePool]:
 
 
 def assert_well_formed(ds: Dataset) -> None:
-    """What the readers guarantee: line ids 1..n, one-line content, canonical templates."""
-    assert [r.line_id for r in ds.records] == list(range(1, len(ds.records) + 1))
-    for rec in ds.records:
-        assert "\n" not in rec.content and "\r" not in rec.content
-        if rec.ground_truth is not None:
-            assert canonicalize_template(rec.ground_truth) == rec.ground_truth
+    """What the readers guarantee: equal columns, one-line content, canonical templates."""
+    assert len(ds.contents()) == len(ds.ground_truths) == len(ds.sources) == len(ds)
+    for content, truth in zip(ds.contents(), ds.ground_truths):
+        assert "\n" not in content and "\r" not in content
+        if truth is not None:
+            assert canonicalize_template(truth) == truth
 
 
 def small_labeled_dataset(name: str = "tiny") -> Dataset:
-    records = [
-        LogRecord(1, "child worker 3 registered in slot 7",
-                  "child worker <*> registered in slot <*>", name),
-        LogRecord(2, "child worker 5 registered in slot 2",
-                  "child worker <*> registered in slot <*>", name),
-        LogRecord(3, "cache segment 9 flushed in 12 ms",
-                  "cache segment <*> flushed in <*> ms", name),
-        LogRecord(4, "scheduler heartbeat ok", "scheduler heartbeat ok", name),
+    contents = [
+        "child worker 3 registered in slot 7",
+        "child worker 5 registered in slot 2",
+        "cache segment 9 flushed in 12 ms",
+        "scheduler heartbeat ok",
     ]
-    return Dataset(name=name, records=records)
+    templates = [
+        "child worker <*> registered in slot <*>",
+        "child worker <*> registered in slot <*>",
+        "cache segment <*> flushed in <*> ms",
+        "scheduler heartbeat ok",
+    ]
+    return Dataset(name, contents, templates, [name] * 4)
+
+
+def unlabeled(ds: Dataset) -> Dataset:
+    """`ds` with its ground truth dropped."""
+    return Dataset(ds.name, ds.contents(), [None] * len(ds), ds.sources)
 
 
 def numpy_loop_fuzz(ds, vpool, seed, templates):
@@ -338,21 +341,22 @@ def numpy_loop_fuzz(ds, vpool, seed, templates):
     """
     values = vpool.values
     contents, truths, skipped = [], [], []
-    for rec, template in zip(ds.records, templates):
+    rows = zip(ds.contents(), ds.ground_truths, templates)
+    for line_id, (content, truth, template) in enumerate(rows, start=1):
         slots = template.count(WILDCARD)
         if slots == 0:
-            contents.append(rec.content)
+            contents.append(content)
             truths.append(template or None)
             continue
         try:
-            extract_variables(rec.content, template)
+            extract_variables(content, template)
         except AlignmentError:
-            skipped.append(rec.line_id)
-            contents.append(rec.content)
-            truths.append(rec.ground_truth)
+            skipped.append(line_id)
+            contents.append(content)
+            truths.append(truth)
             continue
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(rec.line_id,))
+            np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(line_id,))
         )
         picks = rng.integers(0, len(values), size=slots)
         contents.append(substitute_variables(template, [values[i] for i in picks]))
@@ -395,9 +399,8 @@ def reference_tree(ds: Dataset, cfg: TreeParserConfig) -> list[str]:
     token_layers = max(cfg.depth - 2, 0)
     root: dict[int, _RefNode] = {}
     all_groups: list[_RefGroup] = []
-    results: list[str | None] = [None] * len(ds.records)
-    for idx, rec in enumerate(ds.records):
-        content = rec.content
+    results: list[str | None] = [None] * len(ds)
+    for idx, content in enumerate(ds.contents()):
         for mask in masks:
             content = mask.sub(WILDCARD, content)
         tokens = list(filter(None, content.split(" ")))
@@ -454,7 +457,7 @@ def reference_tree(ds: Dataset, cfg: TreeParserConfig) -> list[str]:
 
 def reference_tokenfreq(ds: Dataset, threshold: float) -> list[str]:
     """Token-frequency parse by one count per (token count, position, token)."""
-    token_lists = [list(filter(None, rec.content.split(" "))) for rec in ds.records]
+    token_lists = [list(filter(None, content.split(" "))) for content in ds.contents()]
     class_sizes: Counter[int] = Counter(len(toks) for toks in token_lists)
     freq: dict[tuple[int, int, str], int] = defaultdict(int)
     for toks in token_lists:
@@ -477,10 +480,10 @@ def reference_proxy_stats(ds: Dataset) -> ProxyStats:
     words: set[str] = set()
     chars: set[str] = set()
     lengths: set[int] = set()
-    for rec in ds.records:
-        words.update(rec.content.split())
-        chars.update(rec.content)
-        lengths.add(len(rec.content))
+    for content in ds.contents():
+        words.update(content.split())
+        chars.update(content)
+        lengths.add(len(content))
     return ProxyStats(nuw=len(words), nuc=len(chars), nuldl=len(lengths))
 
 
@@ -488,33 +491,28 @@ def reference_fuzz(ds, vpool, seed, parsed=None) -> FuzzResult:
     """Fuzzing that splits and matches each record's template afresh."""
     templates = ds.templates(parsed)
     values = vpool.values
-    records: list[LogRecord] = []
+    contents: list[str] = []
+    truths: list[str | None] = []
     skipped: list[int] = []
     refill: list[int] = []
     slots: list[int] = []
-    for rec, template in zip(ds.records, templates):
+    rows = zip(ds.contents(), ds.ground_truths, templates)
+    for i, (content, truth, template) in enumerate(rows):
         count = template.count(WILDCARD)
         if count == 0:
-            records.append(
-                LogRecord(rec.line_id, rec.content, template or None, rec.source)
-            )
-            continue
-        if matches_template(rec.content, template):
-            refill.append(len(records))
+            truth = template or None
+        elif matches_template(content, template):
+            refill.append(i)
             slots.append(count)
         else:
-            skipped.append(rec.line_id)
-        records.append(rec)
-    picks = record_picks(seed, [records[i].line_id for i in refill], len(values), slots)
+            skipped.append(i + 1)
+        contents.append(content)
+        truths.append(truth)
+    picks = record_picks(seed, [i + 1 for i in refill], len(values), slots)
     for i, chosen in zip(refill, picks):
-        rec = records[i]
-        records[i] = LogRecord(
-            rec.line_id,
-            substitute_variables(templates[i], [values[j] for j in chosen]),
-            templates[i],
-            rec.source,
-        )
-    return FuzzResult(Dataset(ds.name, records), skipped)
+        contents[i] = substitute_variables(templates[i], [values[j] for j in chosen])
+        truths[i] = templates[i]
+    return FuzzResult(Dataset(ds.name, contents, truths, ds.sources), skipped)
 
 
 def text_mode_lines(path) -> list[str]:

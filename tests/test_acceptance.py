@@ -166,9 +166,9 @@ def test_criterion_6_fuzz_structure_preservation():
     for seed in range(10):
         result = fuzz(ds, vpool, FuzzConfig(seed=seed))
         out = result.dataset
-        for rec in out.records:
+        for content, template in zip(out.contents(), out.labels()):
             try:
-                extract_variables(rec.content, rec.ground_truth)
+                extract_variables(content, template)
             except Exception:
                 bad_alignments += 1
         if template_accuracy(identity_parser(out), out.labels()) != 1.0:

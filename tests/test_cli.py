@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 from logblend.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from logblend.corpus import Dataset, LogRecord, load_structured, write_dataset
+from logblend.corpus import Dataset, load_structured, write_dataset
 from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.heterogeneity import INDUSTRY_REFERENCE, ProxyStats, h_score, proxy_stats
 from logblend.parsers import (
@@ -108,10 +108,7 @@ def test_pool_build_created_both_files(cli_workspace):
 def test_pool_build_with_unsavable_source_exits_2_and_writes_nothing(tmp_path, capsys):
     data = tmp_path / "tabbed.csv"
     write_dataset(
-        Dataset("tabbed", [
-            LogRecord(1, "open 1", "open <*>", "a\tb"),
-            LogRecord(2, "open 2", "open <*>", "tabbed"),
-        ]),
+        Dataset("tabbed", ["open 1", "open 2"], ["open <*>"] * 2, ["a\tb", "tabbed"]),
         data,
     )
     out = tmp_path / "pools"
@@ -123,7 +120,7 @@ def test_pool_build_with_unsavable_source_exits_2_and_writes_nothing(tmp_path, c
 
 def test_pool_build_with_unsavable_source_leaves_an_existing_out_as_it_was(tmp_path):
     data = tmp_path / "tabbed.csv"
-    write_dataset(Dataset("tabbed", [LogRecord(1, "open 1", "open <*>", "a\tb")]), data)
+    write_dataset(Dataset("tabbed", ["open 1"], ["open <*>"], ["a\tb"]), data)
     out = tmp_path / "pools"
     out.mkdir()
     (out / "outlier_pool.csv").write_text("kept\n", encoding="utf-8")
@@ -146,8 +143,8 @@ def test_mix_writes_dataset(cli_workspace, tmp_path):
     )
     assert rc == EXIT_OK
     mixed = load_structured(out, name="apacheish")
-    assert len(mixed.records) == 2000
-    assert any(r.source != "apacheish" for r in mixed.records)
+    assert len(mixed) == 2000
+    assert any(source != "apacheish" for source in mixed.sources)
 
 
 def test_fuzz_writes_labeled_dataset(cli_workspace, tmp_path):
@@ -163,8 +160,8 @@ def test_fuzz_writes_labeled_dataset(cli_workspace, tmp_path):
     )
     assert rc == EXIT_OK
     fuzzed = load_structured(out)
-    assert len(fuzzed.records) == 2000
-    assert all(r.ground_truth is not None for r in fuzzed)
+    assert len(fuzzed) == 2000
+    assert None not in fuzzed.ground_truths
 
 
 def test_fuzz_counts_skipped_records_on_stderr(cli_workspace, tmp_path, capsys):
@@ -179,7 +176,7 @@ def test_fuzz_counts_skipped_records_on_stderr(cli_workspace, tmp_path, capsys):
     argv = ["fuzz", "--in", str(source), "--vpool", str(vpool), "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == "skipped 1 unalignable records\n"
-    assert load_structured(out).records[1].content == "close 2"
+    assert load_structured(out).contents()[1] == "close 2"
 
 
 def test_parse_then_evaluate(cli_workspace, tmp_path, capsys):
@@ -284,8 +281,7 @@ def test_combine_across_datasets(cli_workspace, tmp_path):
     )
     assert rc == EXIT_OK
     combined = load_structured(out)
-    sources = {r.source for r in combined.records}
-    assert sources == {"apacheish", "dbsvc"}
+    assert set(combined.sources) == {"apacheish", "dbsvc"}
 
 
 def test_combine_size_below_1_is_usage_error(cli_workspace, tmp_path, capsys):

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from logblend import corpus, parsers
 from logblend.corpus import (
     Dataset,
-    LogRecord,
     canonicalize_template,
     extract_variables,
     load_raw,
     load_structured,
     matches_template,
     substitute_variables,
-    template_frequency_map,
     write_csv_rows,
     write_dataset,
 )
@@ -77,7 +75,7 @@ def test_each_whitespace_row_loads_matches_and_is_refilled(w, tmp_path):
     # longer aligns with, whatever the whitespace inside it.
     path = tmp_path / "ds.csv"
     template = f"open{w}<*> done"
-    ds = Dataset("t", [LogRecord(1, f"open{w}f1 done", template, "t")])
+    ds = Dataset("t", [f"open{w}f1 done"], [template], ["t"])
     if w in "\n\r":
         # Content may not hold a line break: the writer refuses it, and the
         # reader rejects a file that holds one.
@@ -89,14 +87,13 @@ def test_each_whitespace_row_loads_matches_and_is_refilled(w, tmp_path):
             load_structured(path)
         return
     write_dataset(ds, path)
-    (rec,) = load_structured(path).records
-    assert rec.ground_truth == canonicalize_template(template)
-    assert matches_template(rec.content, rec.ground_truth)
-    result = fuzz(
-        Dataset("t", [rec]), VariablePool(["x9"], {"x9": ("t",)}), FuzzConfig(seed=0)
-    )
+    loaded = load_structured(path)
+    (content,), (truth,) = loaded.contents(), loaded.labels()
+    assert truth == canonicalize_template(template)
+    assert matches_template(content, truth)
+    result = fuzz(loaded, VariablePool(["x9"], {"x9": ("t",)}), FuzzConfig(seed=0))
     assert result.skipped_line_ids == []
-    assert result.dataset.records[0].content == f"open{w}x9 done"
+    assert result.dataset.contents() == (f"open{w}x9 done",)
 
 
 def _count_canonicalizations(monkeypatch) -> list[str]:
@@ -164,7 +161,7 @@ def test_readers_canonicalize_each_distinct_template_once(tmp_path, monkeypatch)
 
     ds = load_structured(data)
     assert sorted(calls) == sorted(raw)
-    assert ds.labels()[:4] == canonical
+    assert list(ds.labels()[:4]) == canonical
 
     calls.clear()
     entries = OutlierPool.load(pool_file).entries
@@ -192,6 +189,18 @@ def test_load_structured_basic(tmp_path):
     assert rec.content == "Template log 1"
     assert rec.ground_truth == "Template log <*>"
     assert rec.line_id == 1
+
+
+@pytest.mark.parametrize(
+    "truths, sources, match",
+    [
+        ("abc", "dd", "^dataset 'd' has 2 contents, 3 ground truths and 2 sources$"),
+        ("ab", "d", "^dataset 'd' has 2 contents, 2 ground truths and 1 sources$"),
+    ],
+)
+def test_dataset_columns_of_different_lengths_raise_naming_both(truths, sources, match):
+    with pytest.raises(ShapeError, match=match):
+        Dataset("d", ["x", "y"], truths, sources)
 
 
 def test_load_structured_header_only(tmp_path):
@@ -261,18 +270,12 @@ def test_round_trip_identity(tmp_path):
     p = tmp_path / "rt.csv"
     write_dataset(ds, p)
     again = load_structured(p, name=ds.name)
-    assert [(r.content, r.ground_truth) for r in again.records] == [
-        (r.content, r.ground_truth) for r in ds.records
-    ]
+    assert again == ds
 
 
 def test_round_trip_content_with_commas_and_quotes(tmp_path):
     ds = Dataset(
-        "q",
-        [
-            LogRecord(1, 'value a,b and "c"', "value <*>", "q"),
-            LogRecord(2, ",,only,commas,,", None, "q"),
-        ],
+        "q", ['value a,b and "c"', ",,only,commas,,"], ["value <*>", None], ["q", "q"]
     )
     p = tmp_path / "q.csv"
     write_dataset(ds, p)
@@ -283,20 +286,14 @@ def test_round_trip_content_with_commas_and_quotes(tmp_path):
 
 
 def test_write_without_ground_truth_emits_empty_field(tmp_path):
-    ds = Dataset("w", [LogRecord(1, "x", None, "w")])
+    ds = Dataset("w", ["x"], [None], ["w"])
     p = tmp_path / "w.csv"
     write_dataset(ds, p)
     assert p.read_text(encoding="utf-8").splitlines()[1] == "1,x,"
 
 
 def test_source_column_round_trips_for_mixed_provenance(tmp_path):
-    ds = Dataset(
-        "m",
-        [
-            LogRecord(1, "a", "a", "m"),
-            LogRecord(2, "b", "b", "other"),
-        ],
-    )
+    ds = Dataset("m", ["a", "b"], ["a", "b"], ["m", "other"])
     p = tmp_path / "m.csv"
     write_dataset(ds, p)
     assert "Source" in p.read_text(encoding="utf-8").splitlines()[0]
@@ -310,17 +307,14 @@ def test_load_raw_three_lines(tmp_path):
     p = tmp_path / "r.log"
     p.write_text("one\ntwo\nthree\n", encoding="utf-8")
     ds = load_raw(p)
-    assert [(r.line_id, r.content) for r in ds.records] == [
-        (1, "one"), (2, "two"), (3, "three")
-    ]
-    assert all(r.ground_truth is None for r in ds.records)
+    assert ds == Dataset("r", ["one", "two", "three"], [None] * 3, ["r"] * 3)
 
 
 def test_load_raw_skips_blank_interior_line(tmp_path):
     p = tmp_path / "r.log"
     p.write_text("one\n\n   \ntwo\n", encoding="utf-8")
     ds = load_raw(p)
-    assert [(r.line_id, r.content) for r in ds.records] == [(1, "one"), (2, "two")]
+    assert ds.contents() == ("one", "two")
 
 
 def test_load_raw_empty_file(tmp_path):
@@ -459,9 +453,9 @@ def test_substitution_needs_one_value_per_slot(values):
 
 def test_alignment_totality_on_synthetic_corpus():
     ds = apacheish()
-    for rec in ds.records:
-        captured = extract_variables(rec.content, rec.ground_truth)
-        assert substitute_variables(rec.ground_truth, captured) == rec.content
+    for content, template in zip(ds.contents(), ds.labels()):
+        captured = extract_variables(content, template)
+        assert substitute_variables(template, captured) == content
 
 
 def test_matches_template_predicate():
@@ -494,56 +488,47 @@ def test_matches_template_builds_no_captures(monkeypatch):
     assert not matches_template("a b", "a <*> c")
 
 
-# --- frequency map ----------------------------------------------------------
+# --- frequency ranking of the outlier pool ---------------------------------
+
+def _ranked(ds: Dataset) -> list[str]:
+    """The contents `build_outlier_pool` takes from `ds` at fraction 1.0, in order."""
+    return [e.content for e in build_outlier_pool([ds], outlier_fraction=1.0).entries]
+
 
 def test_frequency_map_counts():
-    ds = Dataset(
-        "f",
-        [
-            LogRecord(1, "x 1", "x <*>", "f"),
-            LogRecord(2, "x 2", "x <*>", "f"),
-            LogRecord(3, "y", "y", "f"),
-        ],
-    )
-    assert template_frequency_map(ds) == {"x <*>": 2, "y": 1}
+    ds = Dataset("f", ["x 1", "x 2", "y"], ["x <*>", "x <*>", "y"], ["f"] * 3)
+    assert _ranked(ds) == ["y", "x 1", "x 2"]
 
 
 def test_frequency_map_all_distinct():
-    ds = Dataset(
-        "f", [LogRecord(i + 1, f"t{i}", f"t{i}", "f") for i in range(5)]
-    )
-    assert all(c == 1 for c in template_frequency_map(ds).values())
+    ds = Dataset("f", [f"t{i}" for i in range(5)], [f"t{i}" for i in range(5)], ["f"] * 5)
+    assert _ranked(ds) == [f"t{i}" for i in range(5)]
 
 
 def test_frequency_map_sums_to_size_on_2k_corpus():
     ds = apacheish()
-    counts = template_frequency_map(ds)
-    # independent oracle: plain dict loop
-    oracle: dict[str, int] = {}
-    for rec in ds.records:
-        oracle[rec.ground_truth] = oracle.get(rec.ground_truth, 0) + 1
-    assert counts == oracle
+    # independent oracle: plain dict count, then rows by (count, row position)
+    counts: dict[str, int] = {}
+    for template in ds.labels():
+        counts[template] = counts.get(template, 0) + 1
     assert sum(counts.values()) == 2000
     assert len(counts) == 6
+    rows = sorted(range(len(ds)), key=lambda i: (counts[ds.labels()[i]], i))
+    oracle = list(dict.fromkeys(ds.contents()[i] for i in rows))
+    assert _ranked(ds) == oracle
 
 
 def test_frequency_map_reports_unlabeled_line_ids():
-    ds = Dataset(
-        "f",
-        [
-            LogRecord(1, "x", "x", "f"),
-            LogRecord(2, "y", None, "f"),
-        ],
-    )
+    ds = Dataset("f", ["x", "y"], ["x", None], ["f", "f"])
     with pytest.raises(LabelingError) as exc:
-        template_frequency_map(ds)
+        build_outlier_pool([ds])
     assert exc.value.line_ids == [2]
 
 
 def test_labeling_error_previews_the_first_ten_line_ids():
-    ds = Dataset("f", [LogRecord(i, f"x{i}", None, "f") for i in range(1, 13)])
+    ds = Dataset("f", [f"x{i}" for i in range(1, 13)], [None] * 12, ["f"] * 12)
     with pytest.raises(LabelingError) as exc:
-        template_frequency_map(ds)
+        ds.labels()
     assert exc.value.line_ids == list(range(1, 13))
     assert "(line ids: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ... (12 total))" in str(exc.value)
 
@@ -552,12 +537,12 @@ def test_labeling_error_previews_the_first_ten_line_ids():
 
 def _mix_records(ds, parsed=None):
     opool, _ = standard_pools(200)
-    return mix(ds, opool, MixConfig(strength=1.0, seed=3), parsed).records
+    return mix(ds, opool, MixConfig(strength=1.0, seed=3), parsed)
 
 
 def _fuzz_records(ds, parsed=None):
     _, vpool = standard_pools(200)
-    return fuzz(ds, vpool, FuzzConfig(seed=3), parsed).dataset.records
+    return fuzz(ds, vpool, FuzzConfig(seed=3), parsed).dataset
 
 
 @pytest.mark.parametrize("synthesize", [_mix_records, _fuzz_records], ids=["mix", "fuzz"])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from logblend.corpus import (
     Dataset,
-    LogRecord,
     extract_variables,
     substitute_variables,
     write_dataset,
@@ -40,13 +39,8 @@ def _vpool(values: list[str]) -> VariablePool:
 
 
 def _ds(rows: list[tuple[str, str]]) -> Dataset:
-    return Dataset(
-        "t",
-        [
-            LogRecord(i + 1, content, template, "t")
-            for i, (content, template) in enumerate(rows)
-        ],
-    )
+    contents, templates = zip(*rows)
+    return Dataset("t", contents, templates, ["t"] * len(rows))
 
 
 def test_single_sample_substitution():
@@ -106,12 +100,10 @@ def test_record_randomness_depends_only_on_seed_and_line_id():
     # fuzzing a prefix yields the same contents for those line ids
     ds = apacheish()
     _, vpool = standard_pools()
-    prefix = Dataset(ds.name, list(ds.records[:200]))
+    prefix = Dataset(ds.name, ds.contents()[:200], ds.labels()[:200], ds.sources[:200])
     full = fuzz(ds, vpool, FuzzConfig(seed=13)).dataset
     part = fuzz(prefix, vpool, FuzzConfig(seed=13)).dataset
-    assert [r.content for r in part.records] == [
-        r.content for r in full.records[:200]
-    ]
+    assert part.contents() == full.contents()[:200]
 
 
 def test_fuzz_raises_heterogeneity_in_expectation():
@@ -163,7 +155,7 @@ def test_parsed_mode_refills_lines_with_non_space_whitespace(config):
     parsed = parse(ds, config)
     result = fuzz(ds, _vpool(["x9"]), FuzzConfig(seed=0), parsed)
     assert result.skipped_line_ids == []
-    assert result.dataset.contents() == ["x9 done"] * 5
+    assert result.dataset.contents() == ("x9 done",) * 5
 
 
 def test_empty_pool_rejected():
@@ -174,11 +166,7 @@ def test_empty_pool_rejected():
 
 def _as_oracle_output(result):
     out = result.dataset
-    return (
-        [r.content for r in out.records],
-        [r.ground_truth for r in out.records],
-        result.skipped_line_ids,
-    )
+    return list(out.contents()), list(out.ground_truths), result.skipped_line_ids
 
 
 def test_fuzz_equals_numpy_loop_on_mixed_corpus():
@@ -209,8 +197,8 @@ def _fuzz_case(draw):
     """Records whose content fills its template or is free text, labeled or not."""
     n = draw(st.integers(1, 12))
     templates = draw(st.lists(st.sampled_from(_TEMPLATES), min_size=n, max_size=n))
-    records = []
-    for i, template in enumerate(templates, start=1):
+    contents, truths = [], []
+    for template in templates:
         if draw(st.booleans()):
             values = draw(st.lists(_VALUE, min_size=template.count("<*>"),
                                    max_size=template.count("<*>")))
@@ -218,10 +206,11 @@ def _fuzz_case(draw):
         else:
             content = draw(st.text(alphabet="ab <*>\t", max_size=8))
         truth = draw(st.sampled_from([template, *_TEMPLATES]))
-        records.append(LogRecord(i, content, truth or None, "t"))
-    labeled = all(r.ground_truth for r in records)
+        contents.append(content)
+        truths.append(truth or None)
+    labeled = all(truths)
     parsed = draw(st.sampled_from([None, templates] if labeled else [templates]))
-    return Dataset("t", records), parsed
+    return Dataset("t", contents, truths, ["t"] * n), parsed
 
 
 @settings(max_examples=300, deadline=None)
@@ -237,21 +226,6 @@ def test_fuzz_equals_per_record_reference(case, values, seed):
     expected = reference_fuzz(ds, vpool, seed, parsed)
     assert result.dataset == expected.dataset
     assert result.skipped_line_ids == expected.skipped_line_ids
-
-
-def test_duplicate_line_ids_each_draw_the_line_id_stream():
-    ds = Dataset(
-        "t",
-        [
-            LogRecord(7, "a 1 b 2", "a <*> b <*>", "t"),
-            LogRecord(3, "no match", "x <*> y", "t"),
-            LogRecord(7, "c 1", "c <*>", "t"),
-        ],
-    )
-    vpool = _vpool([f"v{i}" for i in range(1000)])
-    result = fuzz(ds, vpool, FuzzConfig(seed=21))
-    assert result.skipped_line_ids == [3]
-    assert _as_oracle_output(result) == numpy_loop_fuzz(ds, vpool, 21, ds.labels())
 
 
 def test_fuzz_builds_no_numpy_generator(monkeypatch):

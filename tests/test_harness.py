@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
 
-from logblend.corpus import Dataset, LogRecord, load_structured, write_dataset
+from logblend.corpus import Dataset, load_structured, write_dataset
 from logblend.errors import AllocationError, InsufficientDataError, LogblendError
 from logblend.harness import (
     ExperimentPlan,
@@ -208,8 +209,7 @@ def test_failed_synthesis_fails_every_cell_of_its_run(workspace):
 
 def test_unlabeled_data_without_synthesis_fails_every_cell(tmp_path):
     ds = apacheish()
-    records = [LogRecord(r.line_id, r.content, None, r.source) for r in ds.records]
-    unlabeled = Dataset(ds.name, records)
+    unlabeled = Dataset(ds.name, ds.contents(), [None] * len(ds), ds.sources)
     write_dataset(unlabeled, tmp_path / "apacheish.csv")
     plan = ExperimentPlan(
         datasets=[tmp_path / "apacheish.csv"], parsers=[TreeParserConfig()], runs=1
@@ -309,6 +309,13 @@ def test_built_plan_pools_and_digests_cannot_be_changed(workspace):
     with pytest.raises(TypeError):
         vpool.sources[vpool.values[0]] = ("bogus",)
     with pytest.raises(TypeError):
+        vpool.skipped["bogus"] = (1,)
+    built = VariablePool(values=["v"], sources={"v": ("a",)}, skipped={"a": [2]})
+    with pytest.raises(TypeError):
+        built.skipped["a"] = (3,)
+    with pytest.raises(AttributeError):
+        built.skipped["a"].append(3)
+    with pytest.raises(TypeError):
         digests["outlier_pool"] = "bogus"
     # The digests are copied when the plan is built, so the caller's dict
     # cannot change them afterwards either.
@@ -404,13 +411,19 @@ def test_timings_recorded_but_excluded_by_default(workspace):
 
 # --- combined dataset ---------------------------------------------------------
 
+def _distinct(name: str, n: int) -> Dataset:
+    """`n` lines, each its own template: name0, name1, ..."""
+    lines = [f"{name}{i}" for i in range(n)]
+    return Dataset(name, lines, lines, [name] * n)
+
+
 def test_combined_uniform_allocation_with_round_robin_remainder():
     datasets = list(source_datasets())[:4]
     combined = build_combined_dataset(datasets, size=10, seed=1)
-    assert len(combined.records) == 10
+    assert len(combined) == 10
     per_source: dict[str, int] = {}
-    for rec in combined.records:
-        per_source[rec.source] = per_source.get(rec.source, 0) + 1
+    for source in combined.sources:
+        per_source[source] = per_source.get(source, 0) + 1
     # 10 over 4 datasets: first two get 3, the others 2
     assert per_source[datasets[0].name] == 3
     assert per_source[datasets[1].name] == 3
@@ -422,27 +435,20 @@ def test_combined_uniform_allocation_with_round_robin_remainder():
 def test_combined_single_dataset_is_a_subsample():
     ds = apacheish()
     combined = build_combined_dataset([ds], size=50, seed=2)
-    originals = {r.content for r in ds.records}
-    assert len(combined.records) == 50
-    assert all(r.content in originals for r in combined.records)
+    assert len(combined) == 50
+    assert set(combined.contents()) <= set(ds.contents())
 
 
 def test_combined_full_size_is_a_permutation():
-    datasets = [
-        Dataset("a", [LogRecord(i + 1, f"a{i}", f"a{i}", "a") for i in range(4)]),
-        Dataset("b", [LogRecord(i + 1, f"b{i}", f"b{i}", "b") for i in range(4)]),
-    ]
+    datasets = [_distinct(name, 4) for name in "ab"]
     combined = build_combined_dataset(datasets, size=8, seed=3)
-    got = sorted(r.content for r in combined.records)
+    got = sorted(combined.contents())
     want = sorted([f"a{i}" for i in range(4)] + [f"b{i}" for i in range(4)])
     assert got == want
 
 
 def test_combined_insufficient_records_names_dataset():
-    datasets = [
-        Dataset("big", [LogRecord(i + 1, f"x{i}", f"x{i}", "big") for i in range(10)]),
-        Dataset("tiny", [LogRecord(1, "y", "y", "tiny")]),
-    ]
+    datasets = [_distinct("big", 10), _distinct("tiny", 1)]
     with pytest.raises(AllocationError, match="tiny"):
         build_combined_dataset(datasets, size=10, seed=0)
 
@@ -457,8 +463,8 @@ def test_combined_deterministic_under_seed():
     a = build_combined_dataset(datasets, size=300, seed=9)
     b = build_combined_dataset(datasets, size=300, seed=9)
     c = build_combined_dataset(datasets, size=300, seed=10)
-    assert a.records == b.records
-    assert a.records != c.records
+    assert a == b
+    assert a != c
 
 
 # --- plan parsing ---------------------------------------------------------------
@@ -514,6 +520,49 @@ def test_pool_digests_are_of_the_files_the_plan_loaded(workspace, tmp_path):
     VariablePool(values=["x"], sources={"x": ("a",)}).save(vpool_path)
     report = run_experiment(plan)
     assert report.plan_summary["synthesis"]["pool_digests"] == loaded
+
+
+def test_plan_from_dict_reads_each_pool_file_once(workspace, monkeypatch):
+    doc = {
+        "datasets": ["apacheish.csv"],
+        "parsers": [{"kind": "identity"}],
+        "synthesis": {
+            "mix_strength": 0.4,
+            "fuzz_mode": "labeled",
+            "outlier_pool": "outlier_pool.csv",
+            "variable_pool": "variable_pool.tsv",
+        },
+        "runs": 1,
+    }
+    reads: Counter[str] = Counter()
+    read_bytes = Path.read_bytes
+
+    def counted(path: Path) -> bytes:
+        reads[path.name] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    plan = plan_from_dict(doc, base_dir=workspace)
+    assert reads == {"outlier_pool.csv": 1, "variable_pool.tsv": 1}
+    monkeypatch.undo()
+
+    # Each digest is the file's sha256, and the report is the one that pools
+    # loaded and hashed apart give.
+    opool, vpool = (workspace / "outlier_pool.csv", workspace / "variable_pool.tsv")
+    digests = {
+        "outlier_pool": hashlib.sha256(opool.read_bytes()).hexdigest(),
+        "variable_pool": hashlib.sha256(vpool.read_bytes()).hexdigest(),
+    }
+    assert plan.synthesis.pool_digests == digests
+    apart = replace(
+        plan.synthesis,
+        outlier_pool=OutlierPool.load(opool),
+        variable_pool=VariablePool.load(vpool),
+        pool_digests=digests,
+    )
+    assert run_experiment(plan).to_json() == run_experiment(
+        replace(plan, synthesis=apart)
+    ).to_json()
 
 
 def test_plan_from_dict_rebuilds_each_builtin_config_from_its_summary(workspace):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logblend.corpus import Dataset, LogRecord
+from logblend.corpus import Dataset
 from logblend.errors import (
     EmptyDatasetError,
     InsufficientDataError,
@@ -42,9 +42,7 @@ PUBLISHED_STATS = {
 
 
 def _ds(contents: list[str]) -> Dataset:
-    return Dataset(
-        "t", [LogRecord(i + 1, c, source="t") for i, c in enumerate(contents)]
-    )
+    return Dataset("t", contents, [None] * len(contents), ["t"] * len(contents))
 
 
 # --- proxy stats ------------------------------------------------------------
@@ -72,11 +70,7 @@ def test_proxy_stats_empty_dataset():
 def test_proxy_stats_permutation_invariant():
     ds = apacheish()
     reversed_ds = Dataset(
-        ds.name,
-        [
-            LogRecord(i + 1, r.content, r.ground_truth, r.source)
-            for i, r in enumerate(reversed(ds.records))
-        ],
+        ds.name, ds.contents()[::-1], ds.ground_truths[::-1], ds.sources[::-1]
     )
     assert proxy_stats(ds) == proxy_stats(reversed_ds)
 

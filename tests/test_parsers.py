@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logblend.corpus import Dataset, LogRecord, substitute_variables
+from logblend.corpus import Dataset, substitute_variables
 from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.mixing import MixConfig, mix
 from logblend.errors import (
@@ -38,9 +38,7 @@ from helpers import (
 
 
 def _ds(lines: list[str]) -> Dataset:
-    return Dataset(
-        "t", [LogRecord(i + 1, c, source="t") for i, c in enumerate(lines)]
-    )
+    return Dataset("t", lines, [None] * len(lines), ["t"] * len(lines))
 
 
 # --- template discovery examples ---------------------------------------------
@@ -80,7 +78,7 @@ def test_tree_similarity_below_threshold_splits():
 
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDatasetError):
-        parse(Dataset("e", []), TreeParserConfig())
+        parse(Dataset("e", [], [], []), TreeParserConfig())
 
 
 # --- tree parser internals ----------------------------------------------------
@@ -131,7 +129,7 @@ def test_tree_prefix_grouping_is_stable():
     # the full parse restricted to that prefix
     ds = apacheish()
     k = 400
-    prefix = Dataset(ds.name, list(ds.records[:k]))
+    prefix = Dataset(ds.name, ds.contents()[:k], ds.ground_truths[:k], ds.sources[:k])
     full = parse(ds, TreeParserConfig())
     part = parse(prefix, TreeParserConfig())
 
@@ -150,8 +148,8 @@ def test_tree_prefix_grouping_is_stable():
 def test_token_count_preserved_by_both_parsers():
     ds = apacheish()
     for cfg in (TreeParserConfig(), TokenFrequencyParserConfig()):
-        for rec, template in zip(ds.records, parse(ds, cfg)):
-            assert len(template.split()) == len(rec.content.split())
+        for content, template in zip(ds.contents(), parse(ds, cfg)):
+            assert len(template.split()) == len(content.split())
 
 
 def test_tree_perfect_grouping_on_generated_corpus():
@@ -170,10 +168,8 @@ def test_tree_perfect_grouping_on_generated_corpus():
             values = [slot[i % len(slot)] for slot in slots]
             rows.append((substitute_variables(template, values), template))
     rng.shuffle(rows)
-    ds = Dataset(
-        "gen",
-        [LogRecord(i + 1, c, t, "gen") for i, (c, t) in enumerate(rows)],
-    )
+    contents, truths = zip(*rows)
+    ds = Dataset("gen", contents, truths, ["gen"] * len(rows))
     predicted = parse(ds, TreeParserConfig(depth=4, similarity_threshold=0.4))
     assert grouping_accuracy(predicted, ds.labels()) == 1.0
     assert template_accuracy(predicted, ds.labels()) == 1.0
@@ -297,7 +293,7 @@ def test_identity_parser_echoes_labels():
 
 
 def test_identity_parser_requires_labels():
-    ds = Dataset("u", [LogRecord(1, "x", None, "u")])
+    ds = Dataset("u", ["x"], [None], ["u"])
     with pytest.raises(LabelingError):
         identity_parser(ds)
 
@@ -309,7 +305,7 @@ def test_parse_result_file_round_trip(tmp_path):
     result = parse(ds, TreeParserConfig())
     p = tmp_path / "parsed.csv"
     write_parse_result(result, p)
-    assert read_parse_result(p, expected_len=len(ds.records)) == result
+    assert read_parse_result(p, expected_len=len(ds)) == result
 
 
 def test_parse_result_reorders_by_line_id(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logblend.corpus import Dataset, LogRecord
+from logblend.corpus import Dataset
 from logblend.errors import DataFormatError, LabelingError
 from logblend.pool import (
     OutlierPool,
@@ -22,13 +22,8 @@ from helpers import source_datasets, standard_pools
 
 
 def _labeled(name: str, rows: list[tuple[str, str]]) -> Dataset:
-    return Dataset(
-        name,
-        [
-            LogRecord(i + 1, content, template, name)
-            for i, (content, template) in enumerate(rows)
-        ],
-    )
+    contents, templates = zip(*rows)
+    return Dataset(name, contents, templates, [name] * len(rows))
 
 
 # --- outlier pool -----------------------------------------------------------
@@ -87,7 +82,7 @@ def test_outlier_pool_nine_2k_datasets_lands_in_expected_band():
 
 
 def test_outlier_pool_requires_labels():
-    ds = Dataset("x", [LogRecord(1, "a", None, "x")])
+    ds = Dataset("x", ["a"], [None], ["x"])
     with pytest.raises(LabelingError):
         build_outlier_pool([ds])
 
@@ -99,7 +94,7 @@ def test_outlier_pool_rejects_bad_fraction():
 
 def test_outlier_pool_entries_traceable_to_sources():
     pool, _ = standard_pools()
-    datasets = {ds.name: {r.content for r in ds.records} for ds in source_datasets()}
+    datasets = {ds.name: set(ds.contents()) for ds in source_datasets()}
     for entry in pool.entries:
         assert entry.content in datasets[entry.source]
 
@@ -192,11 +187,11 @@ def test_variable_pool_skip_report_counts_misaligned_records():
     )
     pool = build_variable_pool([ds])
     assert pool.values == ("1",)
-    assert pool.skipped == {"t": [2]}
+    assert pool.skipped == {"t": (2,)}
 
 
 def test_variable_pool_requires_labels_and_names_the_unlabeled_lines():
-    ds = Dataset("x", [LogRecord(1, "a 1", "a <*>", "x"), LogRecord(2, "b", None, "x")])
+    ds = Dataset("x", ["a 1", "b"], ["a <*>", None], ["x", "x"])
     with pytest.raises(LabelingError) as exc:
         build_variable_pool([ds])
     assert exc.value.line_ids == [2]
