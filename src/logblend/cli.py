@@ -66,15 +66,36 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text)
 
 
+#: Each parser-specific `parse` flag by its argparse dest, with the parser
+#: that takes it.
+_PARSER_FLAGS = {
+    "depth": ("--depth", "tree"),
+    "st": ("--st", "tree"),
+    "max_children": ("--max-children", "tree"),
+    "mask": ("--mask", "tree"),
+    "tf_threshold": ("--tf-threshold", "tokenfreq"),
+}
+
+
 def _parser_config(args: argparse.Namespace):
+    foreign = [
+        flag for dest, (flag, kind) in _PARSER_FLAGS.items()
+        if kind != args.parser and getattr(args, dest) is not None
+    ]
+    if foreign:
+        raise UsageError(f"--parser {args.parser} does not take {', '.join(foreign)}")
     if args.parser == "tree":
+        given = {
+            "depth": args.depth,
+            "similarity_threshold": args.st,
+            "max_children": args.max_children,
+        }
         return TreeParserConfig(
-            depth=args.depth,
-            similarity_threshold=args.st,
-            max_children=args.max_children,
-            masks=tuple(args.mask or ()),
+            masks=tuple(args.mask or ()), **{k: v for k, v in given.items() if v is not None}
         )
     if args.parser == "tokenfreq":
+        if args.tf_threshold is None:
+            return TokenFrequencyParserConfig()
         return TokenFrequencyParserConfig(threshold=args.tf_threshold)
     return IdentityParserConfig()
 
@@ -124,13 +145,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     tree, tokenfreq = TreeParserConfig, TokenFrequencyParserConfig
     p.add_argument("--parser", choices=list(PARSER_CONFIGS), default=tree.name)
-    p.add_argument("--depth", type=int, default=tree.depth)
+    p.add_argument("--depth", type=int, help=f"tree only (default {tree.depth})")
     p.add_argument(
-        "--st", type=float, default=tree.similarity_threshold, help="minimum similarity"
+        "--st", type=float,
+        help=f"tree only: minimum similarity (default {tree.similarity_threshold})",
     )
-    p.add_argument("--max-children", type=int, default=tree.max_children)
-    p.add_argument("--tf-threshold", type=float, default=tokenfreq.threshold)
-    p.add_argument("--mask", action="append", help="regex replaced by <*> pre-parse")
+    p.add_argument(
+        "--max-children", type=int, help=f"tree only (default {tree.max_children})"
+    )
+    p.add_argument(
+        "--tf-threshold", type=float,
+        help=f"tokenfreq only (default {tokenfreq.threshold})",
+    )
+    p.add_argument(
+        "--mask", action="append", help="tree only: regex replaced by <*> pre-parse"
+    )
     p.add_argument("--out", required=True, help="LineId,EventTemplate output file")
 
     p = sub.add_parser("combine", help="uniform sample across datasets")
@@ -297,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LogblendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

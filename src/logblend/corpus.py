@@ -37,7 +37,9 @@ def canonicalize_template(text: str) -> str:
     vary in incidental spacing; metric comparisons must not hinge on it.
     Applied where templates are read, nowhere else.
     """
-    return " ".join(filter(None, text.split(" ")))
+    if "  " in text or text.startswith(" ") or text.endswith(" "):
+        return " ".join(filter(None, text.split(" ")))
+    return text
 
 
 @dataclass(frozen=True, slots=True)

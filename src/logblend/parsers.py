@@ -6,7 +6,9 @@ Two baselines are built in, enough to exercise the synthesis/evaluation loop:
   leading tokens, matched against groups by positional token similarity, and
   group templates generalize disagreeing positions to ``<*>``. Membership is
   decided online, in one pass, and groups never merge; each record reports
-  its group's final template.
+  its group's final template. A parse routes each distinct leaf path (token
+  count and leading tokens) through the tree once and keeps its leaf, since
+  the tree only grows and a route, once taken, never changes.
 * an offline token-frequency parser: lines are grouped by token count and
   counted per column, that is per (token count, position); a token is kept
   when its occurrence ratio within its column meets a threshold, otherwise
@@ -25,6 +27,7 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import eq
 from pathlib import Path
 from typing import ClassVar, get_args
 
@@ -93,52 +96,77 @@ class _Node:
         self.groups: list[int] = []
 
 
-def _similarity(template: list[str], tokens: list[str]) -> tuple[float, int]:
-    """Fraction of positions with equal tokens, plus the wildcard count."""
-    same = 0
-    params = 0
-    for t, s in zip(template, tokens):
-        if t == WILDCARD:
-            params += 1
-        elif t == s:
-            same += 1
-    return same / len(template), params
+def _route(root: dict[int, _Node], tokens: list[str], levels: int,
+           max_children: int) -> _Node:
+    """The leaf for `tokens`, growing the tree where the path is new."""
+    node = root.get(len(tokens))
+    if node is None:
+        node = root[len(tokens)] = _Node()
+    for key in tokens[:levels]:
+        if _DIGIT.search(key):
+            key = WILDCARD
+        child = node.children.get(key)
+        if child is None:
+            if key != WILDCARD and len(node.children) + (
+                0 if WILDCARD in node.children else 1
+            ) >= max_children:
+                # Leave room for the spill bucket once the fan-out fills up.
+                key = WILDCARD
+                child = node.children.get(key)
+            if child is None:
+                child = _Node()
+                node.children[key] = child
+        node = child
+    return node
 
 
 def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
     masks = [re.compile(m) for m in cfg.masks]
-    token_layers = max(cfg.depth - 2, 0)
+    levels = max(cfg.depth - 2, 0)
+    threshold = cfg.similarity_threshold
     root: dict[int, _Node] = {}
+    # A line's leaf depends only on its token count and first `levels` tokens.
+    # A stored route never goes stale: children are never removed, and a
+    # fan-out that has filled up never shrinks, so it spills the same keys.
+    leaves: dict[tuple[object, ...], _Node] = {}
     templates: list[list[str]] = []
+    # Per group, the number of wildcards in its template.
+    wildcards: list[int] = []
     # The group each line joined; -1 for a line without tokens.
     joined: list[int] = []
     for content in ds.contents():
         for mask in masks:
             content = mask.sub(WILDCARD, content)
-        tokens = list(filter(None, content.split(" ")))
-        if not tokens:
-            joined.append(-1)
-            continue
-
-        node = root.get(len(tokens))
+        tokens = content.split(" ")
+        if "" in tokens:
+            tokens = list(filter(None, tokens))
+            if not tokens:
+                joined.append(-1)
+                continue
+        n = len(tokens)
+        path = (n, *tokens[:levels])
+        node = leaves.get(path)
         if node is None:
-            node = root[len(tokens)] = _Node()
-        for level in range(min(token_layers, len(tokens))):
-            key = tokens[level]
-            if _DIGIT.search(key):
-                key = WILDCARD
-            child = node.children.get(key)
-            if child is None:
-                if key != WILDCARD and len(node.children) + (
-                    0 if WILDCARD in node.children else 1
-                ) >= cfg.max_children:
-                    # Leave room for the spill bucket once the fan-out fills up.
-                    key = WILDCARD
-                    child = node.children.get(key)
-                if child is None:
-                    child = _Node()
-                    node.children[key] = child
-            node = child
+            node = leaves[path] = _route(root, tokens, levels, cfg.max_children)
+
+        # Every template of a leaf has the line's length, so the integer count
+        # of literal positions that agree orders groups as the similarity
+        # (that count over n) does. A template's wildcard equals a literal
+        # "<*>" token, which is no literal agreement: subtract those positions.
+        literal_wildcards = (
+            [i for i, tok in enumerate(tokens) if tok == WILDCARD]
+            if WILDCARD in tokens else ()
+        )
+        best = -1
+        best_same = -1
+        best_wildcards = -1
+        for group in node.groups:
+            template = templates[group]
+            same = sum(map(eq, template, tokens))
+            for i in literal_wildcards:
+                same -= template[i] == WILDCARD
+            if same > best_same or (same == best_same and wildcards[group] > best_wildcards):
+                best, best_same, best_wildcards = group, same, wildcards[group]
 
         # Groups never merge, since no two groups of a leaf that a line can
         # join hold equal templates. Generalizing the chosen group by the line
@@ -146,22 +174,17 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
         # line as well, with more wildcards, and would have been chosen. A new
         # group can repeat a template only when the line's share of literal
         # tokens is below the threshold, and a group like that is never chosen.
-        best = -1
-        best_sim = -1.0
-        best_params = -1
-        for group in node.groups:
-            sim, params = _similarity(templates[group], tokens)
-            if sim > best_sim or (sim == best_sim and params > best_params):
-                best, best_sim, best_params = group, sim, params
-        if best < 0 or best_sim < cfg.similarity_threshold:
+        if best < 0 or best_same / n < threshold:
             best = len(templates)
             templates.append(tokens)
+            wildcards.append(len(literal_wildcards))
             node.groups.append(best)
-        else:
-            template = templates[best]
-            for i, tok in enumerate(tokens):
-                if template[i] != tok:
-                    template[i] = WILDCARD
+        elif best_same + best_wildcards != n:
+            # Some literal position disagrees with the line; it becomes "<*>".
+            templates[best] = [
+                t if t == tok else WILDCARD for t, tok in zip(templates[best], tokens)
+            ]
+            wildcards[best] = n - best_same
         joined.append(best)
     # The trailing "" is what index -1 reads.
     final = [" ".join(template) for template in templates] + [""]

@@ -14,6 +14,7 @@ from logblend.heterogeneity import INDUSTRY_REFERENCE, ProxyStats, h_score, prox
 from logblend.parsers import (
     IdentityParserConfig,
     TokenFrequencyParserConfig,
+    TreeParserConfig,
     parse,
     read_parse_result,
     write_parse_result,
@@ -213,9 +214,15 @@ def test_parse_then_evaluate(cli_workspace, tmp_path, capsys):
     [
         (["--parser", "tokenfreq", "--tf-threshold", "0.3"],
          TokenFrequencyParserConfig(threshold=0.3)),
+        (["--parser", "tokenfreq"], TokenFrequencyParserConfig()),
+        ([], TreeParserConfig()),
+        (["--parser", "tree", "--depth", "3", "--st", "0.5", "--max-children", "2",
+          "--mask", r"\d+"],
+         TreeParserConfig(depth=3, similarity_threshold=0.5, max_children=2,
+                          masks=(r"\d+",))),
         (["--parser", "identity"], IdentityParserConfig()),
     ],
-    ids=["tokenfreq", "identity"],
+    ids=["tokenfreq", "tokenfreq-default", "tree-default", "tree", "identity"],
 )
 def test_parse_writes_what_the_library_parser_returns(
     cli_workspace, tmp_path, argv, config
@@ -390,6 +397,28 @@ def test_parse_bad_mask_is_usage_error(cli_workspace, tmp_path, capsys):
             "--out", str(tmp_path / "parsed.csv")]
     assert main(argv) == EXIT_USAGE
     assert "mask '('" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--parser", "tokenfreq", "--depth", "2"], "--depth"),
+        (["--parser", "tokenfreq", "--st", "0.5"], "--st"),
+        (["--parser", "tokenfreq", "--max-children", "5"], "--max-children"),
+        (["--parser", "tokenfreq", "--mask", "a", "--depth", "2"], "--depth, --mask"),
+        (["--parser", "tree", "--tf-threshold", "0.3"], "--tf-threshold"),
+        (["--tf-threshold", "0.3"], "--tf-threshold"),
+        (["--parser", "identity", "--depth", "2"], "--depth"),
+        (["--parser", "identity", "--tf-threshold", "0.3"], "--tf-threshold"),
+    ],
+)
+def test_parse_rejects_another_parsers_flag(cli_workspace, tmp_path, capsys, argv, named):
+    out = tmp_path / "parsed.csv"
+    argv = ["parse", "--in", str(cli_workspace / "apacheish.csv"), *argv, "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    parser = argv[argv.index("--parser") + 1] if "--parser" in argv else "tree"
+    assert f"--parser {parser} does not take {named}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, capsys):

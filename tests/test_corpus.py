@@ -6,7 +6,7 @@ import csv
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logblend import corpus, parsers
@@ -48,6 +48,12 @@ def test_canonicalize_collapses_and_trims_spaces_only():
     assert canonicalize_template("a b") == "a b"
     assert canonicalize_template("") == canonicalize_template("   ") == ""
     assert canonicalize_template("\ta \xa0 b\u2028") == "\ta \xa0 b\u2028"
+
+
+@given(st.text(alphabet=" \t\xa0a<*>", max_size=40))
+@example(text="")
+def test_canonicalize_equals_split_join(text):
+    assert canonicalize_template(text) == " ".join(filter(None, text.split(" ")))
 
 
 @given(st.text(alphabet=" \tabc<*>", max_size=40))

@@ -251,6 +251,27 @@ _TREE_TOKEN = st.sampled_from(["a", "b", "c", "<*>", "<*>", "1", "23", "a1", "\u
     contents=["a a b b", "b <*> a a", "b a a b"],
     depth=1, threshold=0.05, max_children=1, masks=(),
 )
+# The fan-out under the root fills at one literal child. The paths "a b", seen
+# before the fill, and "b b", seen after it, come back and must route as before.
+@example(
+    contents=["a b c", "a c c", "b b c", "a d c", "b b c", "a b d", "c b d", "a c d"],
+    depth=4, threshold=0.5, max_children=2, masks=(),
+)
+# A literal "<*>" token meets a template wildcard: equal, yet no literal match.
+@example(
+    contents=["x 1 y", "x 2 y", "x <*> y", "x <*> z", "<*> <*> z", "<*> 3 z"],
+    depth=1, threshold=0.6, max_children=1, masks=(),
+)
+# "a y q" ties both groups at one agreement; the generalized "x y <*>" wins on
+# its wildcard count, which must have been kept up to date.
+@example(
+    contents=["a b c", "x y z", "x y w", "a y q"],
+    depth=1, threshold=0.3, max_children=1, masks=(),
+)
+@example(
+    contents=[" a  b ", "a b", "  a b c", "a  b c  ", " ", "a b  d "],
+    depth=4, threshold=0.4, max_children=3, masks=(),
+)
 def test_tree_equals_merging_reference(contents, depth, threshold, max_children, masks):
     cfg = TreeParserConfig(depth, threshold, max_children, masks)
     ds = _ds(contents)
@@ -264,6 +285,18 @@ def test_tree_equals_merging_reference_on_synthesized_corpus(seed):
     for ds in source_datasets():
         data = mix(ds, opool, MixConfig(strength=1.0, seed=seed))
         data = fuzz(data, vpool, FuzzConfig(seed=seed)).dataset
+        assert parse(data, cfg) == reference_tree(data, cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tree_equals_merging_reference_on_surrogate_labelled_mix(seed):
+    # The parsed-label path: a surrogate parse labels the mix, which is parsed.
+    opool, _ = standard_pools()
+    cfg = TreeParserConfig()
+    for ds in source_datasets():
+        surrogate = parse(ds, cfg)
+        assert surrogate == reference_tree(ds, cfg)
+        data = mix(ds, opool, MixConfig(strength=1.0, seed=seed), parsed=surrogate)
         assert parse(data, cfg) == reference_tree(data, cfg)
 
 
