@@ -1,135 +1,3 @@
 """Log heterogeneity measurement, synthesis, and parser benchmarking."""
 
-from .corpus import (
-    WILDCARD,
-    Dataset,
-    extract_variables,
-    load_raw,
-    load_structured,
-    matches_template,
-    substitute_variables,
-    write_dataset,
-)
-from .errors import (
-    AlignmentError,
-    AllocationError,
-    DataFormatError,
-    EmptyDatasetError,
-    EmptyPoolError,
-    InsufficientDataError,
-    InvalidReferenceError,
-    LabelingError,
-    LogblendError,
-    ShapeError,
-)
-from .fuzzing import FuzzConfig, FuzzResult, fuzz
-from .harness import (
-    MODE_LABELED,
-    MODE_PARSED,
-    EvaluationReport,
-    ExperimentPlan,
-    ExternalParser,
-    SynthesisPlan,
-    build_combined_dataset,
-    plan_from_dict,
-    run_experiment,
-)
-from .heterogeneity import (
-    INDUSTRY_REFERENCE,
-    HeterogeneityScore,
-    ProxyStats,
-    h_score,
-    metric_variability,
-    proxy_stats,
-)
-from .metrics import (
-    MetricReport,
-    ParseResult,
-    edit_distance,
-    evaluate,
-    grouping_accuracy,
-    mean_edit_distance,
-    template_accuracy,
-)
-from .mixing import MixConfig, mix
-from .parsers import (
-    IdentityParserConfig,
-    ParserConfig,
-    TokenFrequencyParserConfig,
-    TreeParserConfig,
-    identity_parser,
-    parse,
-    read_parse_result,
-    write_parse_result,
-)
-from .pool import (
-    OutlierPool,
-    PoolEntry,
-    VariablePool,
-    build_outlier_pool,
-    build_variable_pool,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "WILDCARD",
-    "Dataset",
-    "extract_variables",
-    "load_raw",
-    "load_structured",
-    "matches_template",
-    "substitute_variables",
-    "write_dataset",
-    "AlignmentError",
-    "AllocationError",
-    "DataFormatError",
-    "EmptyDatasetError",
-    "EmptyPoolError",
-    "InsufficientDataError",
-    "InvalidReferenceError",
-    "LabelingError",
-    "LogblendError",
-    "ShapeError",
-    "FuzzConfig",
-    "FuzzResult",
-    "fuzz",
-    "MODE_LABELED",
-    "MODE_PARSED",
-    "EvaluationReport",
-    "ExperimentPlan",
-    "ExternalParser",
-    "SynthesisPlan",
-    "build_combined_dataset",
-    "plan_from_dict",
-    "run_experiment",
-    "INDUSTRY_REFERENCE",
-    "HeterogeneityScore",
-    "ProxyStats",
-    "h_score",
-    "metric_variability",
-    "proxy_stats",
-    "MetricReport",
-    "ParseResult",
-    "edit_distance",
-    "evaluate",
-    "grouping_accuracy",
-    "mean_edit_distance",
-    "template_accuracy",
-    "MixConfig",
-    "mix",
-    "IdentityParserConfig",
-    "ParserConfig",
-    "TokenFrequencyParserConfig",
-    "TreeParserConfig",
-    "identity_parser",
-    "parse",
-    "read_parse_result",
-    "write_parse_result",
-    "OutlierPool",
-    "PoolEntry",
-    "VariablePool",
-    "build_outlier_pool",
-    "build_variable_pool",
-    "__version__",
-]

@@ -29,11 +29,7 @@ limits and no blocking.
   distance is that plus its +1 deltas minus its -1 deltas, counted once at
   the end as ``len(text) + popcount(pv_i) - popcount(mv_i)``.
 
-:func:`levenshtein` scores one pair with the same loop. A common prefix and
-suffix never change the distance (Ukkonen 1985), and template pairs share
-long literal heads and tails, so both are stripped first; the suffix scan
-stops where the prefix ends, so an overlap such as ``"aa"``/``"aaa"`` is not
-counted twice. The shorter rest is the text, so the loop takes fewer steps.
+:func:`levenshtein` scores one pair: it is ``distances(a, [b])[0]``.
 
 ``benchmarks/bench_edit_distance.py`` times :func:`levenshtein` on its
 template-like pairs and, with ``--corpus``, :func:`distances` on the 12,761
@@ -90,15 +86,4 @@ def distances(text: str, patterns: list[str]) -> list[int]:
 
 def levenshtein(a: str, b: str) -> int:
     """Levenshtein distance between two strings, counted in code points."""
-    if a == b:
-        return 0
-    if len(a) > len(b):
-        a, b = b, a
-    n, m = len(a), len(b)
-    start = 0
-    while start < n and a[start] == b[start]:
-        start += 1
-    end = 0
-    while end < n - start and a[n - 1 - end] == b[m - 1 - end]:
-        end += 1
-    return distances(a[start : n - end], [b[start : m - end]])[0]
+    return distances(a, [b])[0]

@@ -301,6 +301,7 @@ def _cmd_benchmark(args) -> None:
 _COMMANDS = {
     "stats": _cmd_stats,
     "heterogeneity": _cmd_heterogeneity,
+    "pool": _cmd_pool_build,
     "mix": _cmd_mix,
     "fuzz": _cmd_fuzz,
     "parse": _cmd_parse,
@@ -318,10 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "pool":
-            _cmd_pool_build(args)
-        else:
-            _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
         return EXIT_OK
     except (LogblendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -342,23 +342,3 @@ def extract_variables(content: str, template: str) -> list[str]:
     if m is None:
         raise AlignmentError(content, template)
     return list(m.groups())
-
-
-def substitute_variables(template: str, variables: list[str]) -> str:
-    """Inverse of :func:`extract_variables`: fill wildcard slots in order."""
-    pieces = template.split(WILDCARD)
-    if len(variables) != len(pieces) - 1:
-        raise ValueError(
-            f"template has {len(pieces) - 1} wildcard slots, "
-            f"got {len(variables)} values"
-        )
-    out = [pieces[0]]
-    for value, piece in zip(variables, pieces[1:]):
-        out.append(value)
-        out.append(piece)
-    return "".join(out)
-
-
-def matches_template(content: str, template: str) -> bool:
-    """Whether :func:`extract_variables` would align `content` with `template`."""
-    return _pattern(template).fullmatch(content) is not None

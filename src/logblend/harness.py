@@ -13,7 +13,6 @@ that byte-for-byte comparisons leave out.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -160,9 +159,6 @@ class EvaluationReport:
         if include_timings:
             doc["timings"] = self.timings
         return doc
-
-    def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timings), indent=2)
 
 
 def _parser_summary(spec: ParserSpec) -> dict:

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
-from ._kernels import distances, levenshtein
+from ._kernels import distances
 from .errors import EmptyDatasetError, ShapeError
 
 #: One canonical template per record, index-aligned with the dataset.
@@ -75,11 +75,6 @@ def template_accuracy(predicted: ParseResult, truth: ParseResult) -> float:
         return 1.0
     correct = sum(1 for p, t in zip(predicted, truth) if p == t)
     return correct / len(truth)
-
-
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance: single-character insertions, deletions, substitutions."""
-    return levenshtein(a, b)
 
 
 def mean_edit_distance(predicted: ParseResult, truth: ParseResult) -> float:

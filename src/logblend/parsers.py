@@ -87,6 +87,14 @@ PARSER_CONFIGS: dict[str, type] = {cls.name: cls for cls in get_args(ParserConfi
 _DIGIT = re.compile(r"\d")
 
 
+def _tokens(content: str) -> list[str]:
+    """`content` split on U+0020, without the empty tokens a run of spaces leaves."""
+    tokens = content.split(" ")
+    if "" in tokens:
+        tokens = list(filter(None, tokens))
+    return tokens
+
+
 class _Node:
     __slots__ = ("children", "groups")
 
@@ -137,12 +145,10 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
     for content in ds.contents():
         for mask in masks:
             content = mask.sub(WILDCARD, content)
-        tokens = content.split(" ")
-        if "" in tokens:
-            tokens = list(filter(None, tokens))
-            if not tokens:
-                joined.append(-1)
-                continue
+        tokens = _tokens(content)
+        if not tokens:
+            joined.append(-1)
+            continue
         n = len(tokens)
         path = (n, *tokens[:levels])
         node = leaves.get(path)
@@ -192,7 +198,7 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
 
 
 def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResult:
-    token_lists = [list(filter(None, content.split(" "))) for content in ds.contents()]
+    token_lists = list(map(_tokens, ds.contents()))
     classes: dict[int, list[int]] = defaultdict(list)
     for idx, toks in enumerate(token_lists):
         classes[len(toks)].append(idx)
@@ -210,11 +216,6 @@ def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResul
     return results
 
 
-def identity_parser(ds: Dataset) -> ParseResult:
-    """Return each line's stored ground truth."""
-    return list(ds.labels())
-
-
 def parse(ds: Dataset, cfg: ParserConfig) -> ParseResult:
     """One canonical template per record, index-aligned with the dataset."""
     if not len(ds):
@@ -224,7 +225,7 @@ def parse(ds: Dataset, cfg: ParserConfig) -> ParseResult:
     if isinstance(cfg, TokenFrequencyParserConfig):
         return _parse_tokenfreq(ds, cfg)
     if isinstance(cfg, IdentityParserConfig):
-        return identity_parser(ds)
+        return list(ds.labels())
     raise TypeError(f"unknown parser config: {cfg!r}")
 
 

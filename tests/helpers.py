@@ -23,14 +23,23 @@ from logblend.corpus import (
     Dataset,
     canonicalize_template,
     extract_variables,
-    matches_template,
-    substitute_variables,
 )
 from logblend.errors import AlignmentError
 from logblend.fuzzing import FuzzResult
 from logblend.heterogeneity import ProxyStats
 from logblend.parsers import TreeParserConfig
 from logblend.pool import OutlierPool, VariablePool, build_outlier_pool, build_variable_pool
+
+
+def fill_template(template: str, variables: list[str]) -> str:
+    """Fill the ``<*>`` slots of `template` with `variables`, in order.
+
+    The inverse of :func:`logblend.corpus.extract_variables`.
+    """
+    pieces = template.split(WILDCARD)
+    assert len(variables) == len(pieces) - 1, (template, variables)
+    return "".join(piece + value for piece, value in zip(pieces, variables)) + pieces[-1]
+
 
 _ADJ = [
     "stale", "primary", "remote", "secondary", "invalid", "degraded",
@@ -137,7 +146,7 @@ def build_dataset(name: str, n: int, seed: int, specs: list[TemplateSpec]) -> Da
                 values.append(slot[occurrence % len(slot)])
             else:
                 values.append(rng.choice(slot))
-        contents.append(substitute_variables(spec.template, values))
+        contents.append(fill_template(spec.template, values))
     templates = [spec.template for spec in line_specs]
     return Dataset(name, contents, templates, [name] * n)
 
@@ -359,7 +368,7 @@ def numpy_loop_fuzz(ds, vpool, seed, templates):
             np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(line_id,))
         )
         picks = rng.integers(0, len(values), size=slots)
-        contents.append(substitute_variables(template, [values[i] for i in picks]))
+        contents.append(fill_template(template, [values[i] for i in picks]))
         truths.append(template)
     return contents, truths, skipped
 
@@ -501,16 +510,19 @@ def reference_fuzz(ds, vpool, seed, parsed=None) -> FuzzResult:
         count = template.count(WILDCARD)
         if count == 0:
             truth = template or None
-        elif matches_template(content, template):
-            refill.append(i)
-            slots.append(count)
         else:
-            skipped.append(i + 1)
+            try:
+                extract_variables(content, template)
+            except AlignmentError:
+                skipped.append(i + 1)
+            else:
+                refill.append(i)
+                slots.append(count)
         contents.append(content)
         truths.append(truth)
     picks = record_picks(seed, [i + 1 for i in refill], len(values), slots)
     for i, chosen in zip(refill, picks):
-        contents[i] = substitute_variables(templates[i], [values[j] for j in chosen])
+        contents[i] = fill_template(templates[i], [values[j] for j in chosen])
         truths[i] = templates[i]
     return FuzzResult(Dataset(ds.name, contents, truths, ds.sources), skipped)
 

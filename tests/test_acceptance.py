@@ -9,6 +9,7 @@ criterion 7 runs on the synthetic corpus and criterion 8 is skipped.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import time
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from logblend._kernels import levenshtein
 from logblend.corpus import Dataset, load_structured, write_dataset
 from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.harness import (
@@ -25,14 +27,9 @@ from logblend.harness import (
     run_experiment,
 )
 from logblend.heterogeneity import h_score, metric_variability, proxy_stats
-from logblend.metrics import (
-    edit_distance,
-    grouping_accuracy,
-    mean_edit_distance,
-    template_accuracy,
-)
+from logblend.metrics import grouping_accuracy, mean_edit_distance, template_accuracy
 from logblend.mixing import MixConfig, mix
-from logblend.parsers import IdentityParserConfig, TreeParserConfig, identity_parser, parse
+from logblend.parsers import IdentityParserConfig, TreeParserConfig, parse
 from logblend.corpus import extract_variables
 
 from helpers import apacheish, standard_pools
@@ -109,15 +106,15 @@ def test_criterion_4_edit_distance_oracle_and_axioms():
     for _ in range(1000):
         a = "".join(rng.choices(alphabet, k=rng.randint(0, 40)))
         b = "".join(rng.choices(alphabet, k=rng.randint(0, 40)))
-        if edit_distance(a, b) != dp_edit_distance(a, b):
+        if levenshtein(a, b) != dp_edit_distance(a, b):
             mismatches += 1
     axiom_failures = 0
     for _ in range(1000):
         x, y, z = (
             "".join(rng.choices(alphabet, k=rng.randint(0, 25))) for _ in range(3)
         )
-        dxy, dyz, dxz = edit_distance(x, y), edit_distance(y, z), edit_distance(x, z)
-        if edit_distance(x, x) != 0 or dxy != edit_distance(y, x) or dxz > dxy + dyz:
+        dxy, dyz, dxz = levenshtein(x, y), levenshtein(y, z), levenshtein(x, z)
+        if levenshtein(x, x) != 0 or dxy != levenshtein(y, x) or dxz > dxy + dyz:
             axiom_failures += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and axiom_failures == 0 and elapsed < 5.0
@@ -171,7 +168,7 @@ def test_criterion_6_fuzz_structure_preservation():
                 extract_variables(content, template)
             except Exception:
                 bad_alignments += 1
-        if template_accuracy(identity_parser(out), out.labels()) != 1.0:
+        if template_accuracy(parse(out, IdentityParserConfig()), out.labels()) != 1.0:
             bad_labels += 1
     elapsed = time.perf_counter() - start
     ok = bad_alignments == 0 and bad_labels == 0 and elapsed < 30.0
@@ -259,7 +256,7 @@ def test_criterion_9_determinism_suite(tmp_path):
             runs=2,
             base_seed=3,
         )
-        return run_experiment(plan).to_json()
+        return json.dumps(run_experiment(plan).to_dict(), indent=2)
 
     pairs["run_experiment"] = experiment() == experiment()
 

@@ -16,8 +16,6 @@ from logblend.corpus import (
     extract_variables,
     load_raw,
     load_structured,
-    matches_template,
-    substitute_variables,
     write_csv_rows,
     write_dataset,
 )
@@ -38,7 +36,7 @@ from logblend.pool import (
     build_variable_pool,
 )
 
-from helpers import apacheish, source_datasets, standard_pools
+from helpers import apacheish, fill_template, source_datasets, standard_pools
 
 
 # --- canonicalization -------------------------------------------------------
@@ -96,7 +94,7 @@ def test_each_whitespace_row_loads_matches_and_is_refilled(w, tmp_path):
     loaded = load_structured(path)
     (content,), (truth,) = loaded.contents(), loaded.labels()
     assert truth == canonicalize_template(template)
-    assert matches_template(content, truth)
+    extract_variables(content, truth)  # aligns, so does not raise
     result = fuzz(loaded, VariablePool(["x9"], {"x9": ("t",)}), FuzzConfig(seed=0))
     assert result.skipped_line_ids == []
     assert result.dataset.contents() == (f"open{w}x9 done",)
@@ -400,7 +398,7 @@ def token_template_and_values(draw):
 @settings(max_examples=300)
 def test_extract_is_the_leftmost_shortest_token_alignment(tv):
     template, values = tv
-    content = substitute_variables(template, values)
+    content = fill_template(template, values)
     oracle = _token_assignments(content, template)
     assert values in oracle
     leftmost_shortest = min(oracle, key=lambda vs: [len(v) for v in vs])
@@ -426,7 +424,7 @@ def test_extract_mismatch_raises_with_payload():
 def test_extract_absorbs_irregular_whitespace_into_variable():
     # one of the two spaces goes into the variable, so the content stays exact
     vs = extract_variables("a  b c", "a <*> c")
-    assert substitute_variables("a <*> c", vs) == "a  b c"
+    assert fill_template("a <*> c", vs) == "a  b c"
 
 
 @st.composite
@@ -446,52 +444,16 @@ def template_and_values(draw):
 @settings(max_examples=200)
 def test_substitution_then_extraction_round_trips(tv):
     template, values = tv
-    content = substitute_variables(template, values)
+    content = fill_template(template, values)
     captured = extract_variables(content, template)
-    assert substitute_variables(template, captured) == content
-
-
-@pytest.mark.parametrize("values", [[], ["b", "c"]])
-def test_substitution_needs_one_value_per_slot(values):
-    with pytest.raises(ValueError, match=f"1 wildcard slots, got {len(values)} values"):
-        substitute_variables("a <*> d", values)
+    assert fill_template(template, captured) == content
 
 
 def test_alignment_totality_on_synthetic_corpus():
     ds = apacheish()
     for content, template in zip(ds.contents(), ds.labels()):
         captured = extract_variables(content, template)
-        assert substitute_variables(template, captured) == content
-
-
-def test_matches_template_predicate():
-    assert matches_template("a b c", "a <*> c")
-    assert not matches_template("a b", "a <*> c")
-
-
-@given(
-    content=st.text(alphabet="ab <>*\n", max_size=12),
-    template=st.text(alphabet="ab <>*", max_size=12),
-)
-@settings(max_examples=300)
-def test_matches_template_agrees_with_extraction(content, template):
-    try:
-        extract_variables(content, template)
-        aligned = True
-    except AlignmentError:
-        aligned = False
-    assert matches_template(content, template) is aligned
-
-
-def test_matches_template_builds_no_captures(monkeypatch):
-    # A boolean check: it neither calls extract_variables nor raises.
-    def fail(*_):
-        raise AssertionError("extract_variables called")
-
-    monkeypatch.setattr(corpus, "extract_variables", fail)
-    assert matches_template("a b c", "a <*> c")
-    assert matches_template("a  b c", "a <*> c")  # the variable is " b"
-    assert not matches_template("a b", "a <*> c")
+        assert fill_template(template, captured) == content
 
 
 # --- frequency ranking of the outlier pool ---------------------------------

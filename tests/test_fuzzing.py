@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from logblend.corpus import (
     Dataset,
     extract_variables,
-    substitute_variables,
     write_dataset,
 )
 from logblend.errors import EmptyPoolError
@@ -18,15 +17,16 @@ from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.metrics import template_accuracy
 from logblend.mixing import MixConfig, mix
 from logblend.parsers import (
+    IdentityParserConfig,
     TokenFrequencyParserConfig,
     TreeParserConfig,
-    identity_parser,
     parse,
 )
 from logblend.pool import VariablePool
 
 from helpers import (
     apacheish,
+    fill_template,
     numpy_loop_fuzz,
     reference_fuzz,
     source_datasets,
@@ -80,7 +80,7 @@ def test_identity_parser_scores_one_on_fuzzed_data():
     ds = apacheish()
     _, vpool = standard_pools()
     out = fuzz(ds, vpool, FuzzConfig(seed=6)).dataset
-    assert template_accuracy(identity_parser(out), out.labels()) == 1.0
+    assert template_accuracy(parse(out, IdentityParserConfig()), out.labels()) == 1.0
 
 
 def test_fuzz_determinism(tmp_path):
@@ -202,7 +202,7 @@ def _fuzz_case(draw):
         if draw(st.booleans()):
             values = draw(st.lists(_VALUE, min_size=template.count("<*>"),
                                    max_size=template.count("<*>")))
-            content = substitute_variables(template, values)
+            content = fill_template(template, values)
         else:
             content = draw(st.text(alphabet="ab <*>\t", max_size=8))
         truth = draw(st.sampled_from([template, *_TEMPLATES]))

@@ -139,8 +139,8 @@ def test_report_is_deterministic_and_parser_order_invariant(workspace):
         )
 
     parsers = [TreeParserConfig(), IdentityParserConfig()]
-    first = run_experiment(make_plan(parsers)).to_json()
-    second = run_experiment(make_plan(parsers)).to_json()
+    first = json.dumps(run_experiment(make_plan(parsers)).to_dict(), indent=2)
+    second = json.dumps(run_experiment(make_plan(parsers)).to_dict(), indent=2)
     assert first == second
     # No cell sees another's work: each parser scores the same in either order.
     reordered = run_experiment(make_plan(parsers[::-1])).to_dict()
@@ -490,7 +490,7 @@ def test_plan_from_dict_round_trip(workspace):
     assert plan.runs == 2 and plan.base_seed == 7
     assert len(plan.parsers) == 3
     report = run_experiment(plan)
-    parsed_doc = json.loads(report.to_json())
+    parsed_doc = json.loads(json.dumps(report.to_dict(), indent=2))
     assert parsed_doc["plan"]["synthesis"]["mix_strength"] == 0.4
     assert "pool_digests" in parsed_doc["plan"]["synthesis"]
 
@@ -560,9 +560,9 @@ def test_plan_from_dict_reads_each_pool_file_once(workspace, monkeypatch):
         variable_pool=VariablePool.load(vpool),
         pool_digests=digests,
     )
-    assert run_experiment(plan).to_json() == run_experiment(
-        replace(plan, synthesis=apart)
-    ).to_json()
+    assert json.dumps(run_experiment(plan).to_dict(), indent=2) == json.dumps(
+        run_experiment(replace(plan, synthesis=apart)).to_dict(), indent=2
+    )
 
 
 def test_plan_from_dict_rebuilds_each_builtin_config_from_its_summary(workspace):
@@ -577,6 +577,7 @@ def test_plan_from_dict_rebuilds_each_builtin_config_from_its_summary(workspace)
     plan = ExperimentPlan(
         datasets=[workspace / "apacheish.csv"], parsers=configs, runs=1
     )
-    summaries = json.loads(run_experiment(plan).to_json())["plan"]["parsers"]
+    report = json.dumps(run_experiment(plan).to_dict(), indent=2)
+    summaries = json.loads(report)["plan"]["parsers"]
     for cfg, summary in zip(configs, summaries):
         assert plan_from_dict({"parsers": [summary]}).parsers == (cfg,)

@@ -17,7 +17,7 @@ def test_empty_string_edges():
 
 
 def test_paths_agree_on_long_asymmetric_strings():
-    # The shorter string becomes the bit-vector pattern whichever side it is on.
+    # Either string may be the text and the other the bit-vector pattern.
     a = "x" * 300 + " tail of the message 42"
     b = "x" * 120 + " tail of the <*> 42 extended"
     expected = dp_edit_distance(a, b)

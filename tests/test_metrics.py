@@ -12,7 +12,6 @@ from logblend import metrics
 from logblend._kernels import distances, levenshtein
 from logblend.errors import EmptyDatasetError, ShapeError
 from logblend.metrics import (
-    edit_distance,
     evaluate,
     grouping_accuracy,
     mean_edit_distance,
@@ -42,23 +41,23 @@ def dp_edit_distance(a: str, b: str) -> int:
 # --- edit distance ----------------------------------------------------------
 
 def test_edit_distance_identity():
-    assert edit_distance("abc", "abc") == 0
+    assert levenshtein("abc", "abc") == 0
 
 
 def test_edit_distance_pure_insertion():
-    assert edit_distance("", "abcd") == 4
+    assert levenshtein("", "abcd") == 4
 
 
 def test_edit_distance_kitten_sitting():
     # full 7x8 table oracle
     assert dp_edit_distance("kitten", "sitting") == 3
-    assert edit_distance("kitten", "sitting") == 3
+    assert levenshtein("kitten", "sitting") == 3
 
 
 def test_edit_distance_unicode_code_points():
     # one substitution, not a byte-level count
-    assert edit_distance("naïve", "naive") == 1
-    assert edit_distance("日本語", "日本") == 1
+    assert levenshtein("naïve", "naive") == 1
+    assert levenshtein("日本語", "日本") == 1
 
 
 @given(
@@ -75,9 +74,9 @@ def test_edit_distance_matches_oracle_on_both_kernels(a, b):
 )
 @settings(max_examples=200)
 def test_edit_distance_metric_axioms(x, y, z):
-    assert edit_distance(x, x) == 0
-    assert edit_distance(x, y) == edit_distance(y, x)
-    assert edit_distance(x, z) <= edit_distance(x, y) + edit_distance(y, z)
+    assert levenshtein(x, x) == 0
+    assert levenshtein(x, y) == levenshtein(y, x)
+    assert levenshtein(x, z) <= levenshtein(x, y) + levenshtein(y, z)
 
 
 def test_kernel_paths_agree_on_template_like_strings():

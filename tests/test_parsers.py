@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logblend.corpus import Dataset, substitute_variables
+from logblend.corpus import Dataset
 from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.mixing import MixConfig, mix
 from logblend.errors import (
@@ -22,7 +22,6 @@ from logblend.parsers import (
     IdentityParserConfig,
     TokenFrequencyParserConfig,
     TreeParserConfig,
-    identity_parser,
     parse,
     read_parse_result,
     write_parse_result,
@@ -30,6 +29,7 @@ from logblend.parsers import (
 
 from helpers import (
     apacheish,
+    fill_template,
     reference_tokenfreq,
     reference_tree,
     source_datasets,
@@ -166,7 +166,7 @@ def test_tree_perfect_grouping_on_generated_corpus():
     for template, slots in templates:
         for i in range(40):
             values = [slot[i % len(slot)] for slot in slots]
-            rows.append((substitute_variables(template, values), template))
+            rows.append((fill_template(template, values), template))
     rng.shuffle(rows)
     contents, truths = zip(*rows)
     ds = Dataset("gen", contents, truths, ["gen"] * len(rows))
@@ -321,14 +321,14 @@ def test_config_validation():
 
 def test_identity_parser_echoes_labels():
     ds = apacheish()
-    assert template_accuracy(identity_parser(ds), ds.labels()) == 1.0
-    assert parse(ds, IdentityParserConfig()) == identity_parser(ds)
+    assert template_accuracy(parse(ds, IdentityParserConfig()), ds.labels()) == 1.0
+    assert parse(ds, IdentityParserConfig()) == list(ds.labels())
 
 
 def test_identity_parser_requires_labels():
     ds = Dataset("u", ["x"], [None], ["u"])
     with pytest.raises(LabelingError):
-        identity_parser(ds)
+        parse(ds, IdentityParserConfig())
 
 
 # --- integration file format -------------------------------------------------------
