@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .corpus import Dataset, load_raw, load_structured, read_text, write_dataset
@@ -27,7 +27,6 @@ from .metrics import evaluate
 from .mixing import MixConfig, mix
 from .parsers import (
     PARSER_CONFIGS,
-    IdentityParserConfig,
     TokenFrequencyParserConfig,
     TreeParserConfig,
     parse,
@@ -66,38 +65,30 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text)
 
 
-#: Each parser-specific `parse` flag by its argparse dest, with the parser
-#: that takes it.
+#: Each parser-specific `parse` flag by its argparse dest, with the config
+#: field it sets; a parser takes the flag when its config has that field.
 _PARSER_FLAGS = {
-    "depth": ("--depth", "tree"),
-    "st": ("--st", "tree"),
-    "max_children": ("--max-children", "tree"),
-    "mask": ("--mask", "tree"),
-    "tf_threshold": ("--tf-threshold", "tokenfreq"),
+    "depth": ("--depth", "depth"),
+    "st": ("--st", "similarity_threshold"),
+    "max_children": ("--max-children", "max_children"),
+    "mask": ("--mask", "masks"),
+    "tf_threshold": ("--tf-threshold", "threshold"),
 }
 
 
 def _parser_config(args: argparse.Namespace):
+    cls = PARSER_CONFIGS[args.parser]
+    taken = {f.name for f in fields(cls)}
+    given = {name: getattr(args, dest) for dest, (_, name) in _PARSER_FLAGS.items()}
     foreign = [
-        flag for dest, (flag, kind) in _PARSER_FLAGS.items()
-        if kind != args.parser and getattr(args, dest) is not None
+        flag for flag, name in _PARSER_FLAGS.values()
+        if given[name] is not None and name not in taken
     ]
     if foreign:
         raise UsageError(f"--parser {args.parser} does not take {', '.join(foreign)}")
-    if args.parser == "tree":
-        given = {
-            "depth": args.depth,
-            "similarity_threshold": args.st,
-            "max_children": args.max_children,
-        }
-        return TreeParserConfig(
-            masks=tuple(args.mask or ()), **{k: v for k, v in given.items() if v is not None}
-        )
-    if args.parser == "tokenfreq":
-        if args.tf_threshold is None:
-            return TokenFrequencyParserConfig()
-        return TokenFrequencyParserConfig(threshold=args.tf_threshold)
-    return IdentityParserConfig()
+    # --mask appends to a list; the config holds a tuple.
+    given["masks"] = tuple(given["masks"] or ())
+    return cls(**{name: given[name] for name in taken if given[name] is not None})
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

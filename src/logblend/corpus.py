@@ -323,8 +323,22 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _pattern(template: str) -> re.Pattern:
-    """Each wildcard captures one or more characters, leftmost-shortest."""
-    return re.compile(r"(.+?)".join(map(re.escape, template.split(WILDCARD))))
+    """Each wildcard captures one or more characters, leftmost-shortest.
+
+    A wildcard followed by literal text ends at that text's first occurrence
+    after the wildcard's first character: a later one only leaves less room
+    for the wildcards after it. So each wildcard but the last is captured in a
+    lookahead up to that occurrence, which the regex engine never backtracks
+    into, and then consumed with the piece; a line that does not align fails
+    without trying every split.
+    """
+    head, *rest = map(re.escape, template.split(WILDCARD))
+    if not rest:
+        return re.compile(head)
+    middle = "".join(
+        f"(?=(?P<w{i}>.+?){piece})(?P=w{i}){piece}" for i, piece in enumerate(rest[:-1])
+    )
+    return re.compile(f"{head}{middle}(.+?){rest[-1]}")
 
 
 def extract_variables(content: str, template: str) -> list[str]:

@@ -14,11 +14,10 @@ that byte-for-byte comparisons leave out.
 from __future__ import annotations
 
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from statistics import mean, stdev
-from types import MappingProxyType
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 from .corpus import Dataset, load_structured
 from .errors import AllocationError, InsufficientDataError, LogblendError
@@ -79,12 +78,8 @@ class SynthesisPlan:
     labels: str = LABELS_GROUND_TRUTH
     outlier_pool: OutlierPool | None = None
     variable_pool: VariablePool | None = None
-    #: sha256 of each pool file as it was loaded, by plan key, for the report.
-    pool_digests: MappingProxyType[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        digests = MappingProxyType(dict(self.pool_digests))
-        object.__setattr__(self, "pool_digests", digests)
         # Each message starts with the field; the plan reader prefixes its key.
         strength = self.mix_strength
         if strength is not None and not 0.0 <= strength <= 1.0:
@@ -104,15 +99,9 @@ class SynthesisPlan:
             raise LogblendError("variable_pool is missing: no variable pool to fuzz from")
 
 
-#: The settings a plan's synthesis section holds besides its pools, with the
-#: JSON type and default of each (`SynthesisPlan` checks their values); the
-#: report's plan summary repeats them.
-_SYNTHESIS_SETTINGS = {
-    "mix_strength": (float, None),
-    "exclude_source": (bool, SynthesisPlan.exclude_source),
-    "fuzz_mode": (str, None),
-    "labels": (str, SynthesisPlan.labels),
-}
+#: The pool settings of a synthesis plan: a file name in a plan, a loaded pool
+#: in `SynthesisPlan`, and in the report the sha256 of that file.
+_POOLS = {"outlier_pool": OutlierPool, "variable_pool": VariablePool}
 
 
 @dataclass(frozen=True)
@@ -173,11 +162,13 @@ def _parser_summary(spec: ParserSpec) -> dict:
 def _synthesis_summary(plan: SynthesisPlan | None) -> dict | None:
     if plan is None:
         return None
-    summary = {name: getattr(plan, name) for name in _SYNTHESIS_SETTINGS}
+    summary = {f.name: getattr(plan, f.name) for f in fields(plan) if f.name not in _POOLS}
     if plan.labels == LABELS_PARSED:
         summary["label_parser"] = _parser_summary(LABEL_PARSER)
-    if plan.pool_digests:
-        summary["pool_digests"] = dict(plan.pool_digests)
+    pools = [(name, getattr(plan, name)) for name in _POOLS]
+    digests = {name: p.sha256 for name, p in pools if p is not None and p.sha256}
+    if digests:
+        summary["pool_digests"] = digests
     return summary
 
 
@@ -320,9 +311,12 @@ def build_combined_dataset(datasets: list[Dataset], size: int, seed: int) -> Dat
 
 def _typed(key: str, value, kind):
     """`value` if it fits `kind`: a JSON type, `tuple[str, ...]` (read from a list
-    of strings) or a tuple of the allowed values. Anything else, a bool given
-    for a number too, raises LogblendError naming `key`.
+    of strings) or a tuple of the allowed values; `X | None` is read as `X`.
+    Anything else, a bool given for a number too, raises LogblendError naming
+    `key`.
     """
+    if type(None) in get_args(kind):
+        (kind,) = (arg for arg in get_args(kind) if arg is not type(None))
     if kind == tuple[str, ...]:
         items = _typed(key, value, list)
         return tuple(_typed(f"{key}[{i}]", item, str) for i, item in enumerate(items))
@@ -357,10 +351,16 @@ def _read(key: str, value, schema: dict[str, tuple]) -> dict:
     return doc
 
 
+def _schema(cls, **override: tuple) -> dict[str, tuple]:
+    """{field: (annotated type, default)} of dataclass `cls`, in field order;
+    `override` gives the type and default a plan uses for some fields."""
+    hints = get_type_hints(cls)
+    return {f.name: override.get(f.name, (hints[f.name], f.default)) for f in fields(cls)}
+
+
 def _config(key: str, cls, value, **extra: tuple):
     """Dataclass `cls` from a plan entry of its fields, typed as annotated."""
-    hints = get_type_hints(cls)
-    schema = {f.name: (hints[f.name], f.default) for f in fields(cls)}
+    schema = _schema(cls)
     doc = _read(key, value, {**extra, **schema})
     try:
         return cls(**{name: doc[name] for name in schema})
@@ -379,18 +379,14 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
         # An absolute `p` replaces `base_dir` when joined.
         return Path(p) if base_dir is None else base_dir / p
 
-    doc = _read(
-        "plan",
-        doc,
-        {
-            "datasets": (tuple[str, ...], ()),
-            "parsers": (list, ()),
-            "synthesis": (dict, None),
-            "runs": (int, ExperimentPlan.runs),
-            "base_seed": (int, ExperimentPlan.base_seed),
-            "reference": (dict, None),
-        },
+    schema = _schema(
+        ExperimentPlan,
+        datasets=(tuple[str, ...], ()),
+        parsers=(list, ()),
+        synthesis=(dict, None),
+        reference=(dict, None),
     )
+    doc = _read("plan", doc, schema)
     parsers: list[ParserSpec] = []
     kinds = ("external", *PARSER_CONFIGS)
     for i, entry in enumerate(doc["parsers"]):
@@ -405,21 +401,17 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
 
     synthesis = None
     if doc["synthesis"]:
-        pools = {"outlier_pool": (str, None), "variable_pool": (str, None)}
-        s = _read("plan.synthesis", doc["synthesis"], {**_SYNTHESIS_SETTINGS, **pools})
-        digests = {}
-        for key, cls in (("outlier_pool", OutlierPool), ("variable_pool", VariablePool)):
-            name = s.pop(key)
-            if name:
-                s[key] = cls.load(_resolve(name))
-                digests[key] = s[key].sha256
+        schema = _schema(SynthesisPlan, **dict.fromkeys(_POOLS, (str, None)))
+        s = _read("plan.synthesis", doc["synthesis"], schema)
+        for key, cls in _POOLS.items():
+            s[key] = cls.load(_resolve(s[key])) if s[key] else None
         try:
-            synthesis = SynthesisPlan(**s, pool_digests=digests)
+            synthesis = SynthesisPlan(**s)
         except LogblendError as exc:
             raise LogblendError(f"plan.synthesis.{exc}") from exc
 
     reference = INDUSTRY_REFERENCE
-    if doc["reference"]:
+    if doc["reference"] is not None:
         reference = _config("plan.reference", ProxyStats, doc["reference"])
 
     return ExperimentPlan(

@@ -41,6 +41,19 @@ def fill_template(template: str, variables: list[str]) -> str:
     return "".join(piece + value for piece, value in zip(pieces, variables)) + pieces[-1]
 
 
+def backtracking_alignment(content: str, template: str) -> list[str] | None:
+    """One lazy group per wildcard, the oracle for `extract_variables`; None
+    where the line does not align.
+
+    Leftmost-shortest by construction, but on a line that does not align the
+    regex tries every split, in time exponential in the wildcards: keep its
+    inputs short.
+    """
+    pattern = r"(.+?)".join(map(re.escape, template.split(WILDCARD)))
+    m = re.fullmatch(pattern, content)
+    return None if m is None else list(m.groups())
+
+
 _ADJ = [
     "stale", "primary", "remote", "secondary", "invalid", "degraded",
     "active", "orphaned", "cold", "split", "readonly", "shadow",

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import fields
 
 import pytest
 
-from logblend.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from logblend.cli import _PARSER_FLAGS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from logblend.corpus import Dataset, load_structured, write_dataset
 from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.heterogeneity import INDUSTRY_REFERENCE, ProxyStats, h_score, proxy_stats
 from logblend.parsers import (
+    PARSER_CONFIGS,
     IdentityParserConfig,
     TokenFrequencyParserConfig,
     TreeParserConfig,
@@ -421,6 +423,15 @@ def test_parse_rejects_another_parsers_flag(cli_workspace, tmp_path, capsys, arg
     assert not out.exists()
 
 
+def test_each_parser_flag_sets_a_field_of_exactly_one_builtin_config():
+    for flag, name in _PARSER_FLAGS.values():
+        owners = [
+            kind for kind, cls in PARSER_CONFIGS.items()
+            if name in {f.name for f in fields(cls)}
+        ]
+        assert len(owners) == 1, (flag, owners)
+
+
 def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, capsys):
     argv = ["parse", "--in", str(cli_workspace / "apacheish.csv"),
             "--max-children", "0", "--out", str(tmp_path / "parsed.csv")]
@@ -436,6 +447,7 @@ def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, caps
         ({"parsers": [{"kind": "tree", "depth": "4"}]}, "plan.parsers[0].depth"),
         ({"parsers": [{"kind": "external"}]}, "plan.parsers[0].path"),
         ({"reference": {"nuw": 1, "nuldl": 1}}, "plan.reference.nuc"),
+        ({"reference": {}}, "plan.reference.nuw is missing"),
         # Checked before any dataset is loaded, so the missing file is not reached.
         (
             {"datasets": ["missing.csv"], "reference": {"nuw": 0, "nuc": 9, "nuldl": 9}},
@@ -478,6 +490,7 @@ def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, caps
         "depth-not-int",
         "external-without-path",
         "reference-without-nuc",
+        "reference-empty",
         "reference-not-positive",
         "unknown-parser-key",
         "config-rejects-value",

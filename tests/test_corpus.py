@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,13 @@ from logblend.pool import (
     build_variable_pool,
 )
 
-from helpers import apacheish, fill_template, source_datasets, standard_pools
+from helpers import (
+    apacheish,
+    backtracking_alignment,
+    fill_template,
+    source_datasets,
+    standard_pools,
+)
 
 
 # --- canonicalization -------------------------------------------------------
@@ -425,6 +432,52 @@ def test_extract_absorbs_irregular_whitespace_into_variable():
     # one of the two spaces goes into the variable, so the content stays exact
     vs = extract_variables("a  b c", "a <*> c")
     assert fill_template("a <*> c", vs) == "a  b c"
+
+
+# A wildcard, the characters that make one up, two separators and two letters.
+_CHARACTER = st.sampled_from(["<*>", "<", "*", ">", " ", "\n", "a", "b"])
+
+
+@st.composite
+def template_and_content(draw):
+    """A template and either a fill of it or an unrelated content."""
+    template = "".join(draw(st.lists(_CHARACTER, max_size=8)))
+    if draw(st.booleans()):
+        values = [
+            "".join(draw(st.lists(_CHARACTER, min_size=1, max_size=3)))
+            for _ in template.split("<*>")[1:]
+        ]
+        return template, fill_template(template, values)
+    return template, "".join(draw(st.lists(_CHARACTER, max_size=12)))
+
+
+@given(template_and_content())
+@settings(max_examples=1000)
+@example(("a<*><*>b", "a<*>*>b"))
+@example(("<*>\n<*>", "x\ny\nz"))
+@example(("no wildcard", "no wildcard"))
+def test_extract_equals_the_backtracking_alignment(tc):
+    template, content = tc
+    try:
+        captured = extract_variables(content, template)
+    except AlignmentError:
+        captured = None
+    assert captured == backtracking_alignment(content, template)
+
+
+def test_a_line_that_does_not_align_is_skipped_fast():
+    # Backtracking over every split of 40 tokens among 30 wildcards would
+    # not finish; the lookahead pattern fails at once.
+    template = " ".join(["<*>"] * 30) + " done"
+    good = " ".join(["v"] * 30) + " done"
+    bad = " ".join(["v"] * 40) + " failed"
+    ds = Dataset("mislabeled", [good, bad], [template, template], ["mislabeled"] * 2)
+    started = time.perf_counter()
+    vpool = build_variable_pool([ds])
+    result = fuzz(ds, vpool, FuzzConfig(seed=0))
+    assert time.perf_counter() - started < 5.0
+    assert vpool.skipped == {"mislabeled": (2,)}
+    assert result.skipped_line_ids == [2]
 
 
 @st.composite

@@ -295,9 +295,7 @@ def test_built_plan_pools_and_digests_cannot_be_changed(workspace):
         "runs": 1,
     }
     synthesis = plan_from_dict(doc, base_dir=workspace).synthesis
-    opool, vpool, digests = (
-        synthesis.outlier_pool, synthesis.variable_pool, synthesis.pool_digests
-    )
+    opool, vpool = synthesis.outlier_pool, synthesis.variable_pool
     with pytest.raises(FrozenInstanceError):
         opool.entries = opool.entries[::2]
     with pytest.raises(FrozenInstanceError):
@@ -315,14 +313,9 @@ def test_built_plan_pools_and_digests_cannot_be_changed(workspace):
         built.skipped["a"] = (3,)
     with pytest.raises(AttributeError):
         built.skipped["a"].append(3)
-    with pytest.raises(TypeError):
-        digests["outlier_pool"] = "bogus"
-    # The digests are copied when the plan is built, so the caller's dict
-    # cannot change them afterwards either.
-    given = dict(digests)
-    copied = SynthesisPlan(mix_strength=1.0, outlier_pool=opool, pool_digests=given)
-    given["outlier_pool"] = "bogus"
-    assert copied.pool_digests == digests
+    # The report takes each digest from its pool.
+    with pytest.raises(FrozenInstanceError):
+        opool.sha256 = "bogus"
 
 
 def test_synthesis_plan_rejects_parsed_labels_without_mixing():
@@ -553,16 +546,51 @@ def test_plan_from_dict_reads_each_pool_file_once(workspace, monkeypatch):
         "outlier_pool": hashlib.sha256(opool.read_bytes()).hexdigest(),
         "variable_pool": hashlib.sha256(vpool.read_bytes()).hexdigest(),
     }
-    assert plan.synthesis.pool_digests == digests
+    report = run_experiment(plan).to_dict()
+    assert report["plan"]["synthesis"]["pool_digests"] == digests
     apart = replace(
         plan.synthesis,
         outlier_pool=OutlierPool.load(opool),
         variable_pool=VariablePool.load(vpool),
-        pool_digests=digests,
     )
-    assert json.dumps(run_experiment(plan).to_dict(), indent=2) == json.dumps(
+    assert json.dumps(report, indent=2) == json.dumps(
         run_experiment(replace(plan, synthesis=apart)).to_dict(), indent=2
     )
+
+
+def test_pool_digests_follow_a_pool_swapped_into_the_plan(workspace, tmp_path):
+    doc = {
+        "datasets": ["apacheish.csv"],
+        "parsers": [{"kind": "identity"}],
+        "synthesis": {
+            "mix_strength": 0.4,
+            "fuzz_mode": "labeled",
+            "outlier_pool": "outlier_pool.csv",
+            "variable_pool": "variable_pool.tsv",
+        },
+        "runs": 1,
+    }
+    plan = plan_from_dict(doc, base_dir=workspace)
+
+    def digests(synthesis: SynthesisPlan) -> dict | None:
+        summary = run_experiment(replace(plan, synthesis=synthesis)).plan_summary
+        return summary["synthesis"].get("pool_digests")
+
+    loaded = digests(plan.synthesis)
+    assert set(loaded) == {"outlier_pool", "variable_pool"}
+    # A built pool was read from no file, so its digest is gone.
+    built = OutlierPool(entries=plan.synthesis.outlier_pool.entries)
+    swapped = replace(plan.synthesis, outlier_pool=built)
+    assert digests(swapped) == {"variable_pool": loaded["variable_pool"]}
+    # Another loaded pool brings the sha256 of its own file.
+    other = tmp_path / "other_pool.csv"
+    OutlierPool(entries=plan.synthesis.outlier_pool.entries[::2]).save(other)
+    swapped = replace(plan.synthesis, outlier_pool=OutlierPool.load(other))
+    other_digest = hashlib.sha256(other.read_bytes()).hexdigest()
+    assert other_digest != loaded["outlier_pool"]
+    assert digests(swapped) == {
+        "outlier_pool": other_digest, "variable_pool": loaded["variable_pool"]
+    }
 
 
 def test_plan_from_dict_rebuilds_each_builtin_config_from_its_summary(workspace):
