@@ -190,9 +190,9 @@ def _cmd_pool_build(args) -> None:
     datasets = [load_structured(p) for p in args.datasets]
     opool = build_outlier_pool(datasets, outlier_fraction=args.outlier_fraction)
     vpool = build_variable_pool(datasets)
-    # Only the variable pool can fail to save; the outlier pool holds contents
-    # of loaded datasets, which have no line break. Its checks run before
-    # anything is created, so a data error leaves no directory or file behind.
+    # Only the variable pool can fail to save: outlier pool lines come from
+    # loaded datasets, so each has no line break and a label. Its checks run
+    # before anything is created, so a data error leaves no file behind.
     try:
         vpool_text = vpool.to_text()
     except ValueError as exc:  # a source tag from the data holds a tab, CR or LF

@@ -187,8 +187,8 @@ def read_columns(
       returned only when the header has it, and other columns are ignored;
     * no column read here (`LineId` included) is named twice in the header;
     * empty rows are skipped, and every other row has the header's fields;
-    * a `LineId` column, whenever the header has it, holds the integers
-      1..n in any order, and rows come back in that order (file order when
+    * a `LineId` column, whenever the header has it, holds 1..n in ASCII
+      digits in any order, and rows come back in that order (file order when
       the column is absent); it is not itself returned;
     * a `Content` field holds no line break;
     * each distinct `EventTemplate` field is canonicalized once.
@@ -259,6 +259,8 @@ def _line_id_order(path: Path, rows: list[tuple[int, list[str]]], line_idx: int)
     for pos, (row_num, row) in enumerate(rows):
         text = row[line_idx]
         try:
+            if not (text.isascii() and text.isdigit()):
+                raise ValueError(text)
             line_id = int(text)
         except ValueError:
             raise DataFormatError(

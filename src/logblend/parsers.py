@@ -6,9 +6,9 @@ Two baselines are built in, enough to exercise the synthesis/evaluation loop:
   leading tokens, matched against groups by positional token similarity, and
   group templates generalize disagreeing positions to ``<*>``. Membership is
   decided online, in one pass, and groups never merge; each record reports
-  its group's final template. A parse routes each distinct leaf path (token
-  count and leading tokens) through the tree once and keeps its leaf, since
-  the tree only grows and a route, once taken, never changes.
+  its group's final template. Routes are kept in a table of paths: the keys
+  seen after each routed prefix, and the groups at each leaf path. A line's
+  token count and leading tokens are routed once, since a route never changes.
 * an offline token-frequency parser: lines are grouped by token count and
   counted per column, that is per (token count, position); a token is kept
   when its occurrence ratio within its column meets a threshold, otherwise
@@ -95,48 +95,38 @@ def _tokens(content: str) -> list[str]:
     return tokens
 
 
-class _Node:
-    __slots__ = ("children", "groups")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _Node] = {}
-        #: The leaf's groups, as indices into the parse's template list.
-        self.groups: list[int] = []
-
-
-def _route(root: dict[int, _Node], tokens: list[str], levels: int,
-           max_children: int) -> _Node:
-    """The leaf for `tokens`, growing the tree where the path is new."""
-    node = root.get(len(tokens))
-    if node is None:
-        node = root[len(tokens)] = _Node()
+def _leaf(fanout: dict[tuple, set[str]], tokens: list[str], levels: int,
+          max_children: int) -> tuple:
+    """The routed path of `tokens`, adding each key to the fan-out of its prefix."""
+    path: tuple = (len(tokens),)
     for key in tokens[:levels]:
         if _DIGIT.search(key):
             key = WILDCARD
-        child = node.children.get(key)
-        if child is None:
-            if key != WILDCARD and len(node.children) + (
-                0 if WILDCARD in node.children else 1
-            ) >= max_children:
-                # Leave room for the spill bucket once the fan-out fills up.
-                key = WILDCARD
-                child = node.children.get(key)
-            if child is None:
-                child = _Node()
-                node.children[key] = child
-        node = child
-    return node
+        keys = fanout.get(path)
+        if keys is None:
+            keys = fanout[path] = set()
+        if key not in keys and key != WILDCARD and (
+            len(keys) + (WILDCARD not in keys) >= max_children
+        ):
+            # Leave room for the spill bucket once the fan-out fills up.
+            key = WILDCARD
+        keys.add(key)
+        path += (key,)
+    return path
 
 
 def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
     masks = [re.compile(m) for m in cfg.masks]
     levels = max(cfg.depth - 2, 0)
     threshold = cfg.similarity_threshold
-    root: dict[int, _Node] = {}
+    # The keys seen after each routed prefix (token count, then keys).
+    fanout: dict[tuple, set[str]] = {}
+    # Each leaf's groups, as indices into `templates`, by its routed path.
+    groups_at: dict[tuple, list[int]] = {}
     # A line's leaf depends only on its token count and first `levels` tokens.
-    # A stored route never goes stale: children are never removed, and a
-    # fan-out that has filled up never shrinks, so it spills the same keys.
-    leaves: dict[tuple[object, ...], _Node] = {}
+    # A stored route never goes stale: keys are never removed, and a fan-out
+    # that has filled up never shrinks, so it spills the same keys.
+    leaves: dict[tuple, list[int]] = {}
     templates: list[list[str]] = []
     # Per group, the number of wildcards in its template.
     wildcards: list[int] = []
@@ -151,9 +141,10 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
             continue
         n = len(tokens)
         path = (n, *tokens[:levels])
-        node = leaves.get(path)
-        if node is None:
-            node = leaves[path] = _route(root, tokens, levels, cfg.max_children)
+        groups = leaves.get(path)
+        if groups is None:
+            leaf = _leaf(fanout, tokens, levels, cfg.max_children)
+            groups = leaves[path] = groups_at.setdefault(leaf, [])
 
         # Every template of a leaf has the line's length, so the integer count
         # of literal positions that agree orders groups as the similarity
@@ -166,7 +157,7 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
         best = -1
         best_same = -1
         best_wildcards = -1
-        for group in node.groups:
+        for group in groups:
             template = templates[group]
             same = sum(map(eq, template, tokens))
             for i in literal_wildcards:
@@ -184,7 +175,7 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
             best = len(templates)
             templates.append(tokens)
             wildcards.append(len(literal_wildcards))
-            node.groups.append(best)
+            groups.append(best)
         elif best_same + best_wildcards != n:
             # Some literal position disagrees with the line; it becomes "<*>".
             templates[best] = [

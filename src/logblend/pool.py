@@ -52,7 +52,12 @@ class OutlierPool:
         return [e for e in self.entries if e.source != source]
 
     def save(self, path: str | Path) -> None:
+        """Write the pool. An entry :meth:`load` would reject (a line break in its
+        content, an empty template) raises ValueError before the file is opened."""
         check_contents([e.content for e in self.entries])
+        for i, e in enumerate(self.entries, start=1):
+            if not e.ground_truth.strip(" "):
+                raise ValueError(f"outlier pool entry {i} {e.content!r} has an empty template")
         rows = (
             (i, e.content, e.ground_truth, e.source)
             for i, e in enumerate(self.entries, start=1)
@@ -61,9 +66,16 @@ class OutlierPool:
 
     @classmethod
     def load(cls, path: str | Path) -> "OutlierPool":
-        """Read a saved pool with :func:`~logblend.corpus.read_columns`."""
+        """Read a saved pool with :func:`~logblend.corpus.read_columns`.
+
+        Every pooled line is labeled: an empty `EventTemplate` raises
+        DataFormatError naming the file and the `LineId`.
+        """
         names = ("Content", "EventTemplate", "Source")
         columns, digest = read_columns(path, ("LineId", *names))
+        if "" in columns["EventTemplate"]:
+            line_id = columns["EventTemplate"].index("") + 1
+            raise DataFormatError(f"{path}: LineId {line_id} has an empty EventTemplate")
         return cls(entries=map(PoolEntry, *map(columns.get, names)), sha256=digest)
 
 
@@ -71,20 +83,23 @@ class OutlierPool:
 class VariablePool:
     """Deduplicated variable values with the datasets each was seen in.
 
-    `skipped` maps dataset name to the line ids (row position + 1) whose
-    content could not be aligned against its template during extraction;
-    those lines contribute nothing but the build does not fail.
+    `sources` maps each value, in order, to its source tags. `skipped` maps
+    dataset name to the line ids (row position + 1) whose content could not
+    be aligned against its template during extraction; those lines
+    contribute nothing but the build does not fail.
     """
 
-    values: tuple[str, ...] = ()
     sources: MappingProxyType[str, tuple[str, ...]] = field(default_factory=dict)
     skipped: MappingProxyType[str, tuple[int, ...]] = field(default_factory=dict)
     #: sha256 of the file the pool was loaded from; None for a built pool.
     sha256: str | None = field(default=None, compare=False)
+    #: The values in order, ``tuple(sources)``.
+    values: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "sources", MappingProxyType(dict(self.sources)))
+        sources = {value: tuple(tags) for value, tags in self.sources.items()}
+        object.__setattr__(self, "sources", MappingProxyType(sources))
+        object.__setattr__(self, "values", tuple(sources))
         skipped = {name: tuple(ids) for name, ids in self.skipped.items()}
         object.__setattr__(self, "skipped", MappingProxyType(skipped))
 
@@ -98,8 +113,7 @@ class VariablePool:
         one, one with no tag, or a tab, CR or LF in it or a tag.
         """
         lines = []
-        for value in self.values:
-            tags = self.sources[value]
+        for value, tags in self.sources.items():
             line = "\t".join((value, *tags))
             split = line.count("\t") != len(tags) or "\n" in line or "\r" in line
             if split or not value or not tags:
@@ -121,7 +135,6 @@ class VariablePool:
         An empty or repeated value, a line with no source tag, or a byte that
         is not UTF-8 raises DataFormatError naming the file and line.
         """
-        values: list[str] = []
         sources: dict[str, tuple[str, ...]] = {}
         lines, digest = read_lines(path)
         for line_num, line in enumerate(lines, start=1):
@@ -136,9 +149,8 @@ class VariablePool:
                 raise DataFormatError(
                     f"{path}: line {line_num} repeats the value {value!r}"
                 )
-            values.append(value)
             sources[value] = tuple(tags)
-        return cls(values=values, sources=sources, sha256=digest)
+        return cls(sources=sources, sha256=digest)
 
 
 def build_outlier_pool(
@@ -174,7 +186,6 @@ def build_variable_pool(datasets: list[Dataset]) -> VariablePool:
     datasets accumulates all their source tags. Lines that fail alignment
     are recorded in the pool's skip report.
     """
-    values: list[str] = []
     sources: dict[str, list[str]] = {}
     skipped: dict[str, list[int]] = {}
     for ds in datasets:
@@ -189,13 +200,7 @@ def build_variable_pool(datasets: list[Dataset]) -> VariablePool:
                 # A tab, CR or LF would split the value in the saved file.
                 if not value or "\t" in value or "\n" in value or "\r" in value:
                     continue
-                if value not in sources:
-                    sources[value] = [source]
-                    values.append(value)
-                elif source not in sources[value]:
-                    sources[value].append(source)
-    return VariablePool(
-        values=values,
-        sources={v: tuple(s) for v, s in sources.items()},
-        skipped=skipped,
-    )
+                tags = sources.setdefault(value, [])
+                if source not in tags:
+                    tags.append(source)
+    return VariablePool(sources=sources, skipped=skipped)

@@ -327,6 +327,29 @@ def test_benchmark_runs_plan(cli_workspace, tmp_path, capsys):
     assert "timings" not in doc
 
 
+def test_benchmark_plan_with_an_empty_outlier_pool_template_exits_2(
+    cli_workspace, tmp_path, capsys
+):
+    pool = tmp_path / "outliers.csv"
+    pool.write_text(
+        "LineId,Content,EventTemplate,Source\n1,x 1,x <*>,a\n2,y 2,,b\n", encoding="utf-8"
+    )
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        json.dumps({
+            "datasets": [str(cli_workspace / "apacheish.csv")],
+            "parsers": [{"kind": "identity"}],
+            "synthesis": {"mix_strength": 1.0, "outlier_pool": "outliers.csv"},
+            "runs": 1,
+        }),
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.json"
+    assert main(["benchmark", "--plan", str(plan), "--out", str(out)]) == EXIT_DATA
+    assert f"{pool}: LineId 2 has an empty EventTemplate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_resolves_external_output_against_the_plan_directory(
     tmp_path, capsys, monkeypatch
 ):
@@ -559,6 +582,8 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         ),
         # A record is named by the line it starts on, not the line it ends on.
         ("mix", 'LineId,Content,EventTemplate,Source\n1,"x\n1",x <*>,a\n', "row 2"),
+        ("mix", "LineId,Content,EventTemplate,Source\n1,x 1,x <*>,a\n2,y 2,,b\n",
+         "LineId 2 has an empty EventTemplate"),
         ("evaluate", "LineId,EventTemplate\n1,a\n2\n", "row 3"),
         ("evaluate", "LineId,EventTemplate\n1,a\nx,b\n", "row 3"),
         ("stats", "LineId,Content,EventTemplate\n1,a,a\n3,b,b\n", "row 3"),
@@ -594,6 +619,7 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         "pool-short-row",
         "pool-bad-quote",
         "pool-line-break",
+        "pool-empty-template",
         "parsed-short-row",
         "parsed-bad-line-id",
         "dataset-line-id-gap",

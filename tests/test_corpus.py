@@ -102,7 +102,7 @@ def test_each_whitespace_row_loads_matches_and_is_refilled(w, tmp_path):
     (content,), (truth,) = loaded.contents(), loaded.labels()
     assert truth == canonicalize_template(template)
     extract_variables(content, truth)  # aligns, so does not raise
-    result = fuzz(loaded, VariablePool(["x9"], {"x9": ("t",)}), FuzzConfig(seed=0))
+    result = fuzz(loaded, VariablePool({"x9": ("t",)}), FuzzConfig(seed=0))
     assert result.skipped_line_ids == []
     assert result.dataset.contents() == (f"open{w}x9 done",)
 

@@ -62,12 +62,12 @@ def test_writers_emit_what_a_plain_csv_writer_emits(tmp_path):
         _plain_csv(tmp_path / "want.csv", header, rows)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    entries = [PoolEntry('p,"q"', "p <*>", "s1"), PoolEntry("", "", "s2")]
+    entries = [PoolEntry('p,"q"', "p <*>", "s1"), PoolEntry("", "<*>", "s2")]
     OutlierPool(entries).save(tmp_path / "got.csv")
     _plain_csv(
         tmp_path / "want.csv",
         ["LineId", "Content", "EventTemplate", "Source"],
-        [(1, 'p,"q"', "p <*>", "s1"), (2, "", "", "s2")],
+        [(1, 'p,"q"', "p <*>", "s1"), (2, "", "<*>", "s2")],
     )
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -108,7 +108,8 @@ def test_dataset_round_trips(rows, tmp_path_factory):
 
 
 @settings(max_examples=100, deadline=None)
-@given(entries=st.lists(st.builds(PoolEntry, _LINE, _TEMPLATE, _TEXT), max_size=6))
+# Every pooled line is labeled: the writer refuses an empty template.
+@given(entries=st.lists(st.builds(PoolEntry, _LINE, _TEMPLATE.filter(bool), _TEXT), max_size=6))
 def test_outlier_pool_round_trips(entries, tmp_path_factory):
     path = tmp_path_factory.mktemp("pool") / "outliers.csv"
     OutlierPool(entries).save(path)
@@ -175,8 +176,14 @@ def test_rows_come_back_in_line_id_order(fmt, tmp_path):
         ([2, 1, 2], "row 4 repeats LineId 2 of row 2"),
         ([0, 1], "row 2 has LineId 0"),
         ([1, 2, 5, 3], "row 4 has LineId 5"),
+        # Each of these int() reads as 1 or 2; a LineId is ASCII digits alone.
+        (["0_2", 1], "row 2 has non-integer LineId '0_2'"),
+        ([" 1", 2], "row 2 has non-integer LineId ' 1'"),
+        ([1, "+2"], r"row 3 has non-integer LineId '\+2'"),
+        (["\u0661", 2], "row 2 has non-integer LineId '\u0661'"),
     ],
-    ids=["gap", "duplicate", "zero", "past-the-end"],
+    ids=["gap", "duplicate", "zero", "past-the-end", "underscore", "space", "sign",
+         "arabic-indic-digit"],
 )
 def test_line_id_gap_or_duplicate_names_the_file_and_row(fmt, line_ids, match, tmp_path):
     path = tmp_path / "bad.csv"

@@ -35,7 +35,7 @@ from helpers import (
 
 
 def _vpool(values: list[str]) -> VariablePool:
-    return VariablePool(values=values, sources={v: ("t",) for v in values})
+    return VariablePool(sources={v: ("t",) for v in values})
 
 
 def _ds(rows: list[tuple[str, str]]) -> Dataset:

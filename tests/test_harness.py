@@ -308,7 +308,7 @@ def test_built_plan_pools_and_digests_cannot_be_changed(workspace):
         vpool.sources[vpool.values[0]] = ("bogus",)
     with pytest.raises(TypeError):
         vpool.skipped["bogus"] = (1,)
-    built = VariablePool(values=["v"], sources={"v": ("a",)}, skipped={"a": [2]})
+    built = VariablePool(sources={"v": ("a",)}, skipped={"a": [2]})
     with pytest.raises(TypeError):
         built.skipped["a"] = (3,)
     with pytest.raises(AttributeError):
@@ -510,7 +510,7 @@ def test_pool_digests_are_of_the_files_the_plan_loaded(workspace, tmp_path):
     plan = plan_from_dict(doc, base_dir=tmp_path)
     # Regenerated after the plan was read; the runs still use the loaded pools.
     OutlierPool(entries=[]).save(opool_path)
-    VariablePool(values=["x"], sources={"x": ("a",)}).save(vpool_path)
+    VariablePool(sources={"x": ("a",)}).save(vpool_path)
     report = run_experiment(plan)
     assert report.plan_summary["synthesis"]["pool_digests"] == loaded
 

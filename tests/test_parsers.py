@@ -272,6 +272,20 @@ _TREE_TOKEN = st.sampled_from(["a", "b", "c", "<*>", "<*>", "1", "23", "a1", "\u
     contents=[" a  b ", "a b", "  a b c", "a  b c  ", " ", "a b  d "],
     depth=4, threshold=0.4, max_children=3, masks=(),
 )
+# The fan-out fills at both levels: under the token count, "a" and then the
+# spill key; under "a" and under the spill key, one literal and then the spill.
+@example(
+    contents=["a x 1 q", "a y 2 q", "b x 3 q", "b z 4 q", "a x 5 r", "c w 6 r",
+              "a y 7 s", "b y 8 q", "c x 9 q"],
+    depth=4, threshold=0.4, max_children=2, masks=(),
+)
+# Digit tokens route to "<*>" under a parent that has already spilled: "1"
+# adds "<*>" to a fan-out that had none, so "b" still finds a free slot beside
+# it and "y b c d" stays apart, while "y 2 c d" joins "x 1 c d"; "e" spills.
+@example(
+    contents=["a b c d", "x 1 c d", "y b c d", "y 2 c d", "w e c d", "v 33 c d", "u b c e"],
+    depth=4, threshold=0.4, max_children=2, masks=(),
+)
 def test_tree_equals_merging_reference(contents, depth, threshold, max_children, masks):
     cfg = TreeParserConfig(depth, threshold, max_children, masks)
     ds = _ds(contents)
@@ -369,8 +383,13 @@ def test_parse_result_rejects_duplicate_line_ids(tmp_path):
         ("1,a\n2\n", "row 3 has 1 fields, expected 2"),
         ("1,a\nx,b\n", "row 3 has non-integer LineId 'x'"),
         ('1,a\n2,"b"c\n', "row 3"),
+        ("0_2,a\n1,b\n", "row 2 has non-integer LineId '0_2'"),
+        (" 1,a\n2,b\n", "row 2 has non-integer LineId ' 1'"),
+        ("1,a\n+2,b\n", r"row 3 has non-integer LineId '\+2'"),
+        ("\u0661,a\n2,b\n", "row 2 has non-integer LineId '\u0661'"),
     ],
-    ids=["short-row", "non-integer-line-id", "bad-quote"],
+    ids=["short-row", "non-integer-line-id", "bad-quote", "underscore-line-id",
+         "space-line-id", "signed-line-id", "arabic-indic-digit-line-id"],
 )
 def test_parse_result_names_malformed_row(tmp_path, rows, match):
     p = tmp_path / "parsed.csv"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -122,8 +123,12 @@ def test_outlier_pool_load_canonicalizes_templates(tmp_path):
         ('1,x 1,x <*>,a\n2,"x" 2,x <*>,a\n', "row 3"),
         ('1,x 1,x <*>,a\n2,"x\n2",x <*>,a\n', "row 3 content contains a line break"),
         ('1,"x\r1",x <*>,a\n', "row 2 content contains a line break"),
+        # Mixing copies a pooled line's template into the data as its label.
+        ("2,y 2,,b\n1,x 1,x <*>,a\n", "LineId 2 has an empty EventTemplate"),
+        ('2,y 2,"  ",b\n1,x 1,x <*>,a\n', "LineId 2 has an empty EventTemplate"),
     ],
-    ids=["short-row", "bad-quote", "newline-in-content", "carriage-return-in-content"],
+    ids=["short-row", "bad-quote", "newline-in-content", "carriage-return-in-content",
+         "empty-template", "blank-template"],
 )
 def test_outlier_pool_load_names_malformed_row(tmp_path, rows, match):
     p = tmp_path / "outliers.csv"
@@ -131,6 +136,15 @@ def test_outlier_pool_load_names_malformed_row(tmp_path, rows, match):
     with pytest.raises(DataFormatError, match=match) as exc:
         OutlierPool.load(p)
     assert str(p) in str(exc.value)
+
+
+@pytest.mark.parametrize("template", ["", "  "], ids=["empty", "spaces"])
+def test_outlier_pool_save_rejects_an_empty_template_and_writes_nothing(tmp_path, template):
+    entries = [PoolEntry("x 1", "x <*>", "a"), PoolEntry("y 2", template, "b")]
+    p = tmp_path / "outliers.csv"
+    with pytest.raises(ValueError, match="^outlier pool entry 2 'y 2' has an empty template"):
+        OutlierPool(entries).save(p)
+    assert not p.exists()
 
 
 def test_outlier_pool_load_needs_the_four_columns_in_any_order(tmp_path):
@@ -256,7 +270,7 @@ def test_variable_pool_load_names_malformed_line(tmp_path, text, match):
 )
 def test_variable_pool_save_rejects_what_would_not_read_back(tmp_path, value, tags):
     p = tmp_path / "vars.tsv"
-    vpool = VariablePool(values=["ok", value], sources={"ok": ("a",), value: tags})
+    vpool = VariablePool(sources={"ok": ("a",), value: tags})
     with pytest.raises(ValueError, match=re.escape(f"value {value!r} with sources")):
         vpool.save(p)
     assert not p.exists()
@@ -276,7 +290,30 @@ _FIELD = st.text(
 )
 def test_variable_pool_round_trips_any_unicode(pool, tmp_path_factory):
     path = tmp_path_factory.mktemp("vpool") / "vars.tsv"
-    VariablePool(values=list(pool), sources=pool).save(path)
+    VariablePool(sources=pool).save(path)
     again = VariablePool.load(path)
     assert again.values == tuple(pool)
     assert again.sources == pool
+
+
+def test_variable_pool_values_are_the_sources_keys_in_order():
+    pool = VariablePool(sources={"b": ["x"], "a": ("y", "z"), "c": ["x", "y"]})
+    assert pool.values == tuple(pool.sources) == ("b", "a", "c")
+    assert len(pool) == 3
+    # Tags passed as lists come back as tuples; a list never equals a tuple.
+    assert dict(pool.sources) == {"b": ("x",), "a": ("y", "z"), "c": ("x", "y")}
+
+
+def test_variable_pool_takes_no_values_argument():
+    # The values are the keys of `sources`, so there is no second list to disagree.
+    with pytest.raises(TypeError):
+        VariablePool(values=["a", "b"], sources={"a": ("x",)})
+
+
+def test_replacing_variable_pool_sources_updates_values():
+    pool = VariablePool(sources={"a": ("x",)}, skipped={"d": [3]})
+    again = replace(pool, sources={"c": ["y"], "a": ("x",)})
+    assert again.values == ("c", "a")
+    assert again.sources["c"] == ("y",)
+    assert again.skipped == {"d": (3,)}
+    assert pool.values == ("a",)
