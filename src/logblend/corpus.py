@@ -6,9 +6,13 @@ positions marked by the ``<*>`` wildcard token (None where unlabeled), and the
 source tag. A line id is the line's row position + 1.
 
 Every input file is read and decoded by :func:`read_text`. Every CSV format
-(dataset, outlier pool, parser output) is read by :func:`read_columns`,
-which canonicalizes templates once, where they are read; every other
-function expects canonical templates and compares them as given.
+(dataset, outlier pool, parser output) is written by :func:`write_csv_rows`
+and read by :func:`read_columns`, which canonicalizes templates once, where
+they are read; every other function expects canonical templates and
+compares them as given. Both work a column at a time and give what the
+``csv`` module gives: the writer quotes only the fields of a column that
+holds a comma, quote, CR or LF; the reader splits a quote-free file in bulk
+and reads a quoted one with ``csv.reader``, with the same rules either way.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import csv
 import functools
 import io
 import re
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from hashlib import sha256
@@ -154,25 +159,77 @@ def read_text(path: str | Path) -> tuple[str, str]:
 def read_lines(path: str | Path) -> tuple[list[str], str]:
     """The lines of a UTF-8 file, without their line breaks, and its sha256.
 
-    Only CR, LF and CRLF end a line, as in text-mode reading; unlike
-    :meth:`str.splitlines`, VT, FF, NEL, U+2028 and the like stay inside one.
+    Lines end as :func:`_split_lines` says.
     """
     text, digest = read_text(path)
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines, digest
+    return _split_lines(text), digest
 
 
-def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+#: The line breaks of :meth:`str.splitlines` other than CR, LF and CRLF.
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of `text` without their line breaks.
+
+    Only CR, LF and CRLF end a line, as in text-mode reading and in
+    ``csv.reader``; unlike :meth:`str.splitlines`, VT, FF, NEL, U+2028 and
+    the like stay inside one. A break at the end starts no further line.
+    """
+    if any(brk in text for brk in _OTHER_BREAKS):
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        return lines
+    return text.splitlines()
+
+
+def _needs_quotes(text: str) -> bool:
+    """Whether ``csv.writer`` quotes a field holding `text`."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_fields(column: Sequence, width: int) -> list[str]:
+    """One column's fields as ``csv.writer`` writes them in a row of `width`.
+
+    A field is ``str()`` of the value. It is quoted, with each ``"`` doubled,
+    when it holds a comma, quote, CR or LF, or when it is the only field of
+    its row and empty. The whole column is scanned at once; only a column
+    with a hit is checked field by field. Before Python 3.11, ``csv.writer``
+    refuses a NUL, and so does this.
+    """
+    fields = list(map(str, column))
+    joined = "".join(fields)
+    if "\0" in joined and sys.version_info < (3, 11):
+        raise csv.Error("need to escape, but no escapechar set")
+    if _needs_quotes(joined):
+        fields = [
+            '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+            for text in fields
+        ]
+    if width == 1:
+        fields = [text or '""' for text in fields]
+    return fields
+
+
+def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
     """Write a header and rows as UTF-8 CSV that :func:`read_columns` reads back.
 
-    Fields are written with ``str()``; quoting is minimal and rows end in CRLF.
+    The bytes are those ``csv.writer`` writes: fields as :func:`_csv_fields`
+    gives them, joined by commas, each row ending in CRLF. An empty header,
+    or a row (counted from 1) whose length is not the header's, raises
+    ValueError before the file is opened.
     """
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+    rows = list(rows)
+    width = len(header)
+    if not width:
+        raise ValueError("a CSV header names at least one column")
+    if not set(map(len, rows)) <= {width}:
+        i, row = next((i, row) for i, row in enumerate(rows, 1) if len(row) != width)
+        raise ValueError(f"row {i} has {len(row)} fields for {width} columns")
+    columns = [_csv_fields(column, width) for column in zip(header, *rows)]
+    text = "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def read_columns(
@@ -196,11 +253,80 @@ def read_columns(
     A violation, bad quoting or a ragged row raises DataFormatError naming
     the file and the row (the line it starts on); a byte that is not UTF-8,
     naming the file and the line.
+
+    Text with no ``"`` and no NUL is split in bulk by :func:`_split_rows`.
+    Other text, and text in which that split finds a row it leaves to
+    ``csv.reader`` to name, is read by :func:`_read_rows`. Both paths give
+    the same columns and the same errors.
     """
     path = Path(path)
     text, digest = read_text(path)
+    split = None if '"' in text or "\0" in text else _split_rows(text)
+    header, row_nums, rows = split or _read_rows(path, text)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file, expected a header row")
+    index = {col: idx for idx, col in enumerate(header)}
+    for col in required:
+        if col not in index:
+            raise DataFormatError(f"{path}: missing column {col!r}")
+    for col in (*required, *optional, "LineId"):
+        if header.count(col) > 1:
+            raise DataFormatError(f"{path}: header repeats column {col!r}")
+    fields = list(zip(*rows)) or [()] * len(header)
+    columns = {
+        col: list(fields[index[col]])
+        for col in (*required, *optional)
+        if col in index and col != "LineId"
+    }
+    broken = _line_break_at(columns.get("Content", ()))
+    if broken is not None:
+        raise DataFormatError(f"{path}: row {row_nums[broken]} content contains a line break")
+    if "EventTemplate" in columns:
+        raw = columns["EventTemplate"]
+        canonical = {text: canonicalize_template(text) for text in set(raw)}
+        columns["EventTemplate"] = [canonical[text] for text in raw]
+    if "LineId" in index:
+        ids = fields[index["LineId"]]
+        if ids != tuple(map(str, range(1, len(ids) + 1))):
+            order = _line_id_order(path, row_nums, ids)
+            columns = {col: [column[i] for i in order] for col, column in columns.items()}
+    return columns, digest
+
+
+def _split_rows(text: str) -> tuple[list[str], Sequence[int], list[list[str]]] | None:
+    """The header, and the line number and fields of each non-empty row, that
+    :func:`_read_rows` reads from `text`, which holds no ``"`` or NUL.
+
+    Lines end as :func:`_split_lines` says and fields at each comma. None
+    where ``csv.reader`` is to read it and name what is wrong: an empty file
+    or header line, a non-empty row not as wide as the header, or a line
+    longer than ``csv.field_size_limit()``.
+    """
+    lines = _split_lines(text)
+    if not lines or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    row_nums: Sequence[int] = range(2, len(lines) + 1)
+    if "" in lines:  # csv.reader gives an empty line as an empty row, skipped
+        row_nums = [num for num, line in enumerate(lines, 1) if line][1:]
+        lines = list(filter(None, lines))
+    header, *rows = [line.split(",") for line in lines]
+    if not set(map(len, rows)) <= {len(header)}:
+        return None
+    return header, row_nums, rows
+
+
+def _read_rows(
+    path: Path, text: str
+) -> tuple[list[str] | None, list[int], list[list[str]]]:
+    """The header (None for an empty file), and the line number and fields of
+    each non-empty row, as ``csv.reader(strict=True)`` reads `text`.
+
+    Bad quoting, a field over ``csv.field_size_limit()`` or a non-empty row
+    not as wide as the header raises DataFormatError naming the row.
+    """
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)
-    rows: list[tuple[int, list[str]]] = []
+    row_nums: list[int] = []
+    rows: list[list[str]] = []
     next_row = 1
     try:
         header = next(reader, None)
@@ -213,69 +339,54 @@ def read_columns(
                 raise DataFormatError(
                     f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}"
                 )
-            rows.append((row_num, row))
+            row_nums.append(row_num)
+            rows.append(row)
     except csv.Error as exc:
         raise DataFormatError(f"{path}: row {next_row}: {exc}") from exc
-    if header is None:
-        raise DataFormatError(f"{path}: empty file, expected a header row")
-    index = {col: idx for idx, col in enumerate(header)}
-    for col in required:
-        if col not in index:
-            raise DataFormatError(f"{path}: missing column {col!r}")
-    for col in (*required, *optional, "LineId"):
-        if header.count(col) > 1:
-            raise DataFormatError(f"{path}: header repeats column {col!r}")
-    columns = {
-        col: [row[index[col]] for _, row in rows]
-        for col in (*required, *optional)
-        if col in index and col != "LineId"
-    }
-    for (row_num, _), content in zip(rows, columns.get("Content", ())):
-        if "\n" in content or "\r" in content:
-            raise DataFormatError(f"{path}: row {row_num} content contains a line break")
-    if "EventTemplate" in columns:
-        raw = columns["EventTemplate"]
-        canonical = {text: canonicalize_template(text) for text in set(raw)}
-        columns["EventTemplate"] = [canonical[text] for text in raw]
-    if "LineId" in index:
-        order = _line_id_order(path, rows, index["LineId"])
-        columns = {col: [fields[i] for i in order] for col, fields in columns.items()}
-    return columns, digest
+    return header, row_nums, rows
+
+
+def _line_break_at(texts: Sequence[str]) -> int | None:
+    """The index of the first of `texts` holding a CR or LF, or None."""
+    joined = "".join(texts)  # one scan in C when, as usual, none has one
+    if "\n" in joined or "\r" in joined:
+        return next(i for i, text in enumerate(texts) if "\n" in text or "\r" in text)
+    return None
 
 
 def check_contents(contents: Sequence[str]) -> None:
     """Raise ValueError naming the line id of the first content holding a CR or
     LF, which :func:`read_columns` rejects; writers call it before writing."""
-    joined = "".join(contents)  # one scan in C when, as usual, none has one
-    if "\n" in joined or "\r" in joined:
-        i = next(i for i, text in enumerate(contents) if "\n" in text or "\r" in text)
-        raise ValueError(f"line {i + 1} content contains a line break")
+    broken = _line_break_at(contents)
+    if broken is not None:
+        raise ValueError(f"line {broken + 1} content contains a line break")
 
 
-def _line_id_order(path: Path, rows: list[tuple[int, list[str]]], line_idx: int) -> list[int]:
-    """Row positions in `LineId` order; the ids must be 1..n, each once."""
-    n = len(rows)
+def _line_id_order(path: Path, row_nums: Sequence[int], ids: Sequence[str]) -> list[int]:
+    """Row positions in `LineId` order; the ids must be 1..n, each once.
+
+    Leading zeros are allowed. An id with more significant digits than n is
+    past the end without being converted, since ``int()`` refuses a string
+    of more than ``sys.get_int_max_str_digits()`` digits.
+    """
+    n = len(ids)
+    most_digits = len(str(n))
     order = [-1] * n
-    for pos, (row_num, row) in enumerate(rows):
-        text = row[line_idx]
-        try:
-            if not (text.isascii() and text.isdigit()):
-                raise ValueError(text)
-            line_id = int(text)
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: row {row_num} has non-integer LineId {text!r}"
-            ) from None
+    for pos, (row_num, text) in enumerate(zip(row_nums, ids)):
+        if not (text.isascii() and text.isdigit()):
+            raise DataFormatError(f"{path}: row {row_num} has non-integer LineId {text!r}")
+        digits = text.lstrip("0") or "0"
+        line_id = int(digits) if len(digits) <= most_digits else n + 1
         if not 1 <= line_id <= n:
             raise DataFormatError(
-                f"{path}: row {row_num} has LineId {line_id}; LineId values must "
+                f"{path}: row {row_num} has LineId {digits}; LineId values must "
                 f"be contiguous from 1, here 1..{n}"
             )
         first = order[line_id - 1]
         if first >= 0:
             raise DataFormatError(
-                f"{path}: row {row_num} repeats LineId {line_id} of row "
-                f"{rows[first][0]}; LineId values must be contiguous from 1"
+                f"{path}: row {row_num} repeats LineId {digits} of row "
+                f"{row_nums[first]}; LineId values must be contiguous from 1"
             )
         order[line_id - 1] = pos
     return order

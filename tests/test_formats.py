@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import csv
+import io
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logblend import corpus
 from logblend.corpus import (
     Dataset,
     canonicalize_template,
@@ -44,40 +47,75 @@ def _plain_csv(path, header, rows) -> None:
             writer.writerow([str(field) for field in row])
 
 
-def test_writers_emit_what_a_plain_csv_writer_emits(tmp_path):
-    contents, truths, sources = ['a, "b"\tc', "d\xa0e"], ["a, <*>", None], ["x", "y"]
-    for ds, header, rows in [
-        (
-            Dataset("x", contents, truths, sources),
-            ["LineId", "Content", "EventTemplate", "Source"],
-            [(1, 'a, "b"\tc', "a, <*>", "x"), (2, "d\xa0e", "", "y")],
-        ),
-        (
-            Dataset("x", contents[:1], truths[:1], sources[:1]),
-            ["LineId", "Content", "EventTemplate"],
-            [(1, 'a, "b"\tc', "a, <*>")],
-        ),
-    ]:
-        write_dataset(ds, tmp_path / "got.csv")
-        _plain_csv(tmp_path / "want.csv", header, rows)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+def _written(write, path) -> bytes | str:
+    """The bytes `write(path)` leaves in `path`, or the csv.Error it raises."""
+    try:
+        write(path)
+    except csv.Error as exc:
+        return f"csv.Error: {exc}"
+    return path.read_bytes()
 
-    entries = [PoolEntry('p,"q"', "p <*>", "s1"), PoolEntry("", "<*>", "s2")]
-    OutlierPool(entries).save(tmp_path / "got.csv")
-    _plain_csv(
-        tmp_path / "want.csv",
-        ["LineId", "Content", "EventTemplate", "Source"],
-        [(1, 'p,"q"', "p <*>", "s1"), (2, "", "<*>", "s2")],
+
+_FIXED_POOL = [PoolEntry('p,"q"', "p <*>", "s1"), PoolEntry("", "<*>", "s2")]
+_FIXED_PARSE = ["a <*>", "", '"q"']
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_LINE, _TEXT, st.one_of(st.just("x"), _TEXT)), max_size=5),
+    # Every pooled line is labeled: the writer refuses an empty template.
+    entries=st.lists(
+        st.builds(PoolEntry, _LINE, _TEXT.filter(lambda t: t.strip(" ")), _TEXT), max_size=5
+    ),
+    templates=st.lists(_TEXT, max_size=5),
+)
+@example(
+    rows=[('a, "b"\tc', "a, <*>", "x"), ("d\xa0e", "", "y")],
+    entries=_FIXED_POOL,
+    templates=_FIXED_PARSE,
+)
+@example(rows=[('a, "b"\tc', "a, <*>", "x")], entries=_FIXED_POOL, templates=_FIXED_PARSE)
+def test_writers_emit_what_a_plain_csv_writer_emits(rows, entries, templates, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("writers")
+
+    def same(write, header, want_rows):
+        want = _written(lambda path: _plain_csv(path, header, want_rows), tmp / "want.csv")
+        assert _written(write, tmp / "got.csv") == want
+
+    contents, truths, sources = map(list, zip(*rows)) if rows else ([], [], [])
+    ds = Dataset("x", contents, [t or None for t in truths], sources)
+    header = ["LineId", "Content", "EventTemplate", "Source"]
+    width = 4 if set(sources) - {"x"} else 3  # Source only for mixed provenance
+    same(
+        lambda path: write_dataset(ds, path),
+        header[:width],
+        [(i, *row)[:width] for i, row in enumerate(rows, 1)],
     )
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-    write_parse_result(["a <*>", "", '"q"'], tmp_path / "got.csv")
-    _plain_csv(
-        tmp_path / "want.csv",
+    same(
+        OutlierPool(entries).save,
+        header,
+        [(i, e.content, e.ground_truth, e.source) for i, e in enumerate(entries, 1)],
+    )
+    same(
+        lambda path: write_parse_result(templates, path),
         ["LineId", "EventTemplate"],
-        [(1, "a <*>"), (2, ""), (3, '"q"')],
+        list(enumerate(templates, 1)),
     )
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=st.integers(1, 3).flatmap(
+        lambda width: st.lists(st.lists(_TEXT, min_size=width, max_size=width), min_size=1)
+    )
+)
+@example(table=[[""], [""], ["a"]])
+def test_write_csv_rows_emits_what_a_plain_csv_writer_emits(table, tmp_path_factory):
+    # One column is the case where csv.writer quotes an empty field.
+    tmp = tmp_path_factory.mktemp("table")
+    header, *rows = table
+    want = _written(lambda path: _plain_csv(path, header, rows), tmp / "want.csv")
+    assert _written(lambda path: write_csv_rows(path, header, rows), tmp / "got.csv") == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,6 +206,13 @@ def test_rows_come_back_in_line_id_order(fmt, tmp_path):
     assert read(tmp_path / "shuffled.csv") == ordered
 
 
+def test_a_line_id_of_more_digits_than_int_converts_reads_as_its_value(tmp_path):
+    path = tmp_path / "parsed.csv"
+    one = "0" * 4400 + "1"
+    _write_format(path, "parser-output", [2, one])
+    assert read_parse_result(path) == [f"t{one} <*>", "t2 <*>"]
+
+
 @pytest.mark.parametrize("fmt", _FORMATS)
 @pytest.mark.parametrize(
     "line_ids, match",
@@ -181,9 +226,12 @@ def test_rows_come_back_in_line_id_order(fmt, tmp_path):
         ([" 1", 2], "row 2 has non-integer LineId ' 1'"),
         ([1, "+2"], r"row 3 has non-integer LineId '\+2'"),
         (["\u0661", 2], "row 2 has non-integer LineId '\u0661'"),
+        # More digits than int() converts; the message does not convert them.
+        ([1, "0" * 4400 + "1"], "row 3 repeats LineId 1 of row 2"),
+        ([1, "9" * 4400], f"row 3 has LineId {'9' * 4400}; LineId values must be"),
     ],
     ids=["gap", "duplicate", "zero", "past-the-end", "underscore", "space", "sign",
-         "arabic-indic-digit"],
+         "arabic-indic-digit", "zeros-past-the-digit-limit", "past-the-digit-limit"],
 )
 def test_line_id_gap_or_duplicate_names_the_file_and_row(fmt, line_ids, match, tmp_path):
     path = tmp_path / "bad.csv"
@@ -202,3 +250,113 @@ def test_repeated_column_names_the_file_and_column(fmt, column, tmp_path):
     with pytest.raises(DataFormatError, match=f"header repeats column '{column}'") as exc:
         read(path)
     assert str(path) in str(exc.value)
+
+
+# --- bulk split and csv.reader give the same columns and errors -------------
+
+#: Field text with no comma, quote or NUL: tabs, spaces, wildcards, digits,
+#: and the characters str.splitlines ends a line at but CSV does not.
+_UNQUOTED = st.lists(
+    st.sampled_from(["a", " ", "\t", "<*>", "0", "1", "é", "\v", "\f", "\x1c", "\x85", " "]),
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def _quote_free_csv(draw) -> str:
+    """CSV text with no quote or NUL: a header of the columns read and others;
+    rows that may be ragged, with permuted, zero-padded or bad LineIds; empty
+    lines anywhere; any mix of CR, LF and CRLF; empty and header-only files."""
+    extra = st.lists(st.sampled_from(["LineId", "Source", "x", "EventTemplate"]), max_size=3)
+    names = draw(st.permutations(["Content", "EventTemplate", *draw(extra)]))
+    names = names[: draw(st.sampled_from([len(names)] * 8 + [0, 1]))]
+    ids = draw(st.permutations(range(1, draw(st.integers(0, 5)) + 1)))
+    lines = [",".join(names)]
+    for line_id in ids:
+        fields = [
+            draw(st.sampled_from([str(line_id)] * 4 + [f"0{line_id}", "0", "x1"]))
+            if name == "LineId"
+            else draw(_UNQUOTED)
+            for name in names
+        ]
+        width = draw(st.sampled_from([len(fields)] * 16 + [len(fields) - 1, len(fields) + 1]))
+        lines.append(",".join((fields + ["b"])[: max(width, 0)]))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    line_break = st.sampled_from(["\n", "\r", "\r\n"])
+    breaks = draw(st.lists(line_break, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text if draw(st.booleans()) else text[: len(text) - len(breaks[-1])]
+
+
+def _read_or_error(path) -> tuple | str:
+    try:
+        return read_columns(path, ("Content", "EventTemplate"), ("Source",))
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_quote_free_csv())
+@example(text="")
+@example(text="\n")
+@example(text="Content,EventTemplate")
+@example(text="\r\nContent,EventTemplate\r\na,b\r\n")
+@example(text="LineId,Content,EventTemplate\n\n1,a,b\r\rx1,c,d\n")
+def test_a_quote_free_file_reads_as_csv_reader_reads_it(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bulk") / "bulk.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(corpus, "_split_rows", lambda text: None):
+        want = _read_or_error(path)
+    assert _read_or_error(path) == want
+
+
+def test_only_a_file_holding_a_quote_or_nul_is_read_by_csv_reader(tmp_path):
+    path = tmp_path / "ds.csv"
+    calls = []
+    read_rows = corpus._read_rows
+    with mock.patch.object(corpus, "_read_rows", lambda *a: calls.append(a) or read_rows(*a)):
+        for text, by_csv in [
+            ("Content,EventTemplate\r\na b,a <*>\r\n", False),
+            ('Content,EventTemplate\r\n"a,b",a <*>\r\n', True),
+            ('Content,EventTemplate\r\na b",a <*>\r\n', True),
+            ("Content,EventTemplate\r\na\0b,a <*>\r\n", True),
+        ]:
+            path.write_bytes(text.encode("utf-8"))
+            calls.clear()
+            try:
+                load_structured(path)
+            except DataFormatError:
+                pass  # Python before 3.11 rejects the NUL
+            assert bool(calls) == by_csv, text
+
+
+@pytest.mark.parametrize("first", ["ab,t", '"ab",t'], ids=["quote-free", "quoted"])
+def test_a_field_over_the_csv_size_limit_names_its_row_on_either_path(first, tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text(f"Content,EventTemplate\n{first}\n{'x' * 21},t\n", encoding="utf-8")
+    limit = csv.field_size_limit(20)
+    try:
+        with pytest.raises(DataFormatError) as exc:
+            load_structured(path)
+        # A line longer than the limit whose fields are not is read.
+        long_line = f"{'x' * 20},{'t' * 20}"
+        path.write_text(f"Content,EventTemplate\n{first}\n{long_line}\n", encoding="utf-8")
+        assert load_structured(path).contents() == ("ab", "x" * 20)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(exc.value) == f"{path}: row 3: field larger than field limit (20)"
+
+
+def test_a_quote_free_file_holding_nul_reads_as_csv_reader_reads_it(tmp_path):
+    path = tmp_path / "ds.csv"
+    text = "Content,EventTemplate\r\na\0b,a <*>\r\n"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:  # Python before 3.11 rejects a NUL; later ones read it
+        rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
+    except csv.Error as exc:
+        with pytest.raises(DataFormatError, match=f"^{path}: row 2: {exc}$"):
+            load_structured(path)
+    else:
+        assert rows[1] == ["a\0b", "a <*>"]
+        assert load_structured(path).contents() == ("a\0b",)
