@@ -165,10 +165,6 @@ def read_lines(path: str | Path) -> tuple[list[str], str]:
     return _split_lines(text), digest
 
 
-#: The line breaks of :meth:`str.splitlines` other than CR, LF and CRLF.
-_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _split_lines(text: str) -> list[str]:
     """The lines of `text` without their line breaks.
 
@@ -176,12 +172,10 @@ def _split_lines(text: str) -> list[str]:
     ``csv.reader``; unlike :meth:`str.splitlines`, VT, FF, NEL, U+2028 and
     the like stay inside one. A break at the end starts no further line.
     """
-    if any(brk in text for brk in _OTHER_BREAKS):
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        return lines
-    return text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _needs_quotes(text: str) -> bool:
@@ -189,14 +183,14 @@ def _needs_quotes(text: str) -> bool:
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
-def _csv_fields(column: Sequence, width: int) -> list[str]:
-    """One column's fields as ``csv.writer`` writes them in a row of `width`.
+def _csv_fields(column: Sequence) -> list[str]:
+    """One column's fields as ``csv.writer`` writes them in a row of two or
+    more fields.
 
     A field is ``str()`` of the value. It is quoted, with each ``"`` doubled,
-    when it holds a comma, quote, CR or LF, or when it is the only field of
-    its row and empty. The whole column is scanned at once; only a column
-    with a hit is checked field by field. Before Python 3.11, ``csv.writer``
-    refuses a NUL, and so does this.
+    when it holds a comma, quote, CR or LF. The whole column is scanned at
+    once; only a column with a hit is checked field by field. Before Python
+    3.11, ``csv.writer`` refuses a NUL, and so does this.
     """
     fields = list(map(str, column))
     joined = "".join(fields)
@@ -207,8 +201,6 @@ def _csv_fields(column: Sequence, width: int) -> list[str]:
             '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
             for text in fields
         ]
-    if width == 1:
-        fields = [text or '""' for text in fields]
     return fields
 
 
@@ -216,18 +208,18 @@ def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Sequence]
     """Write a header and rows as UTF-8 CSV that :func:`read_columns` reads back.
 
     The bytes are those ``csv.writer`` writes: fields as :func:`_csv_fields`
-    gives them, joined by commas, each row ending in CRLF. An empty header,
-    or a row (counted from 1) whose length is not the header's, raises
-    ValueError before the file is opened.
+    gives them, joined by commas, each row ending in CRLF. The header names
+    two or more columns (``csv.writer`` quotes the lone empty field of a
+    one-column row, which this does not). A row (counted from 1) whose length
+    is not the header's raises ValueError before the file is opened.
     """
     rows = list(rows)
     width = len(header)
-    if not width:
-        raise ValueError("a CSV header names at least one column")
+    assert width >= 2, "write_csv_rows writes two or more columns"
     if not set(map(len, rows)) <= {width}:
         i, row = next((i, row) for i, row in enumerate(rows, 1) if len(row) != width)
         raise ValueError(f"row {i} has {len(row)} fields for {width} columns")
-    columns = [_csv_fields(column, width) for column in zip(header, *rows)]
+    columns = [_csv_fields(column) for column in zip(header, *rows)]
     text = "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
     Path(path).write_text(text, encoding="utf-8", newline="")
 
