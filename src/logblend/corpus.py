@@ -6,13 +6,14 @@ positions marked by the ``<*>`` wildcard token (None where unlabeled), and the
 source tag. A line id is the line's row position + 1.
 
 Every input file is read and decoded by :func:`read_text`. Every CSV format
-(dataset, outlier pool, parser output) is written by :func:`write_csv_rows`
-and read by :func:`read_columns`, which canonicalizes templates once, where
-they are read; every other function expects canonical templates and
-compares them as given. Both work a column at a time and give what the
-``csv`` module gives: the writer quotes only the fields of a column that
-holds a comma, quote, CR or LF; the reader splits a quote-free file in bulk
-and reads a quoted one with ``csv.reader``, with the same rules either way.
+(dataset, outlier pool, parser output) is written from columns, numbered by a
+`LineId` column, by :func:`write_columns` and read by :func:`read_columns`,
+which canonicalizes templates once, where they are read; every other function
+expects canonical templates and compares them as given. Both work a column at
+a time and give what the ``csv`` module gives: the writer quotes only the
+fields of a column that holds a comma, quote, CR or LF; the reader splits a
+quote-free file in bulk and reads a quoted one with ``csv.reader``, with the
+same rules either way.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from hashlib import sha256
-from itertools import count
 from pathlib import Path
 
 from .errors import AlignmentError, DataFormatError, LabelingError, ShapeError
@@ -183,19 +183,31 @@ def _needs_quotes(text: str) -> bool:
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
-def _csv_fields(column: Sequence) -> list[str]:
-    """One column's fields as ``csv.writer`` writes them in a row of two or
-    more fields.
+#: ``csv.writer`` refuses a NUL before Python 3.11, so the writer does too.
+_NUL_UNWRITABLE = sys.version_info < (3, 11)
+
+
+@functools.lru_cache(maxsize=4)  # the files of a run mostly share a row count
+def _line_ids(n: int) -> tuple[str, ...]:
+    """The `LineId` fields of n rows in order: ``"1"`` to ``str(n)``."""
+    return tuple(map(str, range(1, n + 1)))
+
+
+def _csv_fields(name: str, column: Sequence) -> list[str]:
+    """The header and fields of column `name` as ``csv.writer`` writes them in
+    rows of two or more fields.
 
     A field is ``str()`` of the value. It is quoted, with each ``"`` doubled,
     when it holds a comma, quote, CR or LF. The whole column is scanned at
-    once; only a column with a hit is checked field by field. Before Python
-    3.11, ``csv.writer`` refuses a NUL, and so does this.
+    once; only a column with a hit is checked field by field. Where
+    ``csv.writer`` refuses a NUL, a field holding one raises ValueError naming
+    the column and the line id.
     """
-    fields = list(map(str, column))
+    fields = [name, *map(str, column)]
     joined = "".join(fields)
-    if "\0" in joined and sys.version_info < (3, 11):
-        raise csv.Error("need to escape, but no escapechar set")
+    if _NUL_UNWRITABLE and "\0" in joined:
+        line = next(i for i, text in enumerate(fields) if "\0" in text)
+        raise ValueError(f"line {line} {name} contains a NUL, which csv cannot write")
     if _needs_quotes(joined):
         fields = [
             '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
@@ -204,23 +216,29 @@ def _csv_fields(column: Sequence) -> list[str]:
     return fields
 
 
-def write_csv_rows(path: str | Path, header: list[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows as UTF-8 CSV that :func:`read_columns` reads back.
+def write_columns(path: str | Path, columns: dict[str, Sequence]) -> None:
+    """Write one or more columns, after a `LineId` column numbering the rows
+    1..n, as UTF-8 CSV that :func:`read_columns` reads back.
 
-    The bytes are those ``csv.writer`` writes: fields as :func:`_csv_fields`
-    gives them, joined by commas, each row ending in CRLF. The header names
-    two or more columns (``csv.writer`` quotes the lone empty field of a
-    one-column row, which this does not). A row (counted from 1) whose length
-    is not the header's raises ValueError before the file is opened.
+    `columns` maps each column's name to its values, in order. The bytes are
+    those ``csv.writer`` writes: a header row of the names, then per row its
+    fields as :func:`_csv_fields` gives them, joined by commas, each row
+    ending in CRLF. Columns of different lengths, a `Content` value holding a
+    CR or LF, which the reader rejects, or a NUL where ``csv.writer`` refuses
+    one raise ValueError before the file is opened.
     """
-    rows = list(rows)
-    width = len(header)
-    assert width >= 2, "write_csv_rows writes two or more columns"
-    if not set(map(len, rows)) <= {width}:
-        i, row = next((i, row) for i, row in enumerate(rows, 1) if len(row) != width)
-        raise ValueError(f"row {i} has {len(row)} fields for {width} columns")
-    columns = [_csv_fields(column) for column in zip(header, *rows)]
-    text = "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+    lengths = {name: len(column) for name, column in columns.items()}
+    n = max(lengths.values())
+    if min(lengths.values()) != n:
+        raise ValueError(f"columns of different lengths: {lengths}")
+    broken = _line_break_at(columns.get("Content", ()))
+    if broken is not None:
+        raise ValueError(f"line {broken + 1} content contains a line break")
+    fields = [
+        _csv_fields(name, column)
+        for name, column in {"LineId": _line_ids(n), **columns}.items()
+    ]
+    text = "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
@@ -279,7 +297,7 @@ def read_columns(
         columns["EventTemplate"] = [canonical[text] for text in raw]
     if "LineId" in index:
         ids = fields[index["LineId"]]
-        if ids != tuple(map(str, range(1, len(ids) + 1))):
+        if ids != _line_ids(len(ids)):
             order = _line_id_order(path, row_nums, ids)
             columns = {col: [column[i] for i in order] for col, column in columns.items()}
     return columns, digest
@@ -346,14 +364,6 @@ def _line_break_at(texts: Sequence[str]) -> int | None:
     return None
 
 
-def check_contents(contents: Sequence[str]) -> None:
-    """Raise ValueError naming the line id of the first content holding a CR or
-    LF, which :func:`read_columns` rejects; writers call it before writing."""
-    broken = _line_break_at(contents)
-    if broken is not None:
-        raise ValueError(f"line {broken + 1} content contains a line break")
-
-
 def _line_id_order(path: Path, row_nums: Sequence[int], ids: Sequence[str]) -> list[int]:
     """Row positions in `LineId` order; the ids must be 1..n, each once.
 
@@ -413,17 +423,17 @@ def load_raw(path: str | Path, name: str | None = None) -> Dataset:
 def write_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset in the structured format; round-trips exactly.
 
-    A `Source` column is emitted only when some line's source differs from
-    the dataset name (as after mixing). A content holding a line break
-    raises ValueError naming its line id before the file is opened.
+    A `Source` column is written only when some line's source differs from
+    the file's stem, the name :func:`load_structured` gives the dataset it
+    reads back (as after mixing, or when the file is named otherwise).
     """
-    check_contents(ds.contents())
-    header = ["LineId", "Content", "EventTemplate"]
-    columns = [ds.contents(), [template or "" for template in ds.ground_truths]]
-    if ds.sources.count(ds.name) != len(ds):
-        header.append("Source")
-        columns.append(ds.sources)
-    write_csv_rows(path, header, zip(count(1), *columns))
+    columns = {
+        "Content": ds.contents(),
+        "EventTemplate": [template or "" for template in ds.ground_truths],
+    }
+    if ds.sources.count(Path(path).stem) != len(ds):
+        columns["Source"] = ds.sources
+    write_columns(path, columns)
 
 
 @functools.lru_cache(maxsize=None)

@@ -69,14 +69,17 @@ def mix(
     Frequency is counted over `parsed` when that is given (one template per
     line), so lines a parser lumped under one template are the frequent
     entries and no ground truth is needed; over the ground truth otherwise.
-    Replaced rows adopt the pool entry's content, ground truth, and source;
+    Replaced rows adopt the pooled line's content, ground truth, and source;
     everything else is untouched and the output has the input's size.
     """
     labels = ds.templates(parsed)
     k = replacement_count(cfg.strength, len(ds))
     if k == 0:
         return ds
-    candidates = pool.excluding(ds.name) if cfg.exclude_source else pool.entries
+    lines = pool.lines
+    candidates: Sequence[int] = range(len(lines))
+    if cfg.exclude_source:
+        candidates = [i for i, source in enumerate(lines.sources) if source != ds.name]
     if not candidates:
         raise EmptyPoolError(
             f"outlier pool is empty after excluding source {ds.name!r}"
@@ -85,8 +88,8 @@ def mix(
     picks = generator(cfg.seed).integers(0, len(candidates), size=k)
     contents, truths, sources = map(list, (ds.contents(), ds.ground_truths, ds.sources))
     for pos, pick in zip(targets, picks):
-        entry = candidates[pick]
-        contents[pos], truths[pos], sources[pos] = (
-            entry.content, entry.ground_truth, entry.source
-        )
+        row = candidates[pick]
+        contents[pos] = lines.contents()[row]
+        truths[pos] = lines.ground_truths[row]
+        sources[pos] = lines.sources[row]
     return Dataset(ds.name, contents, truths, sources)

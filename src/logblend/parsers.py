@@ -31,7 +31,7 @@ from operator import eq
 from pathlib import Path
 from typing import ClassVar, get_args
 
-from .corpus import WILDCARD, Dataset, read_columns, write_csv_rows
+from .corpus import WILDCARD, Dataset, read_columns, write_columns
 from .errors import EmptyDatasetError, ShapeError
 from .metrics import ParseResult
 
@@ -222,7 +222,7 @@ def parse(ds: Dataset, cfg: ParserConfig) -> ParseResult:
 
 def write_parse_result(result: ParseResult, path: str | Path) -> None:
     """Write the two-column integration format: LineId,EventTemplate."""
-    write_csv_rows(path, ["LineId", "EventTemplate"], enumerate(result, start=1))
+    write_columns(path, {"EventTemplate": result})
 
 
 def read_parse_result(path: str | Path, expected_len: int | None = None) -> ParseResult:

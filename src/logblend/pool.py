@@ -3,7 +3,8 @@
 Both pools are built once from a set of labeled datasets and then frozen to
 disk, so repeated benchmark runs draw from identical material. The outlier
 pool holds rare lines (lowest ground-truth template frequency first) used to
-replace frequent entries during mixing; the variable pool holds every
+replace frequent entries during mixing, as a :class:`~logblend.corpus.Dataset`
+saved in the CSV format with a `Source` column; the variable pool holds every
 distinct variable value observed, used to refill wildcard slots during
 fuzzing.
 """
@@ -16,53 +17,39 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
-from .corpus import (
-    Dataset,
-    check_contents,
-    extract_variables,
-    read_columns,
-    read_lines,
-    write_csv_rows,
-)
+from .corpus import Dataset, extract_variables, read_columns, read_lines, write_columns
 from .errors import AlignmentError, DataFormatError
 
-
-@dataclass(frozen=True)
-class PoolEntry:
-    content: str
-    ground_truth: str
-    source: str
+#: The name of an outlier pool's lines, built or loaded.
+OUTLIER_POOL_NAME = "outlier_pool"
+#: The columns of a saved outlier pool after its `LineId`.
+_COLUMNS = ("Content", "EventTemplate", "Source")
 
 
 @dataclass(frozen=True)
 class OutlierPool:
-    """Rare log lines pooled across datasets, deduplicated by content."""
+    """Rare log lines pooled across datasets, deduplicated by content.
 
-    entries: tuple[PoolEntry, ...] = ()
+    Row i of `lines` holds a pooled line's content, its template and the
+    source it was taken from.
+    """
+
+    lines: Dataset
     #: sha256 of the file the pool was loaded from; None for a built pool.
     sha256: str | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def excluding(self, source: str) -> list[PoolEntry]:
-        return [e for e in self.entries if e.source != source]
+        return len(self.lines)
 
     def save(self, path: str | Path) -> None:
-        """Write the pool. An entry :meth:`load` would reject (a line break in its
+        """Write the pool. A line :meth:`load` would reject (a line break in its
         content, an empty template) raises ValueError before the file is opened."""
-        check_contents([e.content for e in self.entries])
-        for i, e in enumerate(self.entries, start=1):
-            if not e.ground_truth.strip(" "):
-                raise ValueError(f"outlier pool entry {i} {e.content!r} has an empty template")
-        rows = (
-            (i, e.content, e.ground_truth, e.source)
-            for i, e in enumerate(self.entries, start=1)
-        )
-        write_csv_rows(path, ["LineId", "Content", "EventTemplate", "Source"], rows)
+        lines = self.lines
+        for i, (content, template) in enumerate(zip(lines.contents(), lines.ground_truths), 1):
+            if not (template or "").strip(" "):
+                raise ValueError(f"outlier pool entry {i} {content!r} has an empty template")
+        columns = lines.contents(), lines.ground_truths, lines.sources
+        write_columns(path, dict(zip(_COLUMNS, columns)))
 
     @classmethod
     def load(cls, path: str | Path) -> "OutlierPool":
@@ -71,12 +58,11 @@ class OutlierPool:
         Every pooled line is labeled: an empty `EventTemplate` raises
         DataFormatError naming the file and the `LineId`.
         """
-        names = ("Content", "EventTemplate", "Source")
-        columns, digest = read_columns(path, ("LineId", *names))
+        columns, digest = read_columns(path, ("LineId", *_COLUMNS))
         if "" in columns["EventTemplate"]:
             line_id = columns["EventTemplate"].index("") + 1
             raise DataFormatError(f"{path}: LineId {line_id} has an empty EventTemplate")
-        return cls(entries=map(PoolEntry, *map(columns.get, names)), sha256=digest)
+        return cls(Dataset(OUTLIER_POOL_NAME, *map(columns.get, _COLUMNS)), sha256=digest)
 
 
 @dataclass(frozen=True)
@@ -165,18 +151,17 @@ def build_outlier_pool(
     """
     if not 0.0 < outlier_fraction <= 1.0:
         raise ValueError(f"outlier_fraction must be in (0, 1], got {outlier_fraction}")
-    seen: set[str] = set()
-    entries: list[PoolEntry] = []
+    picked: dict[str, tuple[str, str]] = {}  # content: (template, source)
     for ds in datasets:
         freq = Counter(ds.labels())  # raises LabelingError when unlabeled
         take = math.ceil(round(outlier_fraction * len(ds), 9))
         rows = zip(ds.contents(), ds.ground_truths, ds.sources)
         # A stable sort, so rows of equal frequency keep their order.
         for content, truth, source in sorted(rows, key=lambda row: freq[row[1]])[:take]:
-            if content not in seen:
-                seen.add(content)
-                entries.append(PoolEntry(content, truth, source))
-    return OutlierPool(entries=entries)
+            picked.setdefault(content, (truth, source))
+    truths = [truth for truth, _ in picked.values()]
+    sources = [source for _, source in picked.values()]
+    return OutlierPool(Dataset(OUTLIER_POOL_NAME, picked, truths, sources))
 
 
 def build_variable_pool(datasets: list[Dataset]) -> VariablePool:

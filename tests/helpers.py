@@ -28,7 +28,13 @@ from logblend.errors import AlignmentError
 from logblend.fuzzing import FuzzResult
 from logblend.heterogeneity import ProxyStats
 from logblend.parsers import TreeParserConfig
-from logblend.pool import OutlierPool, VariablePool, build_outlier_pool, build_variable_pool
+from logblend.pool import (
+    OUTLIER_POOL_NAME,
+    OutlierPool,
+    VariablePool,
+    build_outlier_pool,
+    build_variable_pool,
+)
 
 
 def fill_template(template: str, variables: list[str]) -> str:
@@ -324,6 +330,19 @@ def standard_pools(n: int = 2000) -> tuple[OutlierPool, VariablePool]:
         build_outlier_pool(datasets, outlier_fraction=0.05),
         build_variable_pool(datasets),
     )
+
+
+def outlier_pool(rows) -> OutlierPool:
+    """An outlier pool of (content, template, source) rows, in order."""
+    rows = list(rows)
+    columns = zip(*rows) if rows else ((), (), ())
+    return OutlierPool(Dataset(OUTLIER_POOL_NAME, *columns))
+
+
+def pool_rows(pool: OutlierPool) -> tuple[tuple[str, str, str], ...]:
+    """An outlier pool's (content, template, source) rows, in order."""
+    lines = pool.lines
+    return tuple(zip(lines.contents(), lines.ground_truths, lines.sources))
 
 
 def assert_well_formed(ds: Dataset) -> None:

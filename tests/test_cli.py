@@ -8,7 +8,8 @@ from dataclasses import fields
 
 import pytest
 
-from logblend.cli import _PARSER_FLAGS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from logblend import corpus
+from logblend.cli import _PARSER_FLAGS, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from logblend.corpus import Dataset, load_structured, write_dataset
 from logblend.fuzzing import FuzzConfig, fuzz
 from logblend.heterogeneity import INDUSTRY_REFERENCE, ProxyStats, h_score, proxy_stats
@@ -165,6 +166,21 @@ def test_fuzz_writes_labeled_dataset(cli_workspace, tmp_path):
     fuzzed = load_structured(out)
     assert len(fuzzed) == 2000
     assert None not in fuzzed.ground_truths
+    # Written under another name, the lines keep the source they came from.
+    assert fuzzed.sources == ("apacheish",) * 2000
+
+
+def test_fuzz_output_that_csv_cannot_write_is_a_named_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(corpus, "_NUL_UNWRITABLE", True)  # as before Python 3.11
+    source = tmp_path / "one.csv"
+    source.write_text("LineId,Content,EventTemplate\n1,open 1,open <*>\n", encoding="utf-8")
+    vpool = tmp_path / "variable_pool.tsv"
+    vpool.write_text("a\0b\tother\n", encoding="utf-8")
+    out = tmp_path / "fuzzed.csv"
+    argv = ["fuzz", "--in", str(source), "--vpool", str(vpool), "--seed", "0", "--out", str(out)]
+    assert main(argv) != EXIT_INTERNAL
+    assert "error: line 1 Content contains a NUL" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fuzz_counts_skipped_records_on_stderr(cli_workspace, tmp_path, capsys):

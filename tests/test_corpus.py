@@ -17,7 +17,6 @@ from logblend.corpus import (
     extract_variables,
     load_raw,
     load_structured,
-    write_csv_rows,
     write_dataset,
 )
 from logblend.errors import AlignmentError, DataFormatError, LabelingError, ShapeError
@@ -92,8 +91,8 @@ def test_each_whitespace_row_loads_matches_and_is_refilled(w, tmp_path):
         # reader rejects a file that holds one.
         with pytest.raises(ValueError, match="^line 1 content"):
             write_dataset(ds, path)
-        header = ["LineId", "Content", "EventTemplate"]
-        write_csv_rows(path, header, [(1, f"open{w}f1 done", template)])
+        row = f'1,"open{w}f1 done","{template}"'  # as csv.writer quotes them
+        path.write_text(f"LineId,Content,EventTemplate\r\n{row}\r\n", "utf-8", newline="")
         with pytest.raises(DataFormatError, match="row 2"):
             load_structured(path)
         return
@@ -175,9 +174,9 @@ def test_readers_canonicalize_each_distinct_template_once(tmp_path, monkeypatch)
     assert list(ds.labels()[:4]) == canonical
 
     calls.clear()
-    entries = OutlierPool.load(pool_file).entries
+    templates = OutlierPool.load(pool_file).lines.ground_truths
     assert sorted(calls) == sorted(raw)
-    assert [e.ground_truth for e in entries[:4]] == canonical
+    assert list(templates[:4]) == canonical
 
     calls.clear()
     templates = parsers.read_parse_result(parsed)
@@ -513,7 +512,7 @@ def test_alignment_totality_on_synthetic_corpus():
 
 def _ranked(ds: Dataset) -> list[str]:
     """The contents `build_outlier_pool` takes from `ds` at fraction 1.0, in order."""
-    return [e.content for e in build_outlier_pool([ds], outlier_fraction=1.0).entries]
+    return list(build_outlier_pool([ds], outlier_fraction=1.0).lines.contents())
 
 
 def test_frequency_map_counts():

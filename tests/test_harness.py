@@ -33,7 +33,14 @@ from logblend.parsers import (
 )
 from logblend.pool import OutlierPool, VariablePool, build_outlier_pool
 
-from helpers import apacheish, assert_well_formed, source_datasets, standard_pools
+from helpers import (
+    apacheish,
+    assert_well_formed,
+    outlier_pool,
+    pool_rows,
+    source_datasets,
+    standard_pools,
+)
 
 
 @pytest.fixture(scope="module")
@@ -297,11 +304,11 @@ def test_built_plan_pools_and_digests_cannot_be_changed(workspace):
     synthesis = plan_from_dict(doc, base_dir=workspace).synthesis
     opool, vpool = synthesis.outlier_pool, synthesis.variable_pool
     with pytest.raises(FrozenInstanceError):
-        opool.entries = opool.entries[::2]
+        opool.lines = opool.lines
     with pytest.raises(FrozenInstanceError):
         vpool.values = vpool.values[::-1]
     with pytest.raises(TypeError):
-        del opool.entries[::2]
+        del opool.lines.sources[::2]
     with pytest.raises(AttributeError):
         vpool.values.reverse()
     with pytest.raises(TypeError):
@@ -509,7 +516,7 @@ def test_pool_digests_are_of_the_files_the_plan_loaded(workspace, tmp_path):
     }
     plan = plan_from_dict(doc, base_dir=tmp_path)
     # Regenerated after the plan was read; the runs still use the loaded pools.
-    OutlierPool(entries=[]).save(opool_path)
+    outlier_pool([]).save(opool_path)
     VariablePool(sources={"x": ("a",)}).save(vpool_path)
     report = run_experiment(plan)
     assert report.plan_summary["synthesis"]["pool_digests"] == loaded
@@ -579,12 +586,12 @@ def test_pool_digests_follow_a_pool_swapped_into_the_plan(workspace, tmp_path):
     loaded = digests(plan.synthesis)
     assert set(loaded) == {"outlier_pool", "variable_pool"}
     # A built pool was read from no file, so its digest is gone.
-    built = OutlierPool(entries=plan.synthesis.outlier_pool.entries)
+    built = OutlierPool(plan.synthesis.outlier_pool.lines)
     swapped = replace(plan.synthesis, outlier_pool=built)
     assert digests(swapped) == {"variable_pool": loaded["variable_pool"]}
     # Another loaded pool brings the sha256 of its own file.
     other = tmp_path / "other_pool.csv"
-    OutlierPool(entries=plan.synthesis.outlier_pool.entries[::2]).save(other)
+    outlier_pool(pool_rows(plan.synthesis.outlier_pool)[::2]).save(other)
     swapped = replace(plan.synthesis, outlier_pool=OutlierPool.load(other))
     other_digest = hashlib.sha256(other.read_bytes()).hexdigest()
     assert other_digest != loaded["outlier_pool"]

@@ -12,17 +12,15 @@ from logblend.mixing import (
     replacement_count,
     replacement_targets,
 )
-from logblend.pool import OutlierPool, PoolEntry
+from logblend.pool import OutlierPool
 
-from helpers import apacheish, assert_well_formed, standard_pools
+from helpers import apacheish, assert_well_formed, outlier_pool, pool_rows, standard_pools
 
 
 def _pool(n: int = 10, source: str = "elsewhere") -> OutlierPool:
-    return OutlierPool(
-        entries=[
-            PoolEntry(f"pooled line {i} from {source}", f"pooled line <*> from {source}", source)
-            for i in range(n)
-        ]
+    return outlier_pool(
+        (f"pooled line {i} from {source}", f"pooled line <*> from {source}", source)
+        for i in range(n)
     )
 
 
@@ -93,7 +91,7 @@ def test_replaced_records_adopt_pool_entry_fields():
     ds = _uniform_ds("u", 20)
     pool = _pool(4)
     mixed = mix(ds, pool, MixConfig(strength=1.0, seed=2))
-    pool_contents = {e.content for e in pool.entries}
+    pool_contents = set(pool.lines.contents())
     replaced = [i for i, c in enumerate(mixed.contents()) if c in pool_contents]
     assert len(replaced) == 5  # floor(0.25 * 20)
     for i in replaced:
@@ -115,13 +113,13 @@ def test_source_exclusion():
         if source != ds.name:
             assert source != "apacheish"
     # with exclusion off, own-source entries can come back
-    own = {e.content for e in opool.entries if e.source == ds.name}
+    own = {content for content, _, source in pool_rows(opool) if source == ds.name}
     assert own, "pool should contain own-source entries for this check"
 
 
 def test_empty_pool_after_exclusion():
     ds = _uniform_ds("solo", 10)
-    pool = OutlierPool(entries=[PoolEntry("x", "x", "solo")])
+    pool = outlier_pool([("x", "x", "solo")])
     with pytest.raises(EmptyPoolError):
         mix(ds, pool, MixConfig(strength=0.5, seed=0))
 

@@ -13,13 +13,12 @@ from logblend.corpus import Dataset
 from logblend.errors import DataFormatError, LabelingError
 from logblend.pool import (
     OutlierPool,
-    PoolEntry,
     VariablePool,
     build_outlier_pool,
     build_variable_pool,
 )
 
-from helpers import source_datasets, standard_pools
+from helpers import outlier_pool, pool_rows, source_datasets, standard_pools
 
 
 def _labeled(name: str, rows: list[tuple[str, str]]) -> Dataset:
@@ -41,7 +40,7 @@ def test_outlier_pool_hand_ranked():
     ]
     ds = _labeled("h", rows)
     pool = build_outlier_pool([ds], outlier_fraction=0.05)
-    contents = [e.content for e in pool.entries]
+    contents = list(pool.lines.contents())
     assert len(contents) == 5
     assert set(contents[:4]) == {"rare alpha", "rare beta", "rare gamma", "rare delta"}
     assert contents[4] == "common event 0"
@@ -52,7 +51,7 @@ def test_outlier_pool_all_unique_templates_is_positional():
     ds = _labeled("u", rows)
     pool = build_outlier_pool([ds], outlier_fraction=0.05)
     # ceil(0.05 * 20) = 1; no frequency signal, earliest line wins
-    assert [e.content for e in pool.entries] == ["line a"]
+    assert list(pool.lines.contents()) == ["line a"]
 
 
 def test_outlier_pool_exact_ceiling_count():
@@ -65,9 +64,9 @@ def test_outlier_pool_dedups_by_content_keeping_first_source():
     a = _labeled("a", [("shared line", "shared line"), ("a only", "a only")])
     b = _labeled("b", [("shared line", "shared line"), ("b only", "b only")])
     pool = build_outlier_pool([a, b], outlier_fraction=1.0)
-    by_content = {e.content: e for e in pool.entries}
+    by_content = {content: source for content, _, source in pool_rows(pool)}
     assert len(pool) == 3
-    assert by_content["shared line"].source == "a"
+    assert by_content["shared line"] == "a"
 
 
 def test_outlier_pool_grows_with_fraction():
@@ -96,8 +95,8 @@ def test_outlier_pool_rejects_bad_fraction():
 def test_outlier_pool_entries_traceable_to_sources():
     pool, _ = standard_pools()
     datasets = {ds.name: set(ds.contents()) for ds in source_datasets()}
-    for entry in pool.entries:
-        assert entry.content in datasets[entry.source]
+    for content, _, source in pool_rows(pool):
+        assert content in datasets[source]
 
 
 def test_outlier_pool_file_round_trip(tmp_path):
@@ -105,7 +104,7 @@ def test_outlier_pool_file_round_trip(tmp_path):
     p = tmp_path / "outliers.csv"
     pool.save(p)
     again = OutlierPool.load(p)
-    assert again.entries == pool.entries
+    assert again.lines == pool.lines
 
 
 def test_outlier_pool_load_canonicalizes_templates(tmp_path):
@@ -113,7 +112,7 @@ def test_outlier_pool_load_canonicalizes_templates(tmp_path):
     p.write_text(
         "LineId,Content,EventTemplate,Source\n1,x 1,x   <*> ,a\n", encoding="utf-8"
     )
-    assert OutlierPool.load(p).entries == (PoolEntry("x 1", "x <*>", "a"),)
+    assert pool_rows(OutlierPool.load(p)) == (("x 1", "x <*>", "a"),)
 
 
 @pytest.mark.parametrize(
@@ -140,17 +139,17 @@ def test_outlier_pool_load_names_malformed_row(tmp_path, rows, match):
 
 @pytest.mark.parametrize("template", ["", "  "], ids=["empty", "spaces"])
 def test_outlier_pool_save_rejects_an_empty_template_and_writes_nothing(tmp_path, template):
-    entries = [PoolEntry("x 1", "x <*>", "a"), PoolEntry("y 2", template, "b")]
+    entries = [("x 1", "x <*>", "a"), ("y 2", template, "b")]
     p = tmp_path / "outliers.csv"
     with pytest.raises(ValueError, match="^outlier pool entry 2 'y 2' has an empty template"):
-        OutlierPool(entries).save(p)
+        outlier_pool(entries).save(p)
     assert not p.exists()
 
 
 def test_outlier_pool_load_needs_the_four_columns_in_any_order(tmp_path):
     p = tmp_path / "outliers.csv"
     p.write_text("Source,EventTemplate,LineId,Content\na,x <*>,1,x 1\n", encoding="utf-8")
-    assert OutlierPool.load(p).entries == (PoolEntry("x 1", "x <*>", "a"),)
+    assert pool_rows(OutlierPool.load(p)) == (("x 1", "x <*>", "a"),)
     p.write_text("LineId,Content,EventTemplate\n1,x 1,x <*>\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="missing column 'Source'"):
         OutlierPool.load(p)
