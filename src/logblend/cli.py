@@ -214,6 +214,15 @@ def _cmd_pool_build(args) -> None:
     )
 
 
+def _write(writer, data, path: str) -> None:
+    """`writer(data, path)`, with a ValueError for what the data holds (a line
+    break or NUL it cannot write) raised as a DataFormatError naming `path`."""
+    try:
+        writer(data, path)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def _read_parsed(path: str | None, ds: Dataset) -> list[str] | None:
     """The templates of a --parsed file, one per record of `ds`; None without one."""
     if path is None:
@@ -230,14 +239,15 @@ def _cmd_mix(args) -> None:
         seed=args.seed,
         exclude_source=not args.include_own_source,
     )
-    write_dataset(mix(ds, pool, cfg, _read_parsed(args.parsed, ds)), args.out)
+    mixed = mix(ds, pool, cfg, _read_parsed(args.parsed, ds))
+    _write(write_dataset, mixed, args.out)
 
 
 def _cmd_fuzz(args) -> None:
     ds = load_structured(args.input)
     vpool = VariablePool.load(args.vpool)
     result = fuzz(ds, vpool, FuzzConfig(seed=args.seed), _read_parsed(args.parsed, ds))
-    write_dataset(result.dataset, args.out)
+    _write(write_dataset, result.dataset, args.out)
     if result.skipped_line_ids:
         print(
             f"skipped {len(result.skipped_line_ids)} unalignable records",
@@ -248,13 +258,13 @@ def _cmd_fuzz(args) -> None:
 def _cmd_parse(args) -> None:
     ds = _load(args.input, args.raw)
     result = parse(ds, _parser_config(args))
-    write_parse_result(result, args.out)
+    _write(write_parse_result, result, args.out)
 
 
 def _cmd_combine(args) -> None:
     datasets = [load_structured(p) for p in args.datasets]
     combined = build_combined_dataset(datasets, size=args.size, seed=args.seed)
-    write_dataset(combined, args.out)
+    _write(write_dataset, combined, args.out)
 
 
 def _cmd_evaluate(args) -> None:

@@ -6,12 +6,20 @@ exist), replaced with values sampled uniformly from the variable pool, and
 substituted back. The output dataset is labeled with the templates that were
 used, so it stays evaluable. A line's picks depend only on the seed and its
 row position, so they do not change with the rows around it.
+
+The lines are aligned a template at a time. The picks of all refilled lines
+come as one matrix, and the lines with the same number of slots are rebuilt
+together, a slot at a time, by adding numpy object arrays of strings.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from ._rng import record_picks
 from .corpus import WILDCARD, Dataset, _pattern
@@ -51,34 +59,44 @@ def fuzz(
         raise EmptyPoolError("variable pool is empty")
     templates = ds.templates(parsed)
 
-    values = vpool.values
-    # Per distinct template: the text before its first wildcard, the piece
-    # after each wildcard, and its matcher.
-    shapes: dict[str, tuple[str, list[str], Callable]] = {}
-    contents = list(ds.contents())
+    rows_of: dict[str, list[int]] = defaultdict(list)
+    for i, template in enumerate(templates):
+        rows_of[template].append(i)
+    contents = ds.contents()
     truths = list(ds.ground_truths)
     skipped: list[int] = []
-    refill: list[int] = []  # positions of the lines whose slots are refilled
-    slots: list[int] = []
-    for i, (content, template) in enumerate(zip(contents, templates)):
-        shape = shapes.get(template)
-        if shape is None:
-            head, *rest = template.split(WILDCARD)
-            shape = shapes[template] = (head, rest, _pattern(template).fullmatch)
-        _, rest, fullmatch = shape
-        if not rest:
+    # Per slot count, the positions of the lines refilled and their template
+    # pieces around the wildcards.
+    groups: dict[int, tuple[list[int], list[tuple[str, ...]]]] = {}
+    for template, rows in rows_of.items():
+        pieces = tuple(template.split(WILDCARD))
+        if len(pieces) > 1:
+            fullmatch = _pattern(template).fullmatch
+            aligned = [fullmatch(contents[i]) is not None for i in rows]
+            if not all(aligned):
+                skipped += (i + 1 for i, ok in zip(rows, aligned) if not ok)
+                rows = list(compress(rows, aligned))
+            if rows:
+                group_rows, group_pieces = groups.setdefault(len(pieces) - 1, ([], []))
+                group_rows += rows
+                group_pieces += [pieces] * len(rows)
+        for i in rows:
             truths[i] = template or None
-        elif fullmatch(content):
-            refill.append(i)
-            slots.append(len(rest))
-        else:
-            skipped.append(i + 1)
-    picks = record_picks(cfg.seed, [i + 1 for i in refill], len(values), slots)
-    for i, chosen in zip(refill, picks):
-        template = templates[i]
-        content, rest, _ = shapes[template]
-        for j, piece in zip(chosen, rest):
-            content += values[j] + piece
-        contents[i] = content
-        truths[i] = template
-    return FuzzResult(Dataset(ds.name, contents, truths, ds.sources), skipped)
+    skipped.sort()
+
+    # One pick matrix for all refilled lines, a group's rows after another's;
+    # then each group's lines are built a slot at a time, all rows at once.
+    line_ids = [i + 1 for rows, _ in groups.values() for i in rows]
+    picks = record_picks(cfg.seed, line_ids, len(vpool.values), max(groups, default=0))
+    values = np.array(vpool.values, dtype=object)
+    out = np.array(contents, dtype=object)
+    start = 0
+    for slots, (rows, row_pieces) in groups.items():
+        parts = np.array(row_pieces, dtype=object)
+        chosen = values[picks[start : start + len(rows)]]
+        start += len(rows)
+        text = parts[:, 0]
+        for j in range(slots):
+            text = text + chosen[:, j] + parts[:, j + 1]
+        out[rows] = text
+    return FuzzResult(Dataset(ds.name, out.tolist(), truths, ds.sources), skipped)

@@ -71,21 +71,36 @@ class HeterogeneityScore:
         }
 
 
+#: The 29 code points ``str.split()`` splits on, the characters no word holds.
+WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
 def proxy_stats(ds: Dataset) -> ProxyStats:
     """Count unique words, characters, and line lengths over all contents.
 
     A word is a maximal run of non-whitespace characters; characters include
     spaces (contents carry no line terminators); line length is the
     code-point count of the content.
+
+    Every character that is not whitespace belongs to a word, so the unique
+    characters are those of the distinct words plus each whitespace character
+    found in the contents; the words are split from one space-joined text.
     """
     if not len(ds):
         raise EmptyDatasetError(f"dataset {ds.name!r} is empty")
     contents = ds.contents()
-    # The joining space ends a word, so no two contents' words merge.
-    words = set(" ".join(contents).split())
-    chars = set("".join(contents))
+    # The joining space ends a word, so no two contents' words merge. It adds
+    # len(contents) - 1 spaces, so a space counts only beyond those.
+    text = " ".join(contents)
+    words = set(text.split())
+    nuc = len(set("".join(words)))
+    nuc += sum(c in text for c in WHITESPACE if c != " ")
+    nuc += text.count(" ") >= len(contents)
     lengths = set(map(len, contents))
-    return ProxyStats(nuw=len(words), nuc=len(chars), nuldl=len(lengths))
+    return ProxyStats(nuw=len(words), nuc=nuc, nuldl=len(lengths))
 
 
 def h_score(stats: ProxyStats, ref: ProxyStats = INDUSTRY_REFERENCE) -> HeterogeneityScore:

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from logblend._rng import record_picks
 from logblend.corpus import (
     WILDCARD,
     Dataset,
@@ -375,36 +374,6 @@ def unlabeled(ds: Dataset) -> Dataset:
     return Dataset(ds.name, ds.contents(), [None] * len(ds), ds.sources)
 
 
-def numpy_loop_fuzz(ds, vpool, seed, templates):
-    """Fuzzing with one numpy generator per record, the reference for `fuzz`.
-
-    Returns (contents, ground truths, skipped line ids).
-    """
-    values = vpool.values
-    contents, truths, skipped = [], [], []
-    rows = zip(ds.contents(), ds.ground_truths, templates)
-    for line_id, (content, truth, template) in enumerate(rows, start=1):
-        slots = template.count(WILDCARD)
-        if slots == 0:
-            contents.append(content)
-            truths.append(template or None)
-            continue
-        try:
-            extract_variables(content, template)
-        except AlignmentError:
-            skipped.append(line_id)
-            contents.append(content)
-            truths.append(truth)
-            continue
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(line_id,))
-        )
-        picks = rng.integers(0, len(values), size=slots)
-        contents.append(fill_template(template, [values[i] for i in picks]))
-        truths.append(template)
-    return contents, truths, skipped
-
-
 # Per-record reference implementations: the straightforward loops that the
 # tree parser, the column-wise token-frequency parser, `proxy_stats` and
 # `fuzz` must equal.
@@ -529,16 +498,15 @@ def reference_proxy_stats(ds: Dataset) -> ProxyStats:
 
 
 def reference_fuzz(ds, vpool, seed, parsed=None) -> FuzzResult:
-    """Fuzzing that splits and matches each record's template afresh."""
+    """Fuzzing that splits and matches each record's template afresh, drawing
+    each refilled record's picks from its own numpy generator."""
     templates = ds.templates(parsed)
     values = vpool.values
     contents: list[str] = []
     truths: list[str | None] = []
     skipped: list[int] = []
-    refill: list[int] = []
-    slots: list[int] = []
     rows = zip(ds.contents(), ds.ground_truths, templates)
-    for i, (content, truth, template) in enumerate(rows):
+    for line_id, (content, truth, template) in enumerate(rows, start=1):
         count = template.count(WILDCARD)
         if count == 0:
             truth = template or None
@@ -546,16 +514,16 @@ def reference_fuzz(ds, vpool, seed, parsed=None) -> FuzzResult:
             try:
                 extract_variables(content, template)
             except AlignmentError:
-                skipped.append(i + 1)
+                skipped.append(line_id)
             else:
-                refill.append(i)
-                slots.append(count)
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed & (2**64 - 1), spawn_key=(line_id,))
+                )
+                chosen = rng.integers(0, len(values), size=count)
+                content = fill_template(template, [values[j] for j in chosen])
+                truth = template
         contents.append(content)
         truths.append(truth)
-    picks = record_picks(seed, [i + 1 for i in refill], len(values), slots)
-    for i, chosen in zip(refill, picks):
-        contents[i] = fill_template(templates[i], [values[j] for j in chosen])
-        truths[i] = templates[i]
     return FuzzResult(Dataset(ds.name, contents, truths, ds.sources), skipped)
 
 

@@ -178,8 +178,27 @@ def test_fuzz_output_that_csv_cannot_write_is_a_named_error(tmp_path, capsys, mo
     vpool.write_text("a\0b\tother\n", encoding="utf-8")
     out = tmp_path / "fuzzed.csv"
     argv = ["fuzz", "--in", str(source), "--vpool", str(vpool), "--seed", "0", "--out", str(out)]
-    assert main(argv) != EXIT_INTERNAL
-    assert "error: line 1 Content contains a NUL" in capsys.readouterr().err
+    assert main(argv) == EXIT_DATA
+    assert f"error: {out}: line 1 Content contains a NUL" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mix_output_that_csv_cannot_write_is_a_named_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(corpus, "_NUL_UNWRITABLE", True)  # as before Python 3.11
+    source = tmp_path / "one.csv"
+    # Strength 1.0 replaces a quarter of the lines: one of these four.
+    rows = "".join(f"{i},open {i},open <*>\n" for i in range(1, 5))
+    source.write_text("LineId,Content,EventTemplate\n" + rows, encoding="utf-8")
+    pool = tmp_path / "outlier_pool.csv"
+    pool.write_text(
+        "LineId,Content,EventTemplate,Source\n1,shut a\0b,shut <*>,other\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "mixed.csv"
+    argv = ["mix", "--in", str(source), "--pool", str(pool), "--strength", "1.0",
+            "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    assert f"error: {out}: line 1 Content contains a NUL" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from logblend.errors import (
 )
 from logblend.heterogeneity import (
     INDUSTRY_REFERENCE,
+    WHITESPACE,
     ProxyStats,
     h_score,
     metric_variability,
@@ -75,20 +77,45 @@ def test_proxy_stats_permutation_invariant():
     assert proxy_stats(ds) == proxy_stats(reversed_ds)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.text(alphabet=" \xa0\t\x1c\u2028\u3000ab<*>\u00e9", max_size=12),
-            st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
-        ),
-        min_size=1,
-        max_size=20,
-    )
+def test_whitespace_is_what_str_split_splits_on():
+    every = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert set(WHITESPACE) == every and len(WHITESPACE) == len(every) == 29
+
+
+_ALPHABET = WHITESPACE + "ab<*>\u00e9"
+#: Contents drawn mostly from whitespace and a few letters, or from any text.
+_CONTENT = st.one_of(
+    st.text(alphabet=_ALPHABET, max_size=12),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CONTENT, min_size=1, max_size=20))
 def test_proxy_stats_equals_per_record_reference(contents):
     ds = _ds(contents)
     assert proxy_stats(ds) == reference_proxy_stats(ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONTENT)
+def test_proxy_stats_of_one_line_equals_per_record_reference(content):
+    ds = _ds([content])
+    assert proxy_stats(ds) == reference_proxy_stats(ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CONTENT.map(lambda c: c.replace(" ", "")), min_size=1, max_size=20))
+def test_proxy_stats_without_spaces_count_no_joining_space(contents):
+    ds = _ds(contents)
+    assert proxy_stats(ds) == reference_proxy_stats(ds)
+
+
+def test_proxy_stats_counts_a_space_only_where_a_content_holds_one():
+    assert proxy_stats(_ds(["ab", "c\td"])).nuc == 5
+    assert proxy_stats(_ds(["ab", "c d"])).nuc == 5
+    assert proxy_stats(_ds(["", "", ""])) == ProxyStats(0, 0, 1)
+    assert proxy_stats(_ds([" "])) == ProxyStats(0, 1, 1)
 
 
 def test_proxy_stats_monotone_under_added_record():

@@ -1,4 +1,8 @@
-"""Batched per-record picks against numpy's per-record generator."""
+"""Batched per-record picks against numpy's per-record generator.
+
+Every test here runs with warnings as errors, so an overflow RuntimeWarning
+from the uint64 lane arithmetic fails it.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,8 @@ from logblend._rng import record_picks
 
 MASK64 = 2**64 - 1
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def numpy_picks(seed: int, line_id: int, n: int, k: int) -> list[int]:
     """The oracle: one numpy generator per (seed, line id)."""
@@ -18,6 +24,13 @@ def numpy_picks(seed: int, line_id: int, n: int, k: int) -> list[int]:
         np.random.SeedSequence(entropy=seed & MASK64, spawn_key=(line_id,))
     )
     return rng.integers(0, n, size=k).tolist()
+
+
+def ragged_picks(seed: int, ids: list[int], n: int, counts: list[int]) -> list[list[int]]:
+    """Per line, the first `counts[i]` picks of its row of `record_picks`."""
+    matrix = record_picks(seed, ids, n, max(counts, default=0))
+    assert matrix.dtype == np.uint64 and matrix.shape == (len(ids), max(counts, default=0))
+    return [row[:k] for row, k in zip(matrix.tolist(), counts)]
 
 
 seeds = st.one_of(
@@ -45,7 +58,7 @@ def test_record_picks_match_numpy_generator(seed, n, records):
     ids = [line_id for line_id, _ in records]
     counts = [k for _, k in records]
     expected = [numpy_picks(seed, line_id, n, k) for line_id, k in records]
-    assert record_picks(seed, ids, n, counts) == expected
+    assert ragged_picks(seed, ids, n, counts) == expected
 
 
 def test_record_picks_golden_values():
@@ -64,37 +77,51 @@ def test_record_picks_golden_values():
         ((42, [123, 1], 1, [3, 0]), [[0, 0, 0], []]),
     ]
     for args, expected in cases:
-        assert record_picks(*args) == expected, args
+        assert ragged_picks(*args) == expected, args
 
 
 def test_record_picks_are_independent_of_batch_and_order():
     ids = [9, 3, 2**32 - 1, 3, 1]
     counts = [2, 1, 4, 3, 0]
-    batched = record_picks(11, ids, 77, counts)
-    assert batched == [record_picks(11, [i], 77, [k])[0] for i, k in zip(ids, counts)]
-    assert record_picks(11, ids[::-1], 77, counts[::-1]) == batched[::-1]
+    batched = ragged_picks(11, ids, 77, counts)
+    assert batched == [ragged_picks(11, [i], 77, [k])[0] for i, k in zip(ids, counts)]
+    assert ragged_picks(11, ids[::-1], 77, counts[::-1]) == batched[::-1]
     # A repeated line id draws the same stream; only the count differs.
     assert batched[1] == batched[3][:1]
 
 
+def test_record_picks_redraws_rejected_rows_like_numpy():
+    # 2**31 + 1 rejects about half of all 32-bit draws, so most rows need
+    # more draws than picks, and rows need different numbers of them.
+    n = 2**31 + 1
+    ids = list(range(1, 201))
+    counts = [i % 7 for i in ids]
+    expected = [numpy_picks(2**40 + 3, i, n, k) for i, k in zip(ids, counts)]
+    assert ragged_picks(2**40 + 3, ids, n, counts) == expected
+    # Each row is the first k picks of its line's stream, whatever it needs.
+    full = [numpy_picks(2**40 + 3, i, n, 6) for i in ids]
+    assert record_picks(2**40 + 3, ids, n, 6).tolist() == full
+
+
 def test_record_picks_empty_batch():
-    assert record_picks(0, [], 5, []) == []
+    assert record_picks(0, [], 5, 3).shape == (0, 3)
+    assert record_picks(0, [1, 2], 5, 0).shape == (2, 0)
 
 
 def test_negative_line_id_raises_like_numpy():
     with pytest.raises(ValueError):
         np.random.SeedSequence(0, spawn_key=(-1,))
     with pytest.raises(ValueError, match="non-negative"):
-        record_picks(0, [1, -1], 5, [1, 1])
+        record_picks(0, [1, -1], 5, 1)
 
 
 @pytest.mark.parametrize("n", [0, 2**32, 2**40])
 def test_pool_size_outside_32_bits_raises(n):
     with pytest.raises(ValueError, match=r"2\*\*32 - 1"):
-        record_picks(0, [1], n, [1])
+        record_picks(0, [1], n, 1)
 
 
 @pytest.mark.parametrize("line_id", [2**32, 2**70 + 1])
 def test_line_id_outside_32_bits_raises(line_id):
     with pytest.raises(ValueError, match=r"below 2\*\*32"):
-        record_picks(2**63, [line_id], 1000, [3])
+        record_picks(2**63, [line_id], 1000, 3)
