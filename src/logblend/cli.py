@@ -216,7 +216,7 @@ def _cmd_pool_build(args) -> None:
 
 def _write(writer, data, path: str) -> None:
     """`writer(data, path)`, with a ValueError for what the data holds (a line
-    break or NUL it cannot write) raised as a DataFormatError naming `path`."""
+    break it cannot write) raised as a DataFormatError naming `path`."""
     try:
         writer(data, path)
     except ValueError as exc:

@@ -22,7 +22,6 @@ import csv
 import functools
 import io
 import re
-import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from hashlib import sha256
@@ -183,10 +182,6 @@ def _needs_quotes(text: str) -> bool:
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
-#: ``csv.writer`` refuses a NUL before Python 3.11, so the writer does too.
-_NUL_UNWRITABLE = sys.version_info < (3, 11)
-
-
 @functools.lru_cache(maxsize=4)  # the files of a run mostly share a row count
 def _line_ids(n: int) -> tuple[str, ...]:
     """The `LineId` fields of n rows in order: ``"1"`` to ``str(n)``."""
@@ -199,16 +194,10 @@ def _csv_fields(name: str, column: Sequence) -> list[str]:
 
     A field is ``str()`` of the value. It is quoted, with each ``"`` doubled,
     when it holds a comma, quote, CR or LF. The whole column is scanned at
-    once; only a column with a hit is checked field by field. Where
-    ``csv.writer`` refuses a NUL, a field holding one raises ValueError naming
-    the column and the line id.
+    once; only a column with a hit is checked field by field.
     """
     fields = [name, *map(str, column)]
-    joined = "".join(fields)
-    if _NUL_UNWRITABLE and "\0" in joined:
-        line = next(i for i, text in enumerate(fields) if "\0" in text)
-        raise ValueError(f"line {line} {name} contains a NUL, which csv cannot write")
-    if _needs_quotes(joined):
+    if _needs_quotes("".join(fields)):
         fields = [
             '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
             for text in fields
@@ -223,9 +212,9 @@ def write_columns(path: str | Path, columns: dict[str, Sequence]) -> None:
     `columns` maps each column's name to its values, in order. The bytes are
     those ``csv.writer`` writes: a header row of the names, then per row its
     fields as :func:`_csv_fields` gives them, joined by commas, each row
-    ending in CRLF. Columns of different lengths, a `Content` value holding a
-    CR or LF, which the reader rejects, or a NUL where ``csv.writer`` refuses
-    one raise ValueError before the file is opened.
+    ending in CRLF. Columns of different lengths or a `Content` value holding
+    a CR or LF, which the reader rejects, raise ValueError before the file is
+    opened.
     """
     lengths = {name: len(column) for name, column in columns.items()}
     n = max(lengths.values())
@@ -264,14 +253,14 @@ def read_columns(
     the file and the row (the line it starts on); a byte that is not UTF-8,
     naming the file and the line.
 
-    Text with no ``"`` and no NUL is split in bulk by :func:`_split_rows`.
+    Text with no ``"`` is split in bulk by :func:`_split_rows`.
     Other text, and text in which that split finds a row it leaves to
     ``csv.reader`` to name, is read by :func:`_read_rows`. Both paths give
     the same columns and the same errors.
     """
     path = Path(path)
     text, digest = read_text(path)
-    split = None if '"' in text or "\0" in text else _split_rows(text)
+    split = None if '"' in text else _split_rows(text)
     header, row_nums, rows = split or _read_rows(path, text)
     if header is None:
         raise DataFormatError(f"{path}: empty file, expected a header row")
@@ -305,7 +294,7 @@ def read_columns(
 
 def _split_rows(text: str) -> tuple[list[str], Sequence[int], list[list[str]]] | None:
     """The header, and the line number and fields of each non-empty row, that
-    :func:`_read_rows` reads from `text`, which holds no ``"`` or NUL.
+    :func:`_read_rows` reads from `text`, which holds no ``"``.
 
     Lines end as :func:`_split_lines` says and fields at each comma. None
     where ``csv.reader`` is to read it and name what is wrong: an empty file

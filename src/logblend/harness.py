@@ -131,6 +131,8 @@ class ExperimentPlan:
         repeated = [name for i, name in enumerate(names) if name in names[:i]]
         if repeated:
             raise LogblendError(f"plan names {repeated[0]} twice")
+        if not self.datasets:
+            raise LogblendError("plan.datasets must name at least one dataset")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import pytest
 
-from logblend import corpus
+from logblend import cli
 from logblend.cli import _PARSER_FLAGS, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from logblend.corpus import Dataset, load_structured, write_dataset
 from logblend.fuzzing import FuzzConfig, fuzz
@@ -170,35 +170,26 @@ def test_fuzz_writes_labeled_dataset(cli_workspace, tmp_path):
     assert fuzzed.sources == ("apacheish",) * 2000
 
 
-def test_fuzz_output_that_csv_cannot_write_is_a_named_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(corpus, "_NUL_UNWRITABLE", True)  # as before Python 3.11
-    source = tmp_path / "one.csv"
-    source.write_text("LineId,Content,EventTemplate\n1,open 1,open <*>\n", encoding="utf-8")
-    vpool = tmp_path / "variable_pool.tsv"
-    vpool.write_text("a\0b\tother\n", encoding="utf-8")
-    out = tmp_path / "fuzzed.csv"
-    argv = ["fuzz", "--in", str(source), "--vpool", str(vpool), "--seed", "0", "--out", str(out)]
-    assert main(argv) == EXIT_DATA
-    assert f"error: {out}: line 1 Content contains a NUL" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("command", ["mix", "fuzz", "combine", "parse"])
+def test_output_the_writer_refuses_is_a_named_error(
+    command, cli_workspace, tmp_path, capsys, monkeypatch
+):
+    def refuse(data, path):
+        raise ValueError("line 1 content contains a line break")
 
-
-def test_mix_output_that_csv_cannot_write_is_a_named_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(corpus, "_NUL_UNWRITABLE", True)  # as before Python 3.11
-    source = tmp_path / "one.csv"
-    # Strength 1.0 replaces a quarter of the lines: one of these four.
-    rows = "".join(f"{i},open {i},open <*>\n" for i in range(1, 5))
-    source.write_text("LineId,Content,EventTemplate\n" + rows, encoding="utf-8")
-    pool = tmp_path / "outlier_pool.csv"
-    pool.write_text(
-        "LineId,Content,EventTemplate,Source\n1,shut a\0b,shut <*>,other\n",
-        encoding="utf-8",
-    )
-    out = tmp_path / "mixed.csv"
-    argv = ["mix", "--in", str(source), "--pool", str(pool), "--strength", "1.0",
-            "--out", str(out)]
-    assert main(argv) == EXIT_DATA
-    assert f"error: {out}: line 1 Content contains a NUL" in capsys.readouterr().err
+    writer = "write_parse_result" if command == "parse" else "write_dataset"
+    monkeypatch.setattr(cli, writer, refuse)
+    source, pools = str(cli_workspace / "apacheish.csv"), cli_workspace / "pools"
+    argv = {
+        "mix": ["--in", source, "--pool", str(pools), "--strength", "1.0"],
+        "fuzz": ["--in", source, "--vpool", str(pools / "variable_pool.tsv")],
+        "combine": [source, str(cli_workspace / "dbsvc.csv"), "--size", "10"],
+        "parse": ["--in", source],
+    }[command]
+    out = tmp_path / "out.csv"
+    assert main([command, *argv, "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {out}: line 1 content contains a line break" in err
     assert not out.exists()
 
 
@@ -541,6 +532,14 @@ def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, caps
             "plan.parsers[1] is external",
         ),
         ({"synthesis": {"labels": "parsed"}}, "plan.synthesis.labels 'parsed' needs"),
+        (
+            {"parsers": [{"kind": "tree"}], "runs": 2},
+            "error: plan.datasets must name at least one dataset",
+        ),
+        (
+            {"datasets": [], "parsers": [{"kind": "tree"}], "runs": 2},
+            "error: plan.datasets must name at least one dataset",
+        ),
     ],
     ids=[
         "not-an-object",
@@ -568,6 +567,8 @@ def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, caps
         "runs-below-1",
         "external-in-multi-dataset-plan",
         "parsed-labels-without-mixing",
+        "datasets-missing",
+        "datasets-empty",
     ],
 )
 def test_malformed_plan_exits_2_naming_the_key(

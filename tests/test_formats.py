@@ -25,17 +25,14 @@ from logblend.pool import OutlierPool
 
 from helpers import outlier_pool, pool_rows
 
-#: NUL is drawn only where the writer writes it: ``csv.writer`` refuses it
-#: before Python 3.11, and so does the writer.
-_UNWRITABLE = "\0" if corpus._NUL_UNWRITABLE else ""
 # Commas, quotes, tabs, wildcards, non-ASCII whitespace, NUL, astral and
 # combining characters, plus any other code point except surrogates.
 _PIECE = st.one_of(
     st.sampled_from(
         [",", '"', '""', "\t", " ", "  ", "<*>", "\xa0", "\u2028", "\0",
          "\U0001F600", "e\u0301"]
-    ).filter(lambda piece: piece != _UNWRITABLE),
-    st.characters(blacklist_categories=("Cs",), blacklist_characters=_UNWRITABLE),
+    ),
+    st.characters(blacklist_categories=("Cs",)),
 )
 _TEXT = st.lists(_PIECE, max_size=8).map("".join)
 #: Content holds no line break; the readers reject one.
@@ -182,20 +179,6 @@ def test_writers_reject_a_line_break_in_content_and_write_nothing(brk, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_writers_refuse_a_nul_where_csv_cannot_write_one_and_write_nothing(
-    tmp_path, monkeypatch
-):
-    monkeypatch.setattr(corpus, "_NUL_UNWRITABLE", True)  # as before Python 3.11
-    ds = Dataset("ds", ["a", "b\0c"], ["a", "b <*>"], ["ds", "ds"])
-    with pytest.raises(ValueError, match="^line 2 Content contains a NUL"):
-        write_dataset(ds, tmp_path / "ds.csv")
-    with pytest.raises(ValueError, match="^line 1 Source contains a NUL"):
-        outlier_pool([("a", "a", "s\0")]).save(tmp_path / "pool.csv")
-    with pytest.raises(ValueError, match="^line 3 EventTemplate contains a NUL"):
-        write_parse_result(["a", "b", "\0"], tmp_path / "parsed.csv")
-    assert list(tmp_path.iterdir()) == []
-
-
 @settings(max_examples=100, deadline=None)
 @given(templates=st.lists(_TEMPLATE, max_size=6))
 def test_parse_result_round_trips(templates, tmp_path_factory):
@@ -284,17 +267,19 @@ def test_repeated_column_names_the_file_and_column(fmt, column, tmp_path):
 
 # --- bulk split and csv.reader give the same columns and errors -------------
 
-#: Field text with no comma, quote or NUL: tabs, spaces, wildcards, digits,
+#: Field text with no comma or quote: tabs, spaces, wildcards, digits, NUL,
 #: and the characters str.splitlines ends a line at but CSV does not.
 _UNQUOTED = st.lists(
-    st.sampled_from(["a", " ", "\t", "<*>", "0", "1", "é", "\v", "\f", "\x1c", "\x85", " "]),
+    st.sampled_from(
+        ["a", " ", "\t", "<*>", "0", "1", "é", "\0", "\v", "\f", "\x1c", "\x85", " "]
+    ),
     max_size=3,
 ).map("".join)
 
 
 @st.composite
 def _quote_free_csv(draw) -> str:
-    """CSV text with no quote or NUL: a header of the columns read and others;
+    """CSV text with no quote: a header of the columns read and others;
     rows that may be ragged, with permuted, zero-padded or bad LineIds; empty
     lines anywhere; any mix of CR, LF and CRLF; empty and header-only files."""
     extra = st.lists(st.sampled_from(["LineId", "Source", "x", "EventTemplate"]), max_size=3)
@@ -341,7 +326,7 @@ def test_a_quote_free_file_reads_as_csv_reader_reads_it(text, tmp_path_factory):
     assert _read_or_error(path) == want
 
 
-def test_only_a_file_holding_a_quote_or_nul_is_read_by_csv_reader(tmp_path):
+def test_only_a_file_holding_a_quote_is_read_by_csv_reader(tmp_path):
     path = tmp_path / "ds.csv"
     calls = []
     read_rows = corpus._read_rows
@@ -350,14 +335,11 @@ def test_only_a_file_holding_a_quote_or_nul_is_read_by_csv_reader(tmp_path):
             ("Content,EventTemplate\r\na b,a <*>\r\n", False),
             ('Content,EventTemplate\r\n"a,b",a <*>\r\n', True),
             ('Content,EventTemplate\r\na b",a <*>\r\n', True),
-            ("Content,EventTemplate\r\na\0b,a <*>\r\n", True),
+            ("Content,EventTemplate\r\na\0b,a <*>\r\n", False),
         ]:
             path.write_bytes(text.encode("utf-8"))
             calls.clear()
-            try:
-                load_structured(path)
-            except DataFormatError:
-                pass  # Python before 3.11 rejects the NUL
+            load_structured(path)
             assert bool(calls) == by_csv, text
 
 
@@ -382,11 +364,6 @@ def test_a_quote_free_file_holding_nul_reads_as_csv_reader_reads_it(tmp_path):
     path = tmp_path / "ds.csv"
     text = "Content,EventTemplate\r\na\0b,a <*>\r\n"
     path.write_text(text, encoding="utf-8", newline="")
-    try:  # Python before 3.11 rejects a NUL; later ones read it
-        rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
-    except csv.Error as exc:
-        with pytest.raises(DataFormatError, match=f"^{path}: row 2: {exc}$"):
-            load_structured(path)
-    else:
-        assert rows[1] == ["a\0b", "a <*>"]
-        assert load_structured(path).contents() == ("a\0b",)
+    rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
+    assert rows[1] == ["a\0b", "a <*>"]
+    assert load_structured(path).contents() == ("a\0b",)

@@ -287,6 +287,8 @@ def test_built_plan_is_checked_once_and_stays_as_checked(workspace):
         replace(synthesis, fuzz_mode="bogus")
     with pytest.raises(LogblendError, match="^plan.runs must be >= 1"):
         replace(plan, runs=0)
+    with pytest.raises(LogblendError, match="^plan.datasets must name at least one dataset$"):
+        replace(plan, datasets=())
 
 
 def test_built_plan_pools_and_digests_cannot_be_changed(workspace):
@@ -615,4 +617,5 @@ def test_plan_from_dict_rebuilds_each_builtin_config_from_its_summary(workspace)
     report = json.dumps(run_experiment(plan).to_dict(), indent=2)
     summaries = json.loads(report)["plan"]["parsers"]
     for cfg, summary in zip(configs, summaries):
-        assert plan_from_dict({"parsers": [summary]}).parsers == (cfg,)
+        doc = {"datasets": ["apacheish.csv"], "parsers": [summary]}
+        assert plan_from_dict(doc).parsers == (cfg,)

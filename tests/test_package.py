@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+import tomllib
 from pathlib import Path
 
 import logblend
@@ -13,12 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_version_matches_pyproject():
-    # A regex, not tomllib: Python 3.10 has no tomllib.
-    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
-    assert project is not None
-    versions = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project.group(1), re.M)
-    assert versions == [logblend.__version__]
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == logblend.__version__
 
 
 def test_package_root_binds_only_the_version():
