@@ -3,7 +3,7 @@
 A dataset is three columns: per line, the free-text message content (no
 timestamp/level/PID header), the ground-truth template with its variable
 positions marked by the ``<*>`` wildcard token (None where unlabeled), and the
-source tag. A line id is the line's row position + 1.
+source tag. A line id is the line's row position + 1; there is no row type.
 
 Every input file is read and decoded by :func:`read_text`. Every CSV format
 (dataset, outlier pool, parser output) is written from columns, numbered by a
@@ -46,34 +46,6 @@ def canonicalize_template(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True, slots=True)
-class LogRecord:
-    """One log line: 1-based position, message content, optional template."""
-
-    line_id: int
-    content: str
-    #: Canonical template (see :func:`canonicalize_template`), or None.
-    ground_truth: str | None = None
-    source: str = ""
-
-
-class _Records(Sequence):
-    """A dataset's rows as :class:`LogRecord` values, each built when it is read."""
-
-    def __init__(self, ds: Dataset) -> None:
-        self._ds = ds
-
-    def __len__(self) -> int:
-        return len(self._ds)
-
-    def __getitem__(self, i):
-        row = range(len(self))[i]  # IndexError past the end; a range for a slice
-        if isinstance(row, range):
-            return [self[j] for j in row]
-        ds = self._ds
-        return LogRecord(row + 1, ds._contents[row], ds.ground_truths[row], ds.sources[row])
-
-
 @dataclass(frozen=True, init=False)
 class Dataset:
     """A named dataset stored as three equally long columns.
@@ -107,9 +79,9 @@ class Dataset:
         return len(self._contents)
 
     @property
-    def records(self) -> Sequence[LogRecord]:
-        """The rows as :class:`LogRecord` values; `len` of it builds none."""
-        return _Records(self)
+    def records(self) -> tuple[tuple[str, str | None, str], ...]:
+        """(content, truth, source) rows, for perfbench only; ROADMAP 1a deletes it."""
+        return tuple(zip(self._contents, self.ground_truths, self.sources))
 
     def contents(self) -> tuple[str, ...]:
         return self._contents

@@ -188,12 +188,19 @@ def _synthesize(ds: Dataset, plan: SynthesisPlan, seed: int) -> Dataset:
     return data
 
 
-def _evaluate_cell(data: Dataset, truth: tuple[str, ...], spec: ParserSpec) -> dict:
-    if isinstance(spec, ExternalParser):
-        predicted = read_parse_result(spec.path, expected_len=len(data))
-    else:
-        predicted = parse(data, spec)
-    return evaluate(predicted, truth).as_dict()
+def _evaluate_cell(
+    data: Dataset, truth: tuple[str, ...], spec: ParserSpec, read: dict
+) -> dict:
+    if not isinstance(spec, ExternalParser):
+        return evaluate(parse(data, spec), truth).as_dict()
+    if spec not in read:
+        try:
+            read[spec] = read_parse_result(spec.path, expected_len=len(data))
+        except (LogblendError, OSError) as exc:
+            read[spec] = exc
+    if isinstance(read[spec], Exception):
+        raise read[spec]
+    return evaluate(read[spec], truth).as_dict()
 
 
 def _parser_doc(spec: ParserSpec, cells: list[dict]) -> dict:
@@ -221,6 +228,7 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
     datasets_doc: dict[str, dict] = {}
     timings: dict[str, float] = {}
     seeds = [plan.base_seed + r for r in range(plan.runs)]
+    read: dict = {}  # per external parser: its templates, or the error reading them
 
     for path in plan.datasets:
         ds = load_structured(path)
@@ -252,7 +260,7 @@ def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
                 cell = {"run": run, "seed": seed, "metrics": None, "error": error}
                 if error is None:
                     try:
-                        cell["metrics"] = _evaluate_cell(data, truth, spec)
+                        cell["metrics"] = _evaluate_cell(data, truth, spec, read)
                     except (LogblendError, OSError) as exc:
                         cell["error"] = f"{type(exc).__name__}: {exc}"
                 runs[spec.name].append(cell)

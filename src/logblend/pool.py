@@ -92,6 +92,9 @@ class VariablePool:
     def __len__(self) -> int:
         return len(self.values)
 
+    def __reduce__(self):  # a mappingproxy does not pickle; rebuild from dicts
+        return type(self), (dict(self.sources), dict(self.skipped), self.sha256)
+
     def to_text(self) -> str:
         """The saved form: per value, the value, then its source tags, tab-separated.
 

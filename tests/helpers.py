@@ -338,10 +338,14 @@ def outlier_pool(rows) -> OutlierPool:
     return OutlierPool(Dataset(OUTLIER_POOL_NAME, *columns))
 
 
+def dataset_rows(ds: Dataset) -> tuple[tuple[str, str | None, str], ...]:
+    """A dataset's (content, template, source) rows, in order."""
+    return tuple(zip(ds.contents(), ds.ground_truths, ds.sources))
+
+
 def pool_rows(pool: OutlierPool) -> tuple[tuple[str, str, str], ...]:
     """An outlier pool's (content, template, source) rows, in order."""
-    lines = pool.lines
-    return tuple(zip(lines.contents(), lines.ground_truths, lines.sources))
+    return dataset_rows(pool.lines)
 
 
 def assert_well_formed(ds: Dataset) -> None:

@@ -195,10 +195,8 @@ def test_load_structured_basic(tmp_path):
     )
     ds = load_structured(p)
     assert len(ds) == 1
-    rec = ds.records[0]
-    assert rec.content == "Template log 1"
-    assert rec.ground_truth == "Template log <*>"
-    assert rec.line_id == 1
+    assert ds.contents()[0] == "Template log 1"
+    assert ds.ground_truths[0] == "Template log <*>"
 
 
 @pytest.mark.parametrize(
@@ -223,12 +221,12 @@ def test_load_structured_empty_template_means_unlabeled(tmp_path):
     p = tmp_path / "ds.csv"
     p.write_text("Content,EventTemplate\nhello there,\n", encoding="utf-8")
     ds = load_structured(p)
-    assert ds.records[0].ground_truth is None
+    assert ds.ground_truths[0] is None
     # round-trip keeps it unlabeled
     out = tmp_path / "out.csv"
     write_dataset(ds, out)
     again = load_structured(out)
-    assert again.records[0].ground_truth is None
+    assert again.ground_truths[0] is None
 
 
 def test_load_structured_missing_column(tmp_path):
@@ -272,7 +270,7 @@ def test_load_structured_canonicalizes_template(tmp_path):
         encoding="utf-8",
     )
     ds = load_structured(p)
-    assert ds.records[0].ground_truth == "a <*>"
+    assert ds.ground_truths[0] == "a <*>"
 
 
 def test_round_trip_identity(tmp_path):
@@ -290,9 +288,9 @@ def test_round_trip_content_with_commas_and_quotes(tmp_path):
     p = tmp_path / "q.csv"
     write_dataset(ds, p)
     again = load_structured(p, name="q")
-    assert again.records[0].content == 'value a,b and "c"'
-    assert again.records[1].content == ",,only,commas,,"
-    assert again.records[1].ground_truth is None
+    assert again.contents()[0] == 'value a,b and "c"'
+    assert again.contents()[1] == ",,only,commas,,"
+    assert again.ground_truths[1] is None
 
 
 def test_write_without_ground_truth_emits_empty_field(tmp_path):
@@ -308,7 +306,7 @@ def test_source_column_round_trips_for_mixed_provenance(tmp_path):
     write_dataset(ds, p)
     assert "Source" in p.read_text(encoding="utf-8").splitlines()[0]
     again = load_structured(p, name="m")
-    assert [r.source for r in again.records] == ["m", "other"]
+    assert again.sources == ("m", "other")
 
 
 # --- raw load ---------------------------------------------------------------

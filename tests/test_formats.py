@@ -23,7 +23,7 @@ from logblend.errors import DataFormatError
 from logblend.parsers import read_parse_result, write_parse_result
 from logblend.pool import OutlierPool
 
-from helpers import outlier_pool, pool_rows
+from helpers import dataset_rows, outlier_pool, pool_rows
 
 # Commas, quotes, tabs, wildcards, non-ASCII whitespace, NUL, astral and
 # combining characters, plus any other code point except surrogates.
@@ -192,7 +192,7 @@ _FORMATS = {
     "dataset": (
         "LineId,Content,EventTemplate",
         "{0},x {0},t{0} <*>",
-        lambda path: list(load_structured(path, name="ds").records),
+        lambda path: dataset_rows(load_structured(path, name="ds")),
     ),
     "outlier-pool": (
         "LineId,Content,EventTemplate,Source",

@@ -48,21 +48,21 @@ def _ds(rows: list[tuple[str, str]]) -> Dataset:
 def test_single_sample_substitution():
     ds = _ds([("Template log 1", "Template log <*>")])
     out = fuzz(ds, _vpool(["42"]), FuzzConfig(seed=0)).dataset
-    assert out.records[0].content == "Template log 42"
-    assert out.records[0].ground_truth == "Template log <*>"
+    assert out.contents()[0] == "Template log 42"
+    assert out.ground_truths[0] == "Template log <*>"
 
 
 def test_wildcard_free_template_passes_through():
     ds = _ds([("static heartbeat ok", "static heartbeat ok")])
     out = fuzz(ds, _vpool(["42"]), FuzzConfig(seed=0)).dataset
-    assert out.records[0].content == "static heartbeat ok"
+    assert out.contents()[0] == "static heartbeat ok"
 
 
 def test_each_slot_sampled_independently():
     ds = _ds([("pair 1 and 2", "pair <*> and <*>")])
     pool = _vpool([f"v{i}" for i in range(50)])
     out = fuzz(ds, pool, FuzzConfig(seed=3)).dataset
-    vs = extract_variables(out.records[0].content, "pair <*> and <*>")
+    vs = extract_variables(out.contents()[0], "pair <*> and <*>")
     assert all(v.startswith("v") for v in vs)
 
 
@@ -72,10 +72,10 @@ def test_structure_preserved_on_synthetic_corpus():
     result = fuzz(ds, vpool, FuzzConfig(seed=5))
     assert result.skipped_line_ids == []
     out = result.dataset
-    assert len(out.records) == len(ds.records)
-    for rec in out.records:
+    assert len(out.contents()) == len(ds.contents())
+    for content, truth in zip(out.contents(), out.ground_truths):
         # re-extraction succeeds against the stored template
-        extract_variables(rec.content, rec.ground_truth)
+        extract_variables(content, truth)
 
 
 def test_identity_parser_scores_one_on_fuzzed_data():
@@ -93,9 +93,7 @@ def test_fuzz_determinism(tmp_path):
     write_dataset(fuzz(ds, vpool, FuzzConfig(seed=9)).dataset, b)
     assert a.read_bytes() == b.read_bytes()
     other = fuzz(ds, vpool, FuzzConfig(seed=10)).dataset
-    assert [r.content for r in other.records] != [
-        r.content for r in fuzz(ds, vpool, FuzzConfig(seed=9)).dataset.records
-    ]
+    assert other.contents() != fuzz(ds, vpool, FuzzConfig(seed=9)).dataset.contents()
 
 
 def test_record_randomness_depends_only_on_seed_and_line_id():
@@ -131,8 +129,8 @@ def test_parsed_mode_relabels_with_parser_output():
         FuzzConfig(seed=0),
         parsed=["Template log <*>"],
     ).dataset
-    assert out.records[0].content == "Template log 7"
-    assert out.records[0].ground_truth == "Template log <*>"
+    assert out.contents()[0] == "Template log 7"
+    assert out.ground_truths[0] == "Template log <*>"
 
 
 def test_parsed_mode_misalignment_passes_through_with_skip_report():
@@ -144,7 +142,7 @@ def test_parsed_mode_misalignment_passes_through_with_skip_report():
         parsed=["Template log <*>", "mismatched <*> thing"],
     )
     assert result.skipped_line_ids == [2]
-    assert result.dataset.records[1].content == "other line entirely"
+    assert result.dataset.contents()[1] == "other line entirely"
 
 
 @pytest.mark.parametrize(

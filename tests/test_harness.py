@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from logblend import corpus
 from logblend.corpus import Dataset, load_structured, write_dataset
 from logblend.errors import AllocationError, InsufficientDataError, LogblendError
 from logblend.harness import (
@@ -176,21 +177,41 @@ def test_synthesis_degrades_accuracy_and_raises_h(workspace):
     assert doc1["h_mean"] > doc0["h_mean"]
 
 
-def test_failed_cells_are_reported_not_fatal(workspace, tmp_path):
+def _count_reads(monkeypatch) -> Counter:
+    """Count, per path, the files read from now on; every reader calls `read_text`."""
+    reads: Counter = Counter()
+    read_text = corpus.read_text
+
+    def counting(path):
+        reads[Path(path)] += 1
+        return read_text(path)
+
+    monkeypatch.setattr(corpus, "read_text", counting)
+    return reads
+
+
+def test_failed_cells_are_reported_not_fatal(workspace, tmp_path, monkeypatch):
     short = tmp_path / "short.csv"
     short.write_text("LineId,EventTemplate\n1,a\n", encoding="utf-8")
     plan = ExperimentPlan(
         datasets=[workspace / "apacheish.csv"],
         parsers=[ExternalParser(path=short), IdentityParserConfig()],
-        runs=1,
+        runs=3,
     )
+    reads = _count_reads(monkeypatch)
     doc = run_experiment(plan).to_dict()
     parsers = doc["datasets"]["apacheish"]["parsers"]
-    assert "failures" in parsers[f"external:{short.name}"]
+    records = doc["datasets"]["apacheish"]["records"]
+    error = f"ShapeError: {short}: 1 templates for {records} records"
+    assert parsers[f"external:{short.name}"]["failures"] == [error] * 3
     assert parsers["identity"]["mean"]["template_accuracy"] == 1.0
+    # The external file is read once, not once per run.
+    assert reads == {workspace / "apacheish.csv": 1, short: 1}
 
 
-def test_failed_synthesis_fails_every_cell_of_its_run(workspace):
+def test_failed_synthesis_fails_every_cell_of_its_run(workspace, tmp_path, monkeypatch):
+    echo = tmp_path / "echo.csv"
+    write_parse_result(list(apacheish().contents()), echo)
     # Excluding the dataset's own source leaves mixing an empty pool.
     synthesis = SynthesisPlan(
         mix_strength=1.0,
@@ -198,11 +219,14 @@ def test_failed_synthesis_fails_every_cell_of_its_run(workspace):
     )
     plan = ExperimentPlan(
         datasets=[workspace / "apacheish.csv"],
-        parsers=[TreeParserConfig(), IdentityParserConfig()],
+        parsers=[TreeParserConfig(), IdentityParserConfig(), ExternalParser(path=echo)],
         synthesis=synthesis,
         runs=2,
     )
+    reads = _count_reads(monkeypatch)
     ds_doc = run_experiment(plan).to_dict()["datasets"]["apacheish"]
+    # No run reaches a parser, so the external file is never read.
+    assert reads == {workspace / "apacheish.csv": 1}
     assert ds_doc["proxy_stats_per_run"] == [None, None]
     assert ds_doc["h_per_run"] == [None, None]
     assert ds_doc["h_mean"] is None

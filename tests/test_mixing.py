@@ -14,7 +14,14 @@ from logblend.mixing import (
 )
 from logblend.pool import OutlierPool
 
-from helpers import apacheish, assert_well_formed, outlier_pool, pool_rows, standard_pools
+from helpers import (
+    apacheish,
+    assert_well_formed,
+    dataset_rows,
+    outlier_pool,
+    pool_rows,
+    standard_pools,
+)
 
 
 def _pool(n: int = 10, source: str = "elsewhere") -> OutlierPool:
@@ -80,9 +87,8 @@ def test_exact_replacement_count_and_untouched_rest():
     ds = _uniform_ds("u", 100)
     mixed = mix(ds, _pool(), MixConfig(strength=0.2, seed=3))
     assert len(mixed) == 100
-    changed = [
-        i for i, (old, new) in enumerate(zip(ds.records, mixed.records)) if old != new
-    ]
+    pairs = zip(dataset_rows(ds), dataset_rows(mixed))
+    changed = [i for i, (old, new) in enumerate(pairs) if old != new]
     # Every other row is equal in all three columns.
     assert len(changed) == 5
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 from dataclasses import replace
 
@@ -307,6 +309,30 @@ def test_variable_pool_takes_no_values_argument():
     # The values are the keys of `sources`, so there is no second list to disagree.
     with pytest.raises(TypeError):
         VariablePool(values=["a", "b"], sources={"a": ("x",)})
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_variable_pool_pickles_and_deep_copies(round_trip, tmp_path):
+    path = tmp_path / "vars.tsv"
+    build_variable_pool(source_datasets(200)[:2]).save(path)
+    loaded = VariablePool.load(path)
+    built = VariablePool(sources={"v": ["a", "b"]}, skipped={"a": [2]}, sha256="0" * 64)
+    for pool in (loaded, built):
+        again = round_trip(pool)
+        assert again == pool
+        assert (again.sha256, again.values, again.skipped) == (
+            pool.sha256, pool.values, pool.skipped
+        )
+        # Still read-only once rebuilt.
+        with pytest.raises(TypeError):
+            again.sources[again.values[0]] = ("bogus",)
+        with pytest.raises(TypeError):
+            again.skipped["bogus"] = (1,)
+    assert loaded.sha256 and built.skipped == {"a": (2,)}
 
 
 def test_replacing_variable_pool_sources_updates_values():
