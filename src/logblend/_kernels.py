@@ -25,6 +25,9 @@ limits and no blocking.
 * ``peq[c]``, the positions where the patterns hold ``c``, is built only for
   the characters of the text, each by one ``str.translate`` and one
   ``int(..., 2)`` over the reversed joined patterns: O(width) C-level work.
+* Shared prefix: the longest prefix of the text that every pattern starts
+  with too is dropped first. Levenshtein distance is unchanged by a common
+  prefix, and each character dropped from the text is one step fewer.
 * Read-out: row 0 of the last column is ``len(text)``, and each pattern's
   distance is that plus its +1 deltas minus its -1 deltas, counted once at
   the end as ``len(text) + popcount(pv_i) - popcount(mv_i)``.
@@ -39,11 +42,18 @@ grouped by template as evaluation calls it.
 
 from __future__ import annotations
 
+from os.path import commonprefix
+
 
 def distances(text: str, patterns: list[str]) -> list[int]:
     """Levenshtein distance from `text` to each pattern, in code points."""
     if not patterns:
         return []
+    # Exact: a prefix shared by the text and every pattern moves no distance.
+    shared = len(commonprefix([text, *patterns]))
+    if shared:
+        text = text[shared:]
+        patterns = [p[shared:] for p in patterns]
     width = sum(map(len, patterns)) + len(patterns)
     # Pattern i fills the bits from its offset up, and its guard bit is the
     # next one. int(..., 2) reads the top bit first, so the patterns go in

@@ -46,12 +46,22 @@ def canonicalize_template(text: str) -> str:
     return text
 
 
+def _tokens(content: str) -> tuple[str, ...]:
+    """`content` split on U+0020, without the empty tokens a run of spaces leaves."""
+    tokens = content.split(" ")
+    if "" in tokens:
+        return tuple(filter(None, tokens))
+    return tuple(tokens)
+
+
 @dataclass(frozen=True, init=False)
 class Dataset:
     """A named dataset stored as three equally long columns.
 
     Row i holds a line's content, its canonical ground-truth template (None
-    where unlabeled) and its source tag; its line id is i + 1.
+    where unlabeled) and its source tag; its line id is i + 1. The token
+    table of :meth:`tokens` is kept beside the three columns, not among the
+    fields, so it takes no part in equality or the repr.
     """
 
     name: str
@@ -85,6 +95,18 @@ class Dataset:
 
     def contents(self) -> tuple[str, ...]:
         return self._contents
+
+    def tokens(self) -> tuple[tuple[str, ...], ...]:
+        """Per line, its content split on U+0020 without empty tokens.
+
+        Built on first use and kept until the dataset is freed, so every
+        parse of one dataset reads the same split.
+        """
+        table = self.__dict__.get("_token_table")
+        if table is None:
+            table = tuple(map(_tokens, self._contents))
+            object.__setattr__(self, "_token_table", table)
+        return table
 
     def labels(self) -> tuple[str, ...]:
         """Ground-truth templates in line order; raises if any are missing."""

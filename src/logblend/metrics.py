@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from operator import mul
 
 from ._kernels import distances
 from .errors import EmptyDatasetError, ShapeError
@@ -78,26 +79,28 @@ def template_accuracy(predicted: ParseResult, truth: ParseResult) -> float:
 
 
 def mean_edit_distance(predicted: ParseResult, truth: ParseResult) -> float:
-    """Arithmetic mean of per-record edit distances, in line order.
+    """Arithmetic mean of per-record edit distances.
 
-    Parsers emit few distinct templates, so each distinct (predicted, truth)
-    pair is scored once. The pairs are grouped by truth template, and one
-    :func:`distances` call scores all of a template's distinct partners in a
-    single bit-parallel pass over it; the scores live only for this call.
-    The per-record distances are integers summed in line order, so the
-    result is bit-identical however they were computed. Templates are
-    compared as given.
+    Parsers emit few distinct templates, so the records are counted per
+    distinct (predicted, truth) pair and each pair is scored once. The pairs
+    are grouped by truth template, and one :func:`distances` call scores all
+    of a template's distinct partners in a single bit-parallel pass over it.
+    The total is the integer sum of count x distance over the pairs, equal to
+    the per-record sum, so the result is bit-identical however it was
+    computed. Templates are compared as given.
     """
     _check_lengths(predicted, truth)
     if not truth:
         raise EmptyDatasetError("mean edit distance is undefined on empty input")
-    scores: dict[tuple[str, str], int | None] = dict.fromkeys(zip(predicted, truth))
+    counts = Counter(zip(predicted, truth))
     partners: dict[str, list[str]] = {}
-    for p, t in scores:
+    for p, t in counts:
         partners.setdefault(t, []).append(p)
+    total = 0
     for t, preds in partners.items():
-        scores.update(zip(zip(preds, repeat(t)), distances(t, preds)))
-    return sum(map(scores.__getitem__, zip(predicted, truth))) / len(truth)
+        records = map(counts.__getitem__, zip(preds, repeat(t)))
+        total += sum(map(mul, records, distances(t, preds)))
+    return total / len(truth)
 
 
 def evaluate(predicted: ParseResult, truth: ParseResult) -> MetricReport:

@@ -20,18 +20,26 @@ index-aligned with the input dataset (see :func:`read_parse_result`).
 Built-in parsers emit canonical templates: they split content on U+0020
 alone, the one character templates are aligned on, and join the tokens with
 single spaces, so any other whitespace (a tab, NBSP) stays inside its token.
+Both read that split from :meth:`~logblend.corpus.Dataset.tokens`, which a
+dataset builds once for every parse of it; only a tree parse with masks
+splits the masked content itself. The token-frequency parser relabels a
+column at a time: a column whose tokens are all kept is used as it is, one
+with none kept becomes wildcards, and any other maps each token through the
+kept set.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from operator import eq
 from pathlib import Path
 from typing import ClassVar, get_args
 
-from .corpus import WILDCARD, Dataset, read_columns, write_columns
+from .corpus import WILDCARD, Dataset, _tokens, read_columns, write_columns
 from .errors import EmptyDatasetError, ShapeError
 from .metrics import ParseResult
 
@@ -87,15 +95,15 @@ PARSER_CONFIGS: dict[str, type] = {cls.name: cls for cls in get_args(ParserConfi
 _DIGIT = re.compile(r"\d")
 
 
-def _tokens(content: str) -> list[str]:
-    """`content` split on U+0020, without the empty tokens a run of spaces leaves."""
-    tokens = content.split(" ")
-    if "" in tokens:
-        tokens = list(filter(None, tokens))
-    return tokens
+def _masked_tokens(ds: Dataset, masks: list[re.Pattern]) -> Iterator[tuple[str, ...]]:
+    """Per line, its tokens once every mask is substituted with the wildcard."""
+    for content in ds.contents():
+        for mask in masks:
+            content = mask.sub(WILDCARD, content)
+        yield _tokens(content)
 
 
-def _leaf(fanout: dict[tuple, set[str]], tokens: list[str], levels: int,
+def _leaf(fanout: dict[tuple, set[str]], tokens: Sequence[str], levels: int,
           max_children: int) -> tuple:
     """The routed path of `tokens`, adding each key to the fan-out of its prefix."""
     path: tuple = (len(tokens),)
@@ -127,15 +135,12 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
     # A stored route never goes stale: keys are never removed, and a fan-out
     # that has filled up never shrinks, so it spills the same keys.
     leaves: dict[tuple, list[int]] = {}
-    templates: list[list[str]] = []
+    templates: list[Sequence[str]] = []
     # Per group, the number of wildcards in its template.
     wildcards: list[int] = []
     # The group each line joined; -1 for a line without tokens.
     joined: list[int] = []
-    for content in ds.contents():
-        for mask in masks:
-            content = mask.sub(WILDCARD, content)
-        tokens = _tokens(content)
+    for tokens in _masked_tokens(ds, masks) if masks else ds.tokens():
         if not tokens:
             joined.append(-1)
             continue
@@ -189,7 +194,7 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
 
 
 def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResult:
-    token_lists = list(map(_tokens, ds.contents()))
+    token_lists = ds.tokens()
     classes: dict[int, list[int]] = defaultdict(list)
     for idx, toks in enumerate(token_lists):
         classes[len(toks)].append(idx)
@@ -197,13 +202,18 @@ def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResul
     results = [""] * len(token_lists)
     for rows in classes.values():
         size = len(rows)
-        columns = []
-        for column in zip(*[token_lists[idx] for idx in rows]):
-            counts = Counter(column).items()
-            kept = {tok for tok, n in counts if n / size >= cfg.threshold}
-            columns.append([tok if tok in kept else WILDCARD for tok in column])
-        for idx, row in zip(rows, zip(*columns)):
-            results[idx] = " ".join(row)
+        columns: list[Iterable[str]] = []
+        for column in zip(*map(token_lists.__getitem__, rows)):
+            counts = Counter(column)
+            kept = {tok: tok for tok, n in counts.items() if n / size >= cfg.threshold}
+            if len(kept) == len(counts):
+                columns.append(column)
+            elif not kept:
+                columns.append(repeat(WILDCARD, size))
+            else:
+                columns.append(map(kept.get, column, repeat(WILDCARD)))
+        for idx, row in zip(rows, map(" ".join, zip(*columns))):
+            results[idx] = row
     return results
 
 

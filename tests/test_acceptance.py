@@ -14,6 +14,7 @@ import os
 import random
 import time
 from pathlib import Path
+from statistics import mean, median
 
 import pytest
 
@@ -29,10 +30,15 @@ from logblend.harness import (
 from logblend.heterogeneity import h_score, metric_variability, proxy_stats
 from logblend.metrics import grouping_accuracy, mean_edit_distance, template_accuracy
 from logblend.mixing import MixConfig, mix
-from logblend.parsers import IdentityParserConfig, TreeParserConfig, parse
+from logblend.parsers import (
+    IdentityParserConfig,
+    TokenFrequencyParserConfig,
+    TreeParserConfig,
+    parse,
+)
 from logblend.corpus import extract_variables
 
-from helpers import apacheish, standard_pools
+from helpers import apacheish, source_datasets, standard_pools
 from test_heterogeneity import PUBLISHED_STATS
 from test_metrics import dp_edit_distance
 
@@ -289,3 +295,26 @@ def test_criterion_10_throughput_sanity():
         f"2K lines: mix {mix_elapsed * 1e3:.0f} ms (<= 1 s), "
         f"fuzz {fuzz_elapsed * 1e3:.0f} ms (<= 5 s)",
     )
+
+
+def test_criterion_11_combined_dataset_is_harder():
+    sources = source_datasets()
+    configs = (TreeParserConfig(), TokenFrequencyParserConfig())
+    combined = [build_combined_dataset(list(sources), 2000, seed) for seed in (0, 1, 2)]
+
+    def accuracy(ds: Dataset, cfg) -> float:
+        return template_accuracy(parse(ds, cfg), ds.labels())
+
+    source_h = [h_score(proxy_stats(ds)).h for ds in sources]
+    combined_h = mean(h_score(proxy_stats(ds)).h for ds in combined)
+    ok = combined_h > max(source_h)
+    details = [f"H {combined_h:.3f} vs sources <= {max(source_h):.3f}"]
+    for cfg in configs:
+        ta_combined = mean(accuracy(ds, cfg) for ds in combined)
+        ta_median = median(accuracy(ds, cfg) for ds in sources)
+        ok = ok and ta_combined < ta_median
+        details.append(
+            f"{cfg.name} template accuracy {ta_combined:.3f} vs source median "
+            f"{ta_median:.3f}"
+        )
+    _report(11, ok, "9 sources combined at 2000 lines, seeds 0-2: " + "; ".join(details))

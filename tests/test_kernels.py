@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logblend._kernels import distances, levenshtein
@@ -105,6 +105,22 @@ def test_distances_match_oracle(text, patterns):
 def test_distances_match_oracle_past_thousands_of_bits(text, patterns):
     assert sum(map(len, patterns)) + len(patterns) > 2000
     assert distances(text, patterns) == [dp_edit_distance(text, p) for p in patterns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prefix=_TEXT,
+    rest=_TEXT,
+    tails=st.lists(st.one_of(_TEXT, st.just("")), min_size=1, max_size=6),
+)
+@example(prefix="open ", rest="<*> now", tails=["", "<*> later", "<*>"])
+@example(prefix="ab", rest="", tails=["", ""])
+def test_distances_with_a_shared_prefix_match_oracle(prefix, rest, tails):
+    # "" as a tail or as `rest` gives a pattern or a text equal to the prefix.
+    patterns = [prefix + tail for tail in tails]
+    for text in (prefix + rest, prefix, ""):
+        expected = [dp_edit_distance(text, p) for p in patterns]
+        assert distances(text, patterns) == expected
 
 
 def test_distances_of_nothing():

@@ -254,6 +254,18 @@ def test_mean_edit_distance_2000_records_against_summation_oracle():
     assert mean_edit_distance(predicted, truth) == pytest.approx(total / 2000)
 
 
+def test_mean_edit_distance_of_repeated_pairs_equals_the_per_record_sum():
+    pairs = [
+        ("open <*> now", "open <*>"),
+        ("flush", "flush cache <*>"),
+        ("close <*>", "close <*> done"),
+    ]
+    records = random.Random(5).choices(pairs, k=2000)
+    predicted, truth = map(list, zip(*records))
+    expected = sum(dp_edit_distance(p, t) for p, t in records) / 2000
+    assert mean_edit_distance(predicted, truth) == expected
+
+
 def test_mean_edit_distance_scores_each_distinct_pair_once(monkeypatch):
     rng = random.Random(4)
     predicted = [rng.choice(["open <*>", "close <*>", "flush"]) for _ in range(2000)]

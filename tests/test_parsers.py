@@ -197,6 +197,18 @@ def test_tokenfreq_mixed_length_classes_are_independent():
     assert result[2] == "a b <*>"
 
 
+def test_tokenfreq_relabels_each_kind_of_column():
+    # In the four-token class: a uniform column, one where threshold 0.5
+    # keeps two tokens, one where it keeps one of three, and one that keeps
+    # nothing. The one-token lines form a class of their own.
+    lines = ["open a x 1", "open a x 2", "z", "open b y 3", "open b w 4", "z"]
+    result = parse(_ds(lines), TokenFrequencyParserConfig(threshold=0.5))
+    assert result == [
+        "open a x <*>", "open a x <*>", "z", "open b <*> <*>", "open b <*> <*>", "z",
+    ]
+    assert result == reference_tokenfreq(_ds(lines), 0.5)
+
+
 #: Tokens split on U+0020 alone, so NBSP, a tab and U+001C stay inside them.
 _TOKEN = st.sampled_from(["a", "b", "<*>", "a\xa0b", "\t", "x\x1cy", "\u00e9", "7"])
 
