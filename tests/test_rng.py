@@ -15,8 +15,6 @@ from logblend._rng import record_picks
 
 MASK64 = 2**64 - 1
 
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 def numpy_picks(seed: int, line_id: int, n: int, k: int) -> list[int]:
     """The oracle: one numpy generator per (seed, line id)."""
