@@ -8,8 +8,8 @@ used, so it stays evaluable. A line's picks depend only on the seed and its
 row position, so they do not change with the rows around it.
 
 The lines are aligned a template at a time. The picks of all refilled lines
-come as one matrix, and the lines with the same number of slots are rebuilt
-together, a slot at a time, by adding numpy object arrays of strings.
+come as one matrix, read as one list per slot, and each template's lines are
+rebuilt with one ``str.join`` per line over its pieces and picked values.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
-
-import numpy as np
+from itertools import compress, repeat
 
 from ._rng import record_picks
 from .corpus import WILDCARD, Dataset, _pattern
@@ -65,11 +63,11 @@ def fuzz(
     contents = ds.contents()
     truths = list(ds.ground_truths)
     skipped: list[int] = []
-    # Per slot count, the positions of the lines refilled and their template
-    # pieces around the wildcards.
-    groups: dict[int, tuple[list[int], list[tuple[str, ...]]]] = {}
+    # Per template with a wildcard, its pieces around the wildcards and the
+    # positions of the lines refilled.
+    refills: list[tuple[list[str], list[int]]] = []
     for template, rows in rows_of.items():
-        pieces = tuple(template.split(WILDCARD))
+        pieces = template.split(WILDCARD)
         if len(pieces) > 1:
             fullmatch = _pattern(template).fullmatch
             aligned = [fullmatch(contents[i]) is not None for i in rows]
@@ -77,26 +75,25 @@ def fuzz(
                 skipped += (i + 1 for i, ok in zip(rows, aligned) if not ok)
                 rows = list(compress(rows, aligned))
             if rows:
-                group_rows, group_pieces = groups.setdefault(len(pieces) - 1, ([], []))
-                group_rows += rows
-                group_pieces += [pieces] * len(rows)
+                refills.append((pieces, rows))
         for i in rows:
             truths[i] = template or None
     skipped.sort()
 
-    # One pick matrix for all refilled lines, a group's rows after another's;
-    # then each group's lines are built a slot at a time, all rows at once.
-    line_ids = [i + 1 for rows, _ in groups.values() for i in rows]
-    picks = record_picks(cfg.seed, line_ids, len(vpool.values), max(groups, default=0))
-    values = np.array(vpool.values, dtype=object)
-    out = np.array(contents, dtype=object)
+    # One pick matrix for all refilled lines, a template's rows after
+    # another's, read as one list of picks per slot.
+    line_ids = [i + 1 for _, rows in refills for i in rows]
+    slots = max((len(pieces) - 1 for pieces, _ in refills), default=0)
+    columns = record_picks(cfg.seed, line_ids, len(vpool.values), slots).T.tolist()
+    pick = vpool.values.__getitem__
+    out = list(contents)
     start = 0
-    for slots, (rows, row_pieces) in groups.items():
-        parts = np.array(row_pieces, dtype=object)
-        chosen = values[picks[start : start + len(rows)]]
-        start += len(rows)
-        text = parts[:, 0]
-        for j in range(slots):
-            text = text + chosen[:, j] + parts[:, j + 1]
-        out[rows] = text
-    return FuzzResult(Dataset(ds.name, out.tolist(), truths, ds.sources), skipped)
+    for (head, *pieces), rows in refills:
+        end = start + len(rows)
+        parts = [repeat(head)]
+        for column, piece in zip(columns, pieces):
+            parts += (map(pick, column[start:end]), repeat(piece))
+        for i, line in zip(rows, map("".join, zip(*parts))):
+            out[i] = line
+        start = end
+    return FuzzResult(Dataset(ds.name, out, truths, ds.sources), skipped)

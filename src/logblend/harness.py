@@ -167,7 +167,7 @@ def _synthesis_summary(plan: SynthesisPlan | None) -> dict | None:
     if plan is None:
         return None
     summary = {f.name: getattr(plan, f.name) for f in fields(plan) if f.name not in _POOLS}
-    if plan.labels == LABELS_PARSED:
+    if plan.labels == LABELS_PARSED or plan.fuzz_mode == MODE_PARSED:
         summary["label_parser"] = _parser_summary(LABEL_PARSER)
     pools = [(name, getattr(plan, name)) for name in _POOLS]
     digests = {name: p.sha256 for name, p in pools if p is not None and p.sha256}

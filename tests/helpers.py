@@ -36,6 +36,23 @@ from logblend.pool import (
 )
 
 
+# Published per-dataset stat triples (unique words, chars, line lengths) for
+# the nine public 2K benchmark sets plus the combined and industry sets.
+PUBLISHED_STATS = {
+    "Apache": ProxyStats(874, 46, 9),
+    "BGL": ProxyStats(2068, 75, 114),
+    "HDFS": ProxyStats(3599, 56, 59),
+    "HealthApp": ProxyStats(1512, 71, 55),
+    "HPC": ProxyStats(510, 65, 50),
+    "Mac": ProxyStats(2981, 90, 186),
+    "OpenStack": ProxyStats(1445, 72, 50),
+    "Spark": ProxyStats(1970, 70, 63),
+    "Windows": ProxyStats(1206, 82, 66),
+    "Combined": ProxyStats(3123, 91, 157),
+    "Industry": ProxyStats(4421, 92, 181),
+}
+
+
 def fill_template(template: str, variables: list[str]) -> str:
     """Fill the ``<*>`` slots of `template` with `variables`, in order.
 
@@ -379,8 +396,27 @@ def unlabeled(ds: Dataset) -> Dataset:
 
 
 # Per-record reference implementations: the straightforward loops that the
-# tree parser, the column-wise token-frequency parser, `proxy_stats` and
-# `fuzz` must equal.
+# edit-distance kernel, the tree parser, the column-wise token-frequency
+# parser, `proxy_stats` and `fuzz` must equal.
+
+
+def dp_edit_distance(a: str, b: str) -> int:
+    """Independent full-table dynamic program."""
+    m, n = len(a), len(b)
+    table = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(m + 1):
+        table[i][0] = i
+    for j in range(n + 1):
+        table[0][j] = j
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + cost,
+            )
+    return table[m][n]
 
 
 class _RefGroup:

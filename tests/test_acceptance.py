@@ -38,9 +38,13 @@ from logblend.parsers import (
 )
 from logblend.corpus import extract_variables
 
-from helpers import apacheish, source_datasets, standard_pools
-from test_heterogeneity import PUBLISHED_STATS
-from test_metrics import dp_edit_distance
+from helpers import (
+    PUBLISHED_STATS,
+    apacheish,
+    dp_edit_distance,
+    source_datasets,
+    standard_pools,
+)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

@@ -17,6 +17,7 @@ BENCHMARKS = ROOT / "benchmarks"
 @pytest.mark.parametrize(
     "argv",
     [
+        ["bench_edit_distance.py", "--rounds", "1"],
         ["bench_edit_distance.py", "--corpus", "--rounds", "1"],
     ],
 )

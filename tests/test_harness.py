@@ -413,6 +413,23 @@ def test_parser_driven_synthesis_runs_without_labels(workspace):
     assert doc["plan"]["synthesis"]["label_parser"]["kind"] == "tree"
 
 
+def test_parsed_fuzz_with_ground_truth_labels_records_its_label_parser(workspace):
+    # fuzzing from parsed templates runs the label parser even when mixing
+    # (here absent) would read ground truth, so the summary names it
+    plan = ExperimentPlan(
+        datasets=[workspace / "apacheish.csv"],
+        parsers=[TreeParserConfig()],
+        synthesis=_synthesis(workspace, fuzz_mode="parsed"),
+        runs=1,
+    )
+    summary = run_experiment(plan).to_dict()["plan"]["synthesis"]
+    assert summary["labels"] == harness.LABELS_GROUND_TRUTH
+    assert summary["label_parser"]["kind"] == "tree"
+    assert "label_parser" not in harness._synthesis_summary(
+        replace(plan.synthesis, fuzz_mode="labeled")
+    )
+
+
 def test_parsed_label_h_tracks_ground_truth_h(workspace):
     # heterogeneity reached without labels (parser-driven mix+fuzz) stays in
     # the same ballpark as the label-driven pipeline, and both clearly beat

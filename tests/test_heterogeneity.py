@@ -24,24 +24,7 @@ from logblend.heterogeneity import (
     proxy_stats,
 )
 
-from helpers import apacheish, reference_proxy_stats
-
-# Published per-dataset stat triples (unique words, chars, line lengths) for
-# the nine public 2K benchmark sets plus the combined and industry sets.
-PUBLISHED_STATS = {
-    "Apache": ProxyStats(874, 46, 9),
-    "BGL": ProxyStats(2068, 75, 114),
-    "HDFS": ProxyStats(3599, 56, 59),
-    "HealthApp": ProxyStats(1512, 71, 55),
-    "HPC": ProxyStats(510, 65, 50),
-    "Mac": ProxyStats(2981, 90, 186),
-    "OpenStack": ProxyStats(1445, 72, 50),
-    "Spark": ProxyStats(1970, 70, 63),
-    "Windows": ProxyStats(1206, 82, 66),
-    "Combined": ProxyStats(3123, 91, 157),
-    "Industry": ProxyStats(4421, 92, 181),
-}
-
+from helpers import PUBLISHED_STATS, apacheish, reference_proxy_stats
 
 def _ds(contents: list[str]) -> Dataset:
     return Dataset("t", contents, [None] * len(contents), ["t"] * len(contents))

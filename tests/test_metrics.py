@@ -18,24 +18,7 @@ from logblend.metrics import (
     template_accuracy,
 )
 
-
-def dp_edit_distance(a: str, b: str) -> int:
-    """Independent full-table dynamic program."""
-    m, n = len(a), len(b)
-    table = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        table[i][0] = i
-    for j in range(n + 1):
-        table[0][j] = j
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            table[i][j] = min(
-                table[i - 1][j] + 1,
-                table[i][j - 1] + 1,
-                table[i - 1][j - 1] + cost,
-            )
-    return table[m][n]
+from helpers import dp_edit_distance
 
 
 # --- edit distance ----------------------------------------------------------
@@ -65,7 +48,7 @@ def test_edit_distance_unicode_code_points():
     st.text(alphabet="ab <*>0", max_size=24),
 )
 @settings(max_examples=300)
-def test_edit_distance_matches_oracle_on_both_kernels(a, b):
+def test_edit_distance_matches_oracle(a, b):
     assert levenshtein(a, b) == dp_edit_distance(a, b)
 
 
@@ -79,7 +62,7 @@ def test_edit_distance_metric_axioms(x, y, z):
     assert levenshtein(x, z) <= levenshtein(x, y) + levenshtein(y, z)
 
 
-def test_kernel_paths_agree_on_template_like_strings():
+def test_edit_distance_matches_oracle_on_template_like_strings():
     rng = random.Random(5)
     words = ["alpha", "beta", "<*>", "127", "flush", "x9"]
     for _ in range(100):
