@@ -41,9 +41,7 @@ def canonicalize_template(text: str) -> str:
     vary in incidental spacing; metric comparisons must not hinge on it.
     Applied where templates are read, nowhere else.
     """
-    if "  " in text or text.startswith(" ") or text.endswith(" "):
-        return " ".join(filter(None, text.split(" ")))
-    return text
+    return " ".join(_tokens(text))
 
 
 def _tokens(content: str) -> tuple[str, ...]:
@@ -60,7 +58,7 @@ class Dataset:
 
     Row i holds a line's content, its canonical ground-truth template (None
     where unlabeled) and its source tag; its line id is i + 1. The token
-    table of :meth:`tokens` is kept beside the three columns, not among the
+    table of :attr:`tokens` is kept beside the three columns, not among the
     fields, so it takes no part in equality or the repr.
     """
 
@@ -96,17 +94,14 @@ class Dataset:
     def contents(self) -> tuple[str, ...]:
         return self._contents
 
+    @functools.cached_property
     def tokens(self) -> tuple[tuple[str, ...], ...]:
         """Per line, its content split on U+0020 without empty tokens.
 
         Built on first use and kept until the dataset is freed, so every
         parse of one dataset reads the same split.
         """
-        table = self.__dict__.get("_token_table")
-        if table is None:
-            table = tuple(map(_tokens, self._contents))
-            object.__setattr__(self, "_token_table", table)
-        return table
+        return tuple(map(_tokens, self._contents))
 
     def labels(self) -> tuple[str, ...]:
         """Ground-truth templates in line order; raises if any are missing."""

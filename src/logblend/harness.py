@@ -200,11 +200,6 @@ def _attempt(fn, *args, **kwargs) -> tuple:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _evaluate_cell(predicted: list[str], truth: tuple[str, ...]) -> dict:
-    """The cell's metrics: `predicted` templates scored against `truth`."""
-    return evaluate(predicted, truth).as_dict()
-
-
 def _parser_doc(spec: ParserSpec, cells: list[dict]) -> dict:
     """One parser's report entry: its config, its runs and their aggregates."""
     doc: dict = {"config": _parser_summary(spec), "runs": cells}
@@ -258,7 +253,9 @@ def _run_dataset(
             if error is None:
                 predicted, cell["error"] = read.get(spec) or _attempt(parse, data, spec)
             if cell["error"] is None:
-                cell["metrics"], cell["error"] = _attempt(_evaluate_cell, predicted, truth)
+                cell["metrics"], cell["error"] = _attempt(
+                    lambda: evaluate(predicted, truth).as_dict()
+                )
             runs[spec.name].append(cell)
             timings[f"{ds.name}/{seed}/{spec.name}"] = time.perf_counter() - mark
 

@@ -20,26 +20,26 @@ index-aligned with the input dataset (see :func:`read_parse_result`).
 Built-in parsers emit canonical templates: they split content on U+0020
 alone, the one character templates are aligned on, and join the tokens with
 single spaces, so any other whitespace (a tab, NBSP) stays inside its token.
-Both read that split from :meth:`~logblend.corpus.Dataset.tokens`, which a
-dataset builds once for every parse of it; only a tree parse with masks
-splits the masked content itself. The token-frequency parser relabels a
-column at a time: a column whose tokens are all kept is used as it is, one
-with none kept becomes wildcards, and any other maps each token through the
-kept set.
+Both read that split from :attr:`~logblend.corpus.Dataset.tokens`, which a
+dataset builds once for every parse of it; a tree parse with masks reads the
+table of a dataset of the masked contents. The token-frequency parser
+relabels a column at a time: a column whose tokens are all kept is used as
+it is, one with none kept becomes wildcards, and any other maps each token
+through the kept set.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import eq
 from pathlib import Path
 from typing import ClassVar, get_args
 
-from .corpus import WILDCARD, Dataset, _tokens, read_columns, write_columns
+from .corpus import WILDCARD, Dataset, read_columns, write_columns
 from .errors import EmptyDatasetError, ShapeError
 from .metrics import ParseResult
 
@@ -95,14 +95,6 @@ PARSER_CONFIGS: dict[str, type] = {cls.name: cls for cls in get_args(ParserConfi
 _DIGIT = re.compile(r"\d")
 
 
-def _masked_tokens(ds: Dataset, masks: list[re.Pattern]) -> Iterator[tuple[str, ...]]:
-    """Per line, its tokens once every mask is substituted with the wildcard."""
-    for content in ds.contents():
-        for mask in masks:
-            content = mask.sub(WILDCARD, content)
-        yield _tokens(content)
-
-
 def _leaf(fanout: dict[tuple, set[str]], tokens: Sequence[str], levels: int,
           max_children: int) -> tuple:
     """The routed path of `tokens`, adding each key to the fan-out of its prefix."""
@@ -124,7 +116,11 @@ def _leaf(fanout: dict[tuple, set[str]], tokens: Sequence[str], levels: int,
 
 
 def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
-    masks = [re.compile(m) for m in cfg.masks]
+    if cfg.masks:
+        masked = ds.contents()
+        for mask in map(re.compile, cfg.masks):
+            masked = [mask.sub(WILDCARD, content) for content in masked]
+        ds = Dataset(ds.name, masked, ds.ground_truths, ds.sources)
     levels = max(cfg.depth - 2, 0)
     threshold = cfg.similarity_threshold
     # The keys seen after each routed prefix (token count, then keys).
@@ -135,12 +131,14 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
     # A stored route never goes stale: keys are never removed, and a fan-out
     # that has filled up never shrinks, so it spills the same keys.
     leaves: dict[tuple, list[int]] = {}
+    # Group templates hold each wildcard as "", which no token equals, so a
+    # literal "<*>" token never agrees with a template's wildcard.
     templates: list[Sequence[str]] = []
     # Per group, the number of wildcards in its template.
     wildcards: list[int] = []
     # The group each line joined; -1 for a line without tokens.
     joined: list[int] = []
-    for tokens in _masked_tokens(ds, masks) if masks else ds.tokens():
+    for tokens in ds.tokens:
         if not tokens:
             joined.append(-1)
             continue
@@ -153,20 +151,12 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
 
         # Every template of a leaf has the line's length, so the integer count
         # of literal positions that agree orders groups as the similarity
-        # (that count over n) does. A template's wildcard equals a literal
-        # "<*>" token, which is no literal agreement: subtract those positions.
-        literal_wildcards = (
-            [i for i, tok in enumerate(tokens) if tok == WILDCARD]
-            if WILDCARD in tokens else ()
-        )
+        # (that count over n) does.
         best = -1
         best_same = -1
         best_wildcards = -1
         for group in groups:
-            template = templates[group]
-            same = sum(map(eq, template, tokens))
-            for i in literal_wildcards:
-                same -= template[i] == WILDCARD
+            same = sum(map(eq, templates[group], tokens))
             if same > best_same or (same == best_same and wildcards[group] > best_wildcards):
                 best, best_same, best_wildcards = group, same, wildcards[group]
 
@@ -178,23 +168,26 @@ def _parse_tree(ds: Dataset, cfg: TreeParserConfig) -> ParseResult:
         # tokens is below the threshold, and a group like that is never chosen.
         if best < 0 or best_same / n < threshold:
             best = len(templates)
+            if WILDCARD in tokens:
+                tokens = [tok if tok != WILDCARD else "" for tok in tokens]
             templates.append(tokens)
-            wildcards.append(len(literal_wildcards))
+            wildcards.append(tokens.count(""))
             groups.append(best)
         elif best_same + best_wildcards != n:
-            # Some literal position disagrees with the line; it becomes "<*>".
+            # Some literal position disagrees with the line; it becomes "".
             templates[best] = [
-                t if t == tok else WILDCARD for t, tok in zip(templates[best], tokens)
+                t if t == tok else "" for t, tok in zip(templates[best], tokens)
             ]
             wildcards[best] = n - best_same
         joined.append(best)
-    # The trailing "" is what index -1 reads.
-    final = [" ".join(template) for template in templates] + [""]
+    # Wildcards are written as "<*>"; the trailing "" is what index -1 reads.
+    final = [" ".join([t or WILDCARD for t in template]) for template in templates]
+    final.append("")
     return [final[group] for group in joined]
 
 
 def _parse_tokenfreq(ds: Dataset, cfg: TokenFrequencyParserConfig) -> ParseResult:
-    token_lists = ds.tokens()
+    token_lists = ds.tokens
     classes: dict[int, list[int]] = defaultdict(list)
     for idx, toks in enumerate(token_lists):
         classes[len(toks)].append(idx)
