@@ -23,14 +23,26 @@ limits and no blocking.
   bit of every pattern at once (``bottoms`` holds those bits); whatever a
   guard bit shifts into a pattern's lowest bit is overwritten by it.
 * ``peq[c]``, the positions where the patterns hold ``c``, is built only for
-  the characters of the text, each by one ``str.translate`` and one
-  ``int(..., 2)`` over the reversed joined patterns: O(width) C-level work.
+  the characters of the text that some pattern holds, each by one
+  ``str.translate`` and one ``int(..., 2)`` over the reversed joined
+  patterns: O(width) C-level work. The translate table is a ``defaultdict``
+  whose missing entries read ``"0"``, so no Python pass over the patterns'
+  characters builds it. The patterns are joined by NUL, so only ``peq["\\0"]``
+  marks guard bits, and it alone is masked.
+* Non-negative operands: Python ints are sign and magnitude, and a bit op
+  with a negative operand is many times slower than one without (about 12x
+  for ``x | ~y`` against ``x & y`` on a 24k-bit int). So ``~x`` is written
+  ``x ^ mask``. Inside ``mask`` the two agree; a bit outside it (a guard,
+  or above the top pattern) is either shifted into a pattern's lowest bit,
+  which ``bottoms`` sets, or cleared by ``& mask`` or ``& xv``.
 * Shared prefix: the longest prefix of the text that every pattern starts
   with too is dropped first. Levenshtein distance is unchanged by a common
   prefix, and each character dropped from the text is one step fewer.
 * Read-out: row 0 of the last column is ``len(text)``, and each pattern's
   distance is that plus its +1 deltas minus its -1 deltas, counted once at
-  the end as ``len(text) + popcount(pv_i) - popcount(mv_i)``.
+  the end as ``len(text) + popcount(pv_i) - popcount(mv_i)``: one
+  ``str.count`` per lane of the binary strings of ``pv`` and ``mv``, mapped
+  over the lanes' precomputed bounds.
 
 :func:`levenshtein` scores one pair: it is ``distances(a, [b])[0]``.
 
@@ -42,6 +54,9 @@ grouped by template as evaluation calls it.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import accumulate, repeat
+from operator import sub
 from os.path import commonprefix
 
 
@@ -54,44 +69,47 @@ def distances(text: str, patterns: list[str]) -> list[int]:
     if shared:
         text = text[shared:]
         patterns = [p[shared:] for p in patterns]
-    width = sum(map(len, patterns)) + len(patterns)
+    lengths = list(map(len, patterns))
+    width = sum(lengths) + len(patterns)
     # Pattern i fills the bits from its offset up, and its guard bit is the
     # next one. int(..., 2) reads the top bit first, so the patterns go in
     # reverse; a "\0" stands at each guard below the top one, which is the
-    # "0" put in front, and `& mask` clears it.
-    mask = int("".join(["0" + "1" * len(p) for p in reversed(patterns)]), 2)
-    bottoms = mask & ~(mask << 1)
+    # "0" put in front.
+    mask = int("".join(["0" + "1" * n for n in reversed(lengths)]), 2)
+    bottoms = mask ^ (mask & (mask << 1))
     reversed_joined = "\0".join(patterns)[::-1]
-    chars = set(reversed_joined)
-    table = dict.fromkeys(map(ord, chars), "0")
+    # Every character maps to "0" except the one whose vector is built.
+    table = defaultdict(repeat("0").__next__)
     peq: dict[str, int] = {}
-    for ch in chars.intersection(text):
-        code = ord(ch)
-        table[code] = "1"
-        peq[ch] = int("0" + reversed_joined.translate(table), 2) & mask
-        table[code] = "0"
+    for ch in set(text):
+        if ch in reversed_joined:
+            code = ord(ch)
+            table[code] = "1"
+            peq[ch] = int("0" + reversed_joined.translate(table), 2)
+            table[code] = "0"
+    if "\0" in peq:  # the only vector that also marks the guards
+        peq["\0"] &= mask
+    # ~x is written x ^ mask, which keeps every operand non-negative (see
+    # "Non-negative operands" above).
     pv, mv = mask, 0
     for ch in text:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
+        ph = mv | ((xh | pv) ^ mask)
         mh = pv & xh
         ph = (ph << 1) | bottoms
         mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
+        pv = (mh | ((xv | ph) ^ mask)) & mask
         mv = ph & xv  # inside the mask, as xv is
-    # Character k of these strings is bit width - 1 - k.
+    # Character k of these strings is bit width - 1 - k, so pattern i's lane
+    # ends where the patterns before it and their guards leave off.
     n = len(text)
-    pv_bits = format(pv, f"0{width}b")
-    mv_bits = format(mv, f"0{width}b")
-    out = []
-    end = width
-    for p in patterns:
-        start = end - len(p)
-        out.append(n + pv_bits.count("1", start, end) - mv_bits.count("1", start, end))
-        end = start - 1
-    return out
+    ends = list(accumulate([m + 1 for m in lengths], sub, initial=width))
+    starts = list(map(sub, ends, lengths))
+    plus = map(format(pv, f"0{width}b").count, repeat("1"), starts, ends)
+    minus = map(format(mv, f"0{width}b").count, repeat("1"), starts, ends)
+    return [n + a - b for a, b in zip(plus, minus)]
 
 
 def levenshtein(a: str, b: str) -> int:

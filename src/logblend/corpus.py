@@ -13,7 +13,9 @@ expects canonical templates and compares them as given. Both work a column at
 a time and give what the ``csv`` module gives: the writer quotes only the
 fields of a column that holds a comma, quote, CR or LF; the reader splits a
 quote-free file in bulk and reads a quoted one with ``csv.reader``, with the
-same rules either way.
+same rules either way. The string work is done in whole-text passes: lines
+are split at CRLF first and again only where a bare CR or LF is left, and
+one scan of the distinct templates tells whether any needs canonicalizing.
 """
 
 from __future__ import annotations
@@ -159,8 +161,15 @@ def _split_lines(text: str) -> list[str]:
     Only CR, LF and CRLF end a line, as in text-mode reading and in
     ``csv.reader``; unlike :meth:`str.splitlines`, VT, FF, NEL, U+2028 and
     the like stay inside one. A break at the end starts no further line.
+
+    The text is split at CRLF, and the pieces are joined by LF and split
+    again at every CR and LF only when one of them holds a bare break. Both
+    give the lines of replacing CRLF, then CR, by LF and splitting there.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.split("\r\n")
+    rest = "".join(lines)  # the text itself when it holds no CRLF
+    if "\n" in rest or "\r" in rest:
+        lines = "\n".join(lines).replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
@@ -236,7 +245,8 @@ def read_columns(
       digits in any order, and rows come back in that order (file order when
       the column is absent); it is not itself returned;
     * a `Content` field holds no line break;
-    * each distinct `EventTemplate` field is canonicalized once.
+    * each distinct `EventTemplate` field is canonicalized at most once, and
+      equal templates come back as one object (:func:`_canonical_templates`).
 
     A violation, bad quoting or a ragged row raises DataFormatError naming
     the file and the row (the line it starts on); a byte that is not UTF-8,
@@ -270,15 +280,33 @@ def read_columns(
     if broken is not None:
         raise DataFormatError(f"{path}: row {row_nums[broken]} content contains a line break")
     if "EventTemplate" in columns:
-        raw = columns["EventTemplate"]
-        canonical = {text: canonicalize_template(text) for text in set(raw)}
-        columns["EventTemplate"] = [canonical[text] for text in raw]
+        columns["EventTemplate"] = _canonical_templates(columns["EventTemplate"])
     if "LineId" in index:
         ids = fields[index["LineId"]]
         if ids != _line_ids(len(ids)):
             order = _line_id_order(path, row_nums, ids)
             columns = {col: [column[i] for i in order] for col, column in columns.items()}
     return columns, digest
+
+
+def _canonical_templates(fields: list[str]) -> list[str]:
+    """Per field its canonical template, one string object per distinct one.
+
+    A template is canonical unless it holds two spaces in a row or a space at
+    either end. When the distinct templates are joined by single spaces, such
+    a space shows as ``"  "`` or at an end of the joined text, so one scan
+    tells whether any needs :func:`canonicalize_template`; usually none does.
+    ``""`` is canonical and is left out of the scan, where it would show as
+    ``"  "``.
+    """
+    shared = dict(zip(fields, fields))
+    scan = " ".join(filter(None, shared))
+    if "  " in scan or scan[:1] == " " or scan[-1:] == " ":
+        canonical: dict[str, str] = {}
+        for text in shared:
+            form = canonicalize_template(text)
+            shared[text] = canonical.setdefault(form, form)
+    return list(map(shared.__getitem__, fields))
 
 
 def _split_rows(text: str) -> tuple[list[str], Sequence[int], list[list[str]]] | None:

@@ -92,13 +92,14 @@ def proxy_stats(ds: Dataset) -> ProxyStats:
     if not len(ds):
         raise EmptyDatasetError(f"dataset {ds.name!r} is empty")
     contents = ds.contents()
-    # The joining space ends a word, so no two contents' words merge. It adds
-    # len(contents) - 1 spaces, so a space counts only beyond those.
+    # The joining space ends a word, so no two contents' words merge. It is
+    # not itself a character of the contents, so the space is looked for in
+    # the contents joined without it.
     text = " ".join(contents)
     words = set(text.split())
     nuc = len(set("".join(words)))
     nuc += sum(c in text for c in WHITESPACE if c != " ")
-    nuc += text.count(" ") >= len(contents)
+    nuc += " " in "".join(contents)
     lengths = set(map(len, contents))
     return ProxyStats(nuw=len(words), nuc=nuc, nuldl=len(lengths))
 

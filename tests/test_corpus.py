@@ -28,6 +28,8 @@ from logblend.parsers import (
     TokenFrequencyParserConfig,
     TreeParserConfig,
     parse,
+    read_parse_result,
+    write_parse_result,
 )
 from logblend.pool import (
     OutlierPool,
@@ -146,6 +148,17 @@ def test_nothing_after_the_read_boundary_canonicalizes_again(tmp_path, monkeypat
     assert len(calls) == 0
     corpus.canonicalize_template("a  b")  # the counter does see a call
     assert len(calls) == 1
+
+
+def test_readers_of_canonical_templates_canonicalize_nothing(tmp_path, monkeypatch):
+    ds = source_datasets(200)[0]
+    write_dataset(ds, tmp_path / "ds.csv")
+    templates = [*ds.labels()[:-1], ""]  # "" is canonical too
+    write_parse_result(templates, tmp_path / "parsed.csv")
+    calls = _count_canonicalizations(monkeypatch)
+    assert load_structured(tmp_path / "ds.csv").labels() == ds.labels()
+    assert read_parse_result(tmp_path / "parsed.csv") == templates
+    assert calls == []
 
 
 def test_readers_canonicalize_each_distinct_template_once(tmp_path, monkeypatch):

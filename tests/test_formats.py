@@ -187,6 +187,35 @@ def test_parse_result_round_trips(templates, tmp_path_factory):
     assert read_parse_result(path, expected_len=len(templates)) == templates
 
 
+#: Template fields as files hold them: leading, trailing and repeated spaces,
+#: "", tab, NBSP and a (quoted) line break among other text.
+_RAW_TEMPLATE = st.lists(
+    st.one_of(st.sampled_from([" ", "  ", "\t", "\xa0", "\n", "a", "<*>"]), _PIECE),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    templates=st.lists(_RAW_TEMPLATE, min_size=1, max_size=6).flatmap(
+        lambda distinct: st.lists(st.sampled_from(distinct), min_size=1, max_size=12)
+    )
+)
+@example(templates=["a b", "", "a b", "c <*>"])  # all canonical
+@example(templates=["a  b", "a b", " a b", "", "a b "])  # four spellings of one form
+@example(templates=["", " "])
+def test_templates_read_as_canonicalized_fields_one_object_per_form(
+    templates, tmp_path_factory
+):
+    path = tmp_path_factory.mktemp("templates") / "parsed.csv"
+    _plain_csv(path, ("LineId", "EventTemplate"), enumerate(templates, start=1))
+    want = [canonicalize_template(text) for text in templates]
+    columns, _ = read_columns(path, ("EventTemplate",))
+    for got in (columns["EventTemplate"], read_parse_result(path)):
+        assert got == want
+        assert len({id(text) for text in got}) == len(set(got))
+
+
 #: Per format: its header, one row for a LineId, and a reader returning a list.
 _FORMATS = {
     "dataset": (

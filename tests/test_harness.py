@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from logblend import corpus, harness
+from logblend import corpus, harness, metrics
 from logblend.corpus import Dataset, load_structured, write_dataset
 from logblend.errors import AllocationError, InsufficientDataError, LogblendError
 from logblend.harness import (
@@ -490,6 +490,45 @@ def test_a_plan_runs_each_dataset_alone_and_merges_them_in_order(workspace, tmp_
     assert json.dumps(whole) == json.dumps(merged)
     keys = [key for part in parts for key in part["timings"] if key != "total"]
     assert list(timings) == keys + ["total"]
+
+
+#: The names perfbench's layer wraps replace, by the module that binds them.
+_WRAPPED_NAMES = {
+    harness: (
+        "load_structured", "mix", "fuzz", "proxy_stats", "parse",
+        "read_parse_result", "evaluate",
+    ),
+    metrics: ("grouping_accuracy", "template_accuracy", "mean_edit_distance"),
+}
+
+
+def test_every_name_a_layer_wrap_replaces_is_still_called(workspace, tmp_path, monkeypatch):
+    # perfbench times a layer by replacing the name its caller looks up at
+    # call time; a name the program stops calling leaves a metric that
+    # measures nothing, which no other test would notice.
+    calls: Counter = Counter()
+    for module, names in _WRAPPED_NAMES.items():
+        for name in names:
+            key = f"{module.__name__}.{name}"
+
+            def counting(*args, _real=getattr(module, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    echo = tmp_path / "echo.csv"
+    write_parse_result(list(load_structured(workspace / "apacheish.csv").contents()), echo)
+    plan = ExperimentPlan(
+        datasets=[workspace / "apacheish.csv"],
+        parsers=[ExternalParser(path=echo)],
+        synthesis=_synthesis(workspace, strength=0.5, fuzz_mode="parsed", labels="parsed"),
+        runs=1,
+    )
+    doc = run_experiment(plan).to_dict()
+    (cell,) = doc["datasets"]["apacheish"]["parsers"][f"external:{echo.name}"]["runs"]
+    assert cell["error"] is None
+    wrapped = {f"{m.__name__}.{name}" for m, names in _WRAPPED_NAMES.items() for name in names}
+    assert set(calls) == wrapped
 
 
 def test_timings_recorded_but_excluded_by_default(workspace):

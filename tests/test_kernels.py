@@ -148,3 +148,24 @@ def test_carry_out_of_a_pattern_stays_out_of_its_neighbour(text, patterns):
     expected = [dp_edit_distance(text, p) for p in patterns]
     assert distances(text, patterns) == expected
     assert distances(text, patterns[::-1]) == expected[::-1]
+
+
+@pytest.mark.parametrize(
+    "text, patterns",
+    [
+        # NUL only in the text: the separators of the joined patterns are
+        # NULs, so its vector must hold no guard bit.
+        ("a\0b", ["ab", "ba", "a"]),
+        ("\0", ["x", "", "xy"]),
+        # NUL only in the patterns: the text needs no vector for it.
+        ("ab", ["a\0b", "\0", "b\0"]),
+        ("\0a\0", ["\0", "a\0\0", ""]),
+        # A text character that no pattern holds gets no vector.
+        ("axb", ["ab", "b", "a"]),
+        ("xyz", ["ab", "ba", ""]),
+    ],
+)
+def test_match_vectors_of_nul_and_of_characters_no_pattern_holds(text, patterns):
+    expected = [dp_edit_distance(text, p) for p in patterns]
+    assert distances(text, patterns) == expected
+    assert distances(text, patterns[::-1]) == expected[::-1]

@@ -10,11 +10,11 @@ import ast
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import logblend
-from logblend.corpus import load_raw, read_text
+from logblend.corpus import _split_lines, load_raw, read_text
 from logblend.errors import DataFormatError
 from logblend.pool import VariablePool
 
@@ -69,6 +69,30 @@ def test_load_raw_splits_lines_as_text_mode_reading_did(text, tmp_path_factory):
     path.write_bytes(text.encode())
     want = [line for line in text_mode_lines(path) if line.strip()]
     assert list(load_raw(path).contents()) == want
+
+
+def _replace_and_split(text: str) -> list[str]:
+    """The lines of `text` by the rule `_split_lines` had before it split at CRLF first."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.lists(
+        st.one_of(
+            st.sampled_from(["\r", "\n", "\r\n", "\r\r\n", "\n\r", "\n\n", ""]),
+            _LINE,
+        ),
+        max_size=10,
+    ).map("".join)
+)
+@example(text="a\r\nb\r\n")
+@example(text="a\r\r\nb\n\rc\r")
+def test_split_lines_equals_replace_and_split(text):
+    assert _split_lines(text) == _replace_and_split(text)
 
 
 _VALUE = _LINE.filter(lambda s: s and "\t" not in s)
