@@ -190,13 +190,9 @@ def _cmd_pool_build(args) -> None:
     datasets = [load_structured(p) for p in args.datasets]
     opool = build_outlier_pool(datasets, outlier_fraction=args.outlier_fraction)
     vpool = build_variable_pool(datasets)
-    # Only the variable pool can fail to save: outlier pool lines come from
-    # loaded datasets, so each has no line break and a label. Its checks run
-    # before anything is created, so a data error leaves no file behind.
-    try:
-        vpool_text = vpool.to_text()
-    except ValueError as exc:  # a source tag from the data holds a tab, CR or LF
-        raise DataFormatError(str(exc)) from exc
+    # Checked before anything is created: a source tag from the data may hold a
+    # tab, CR or LF. Outlier pool lines come from loaded datasets, so they save.
+    vpool_text = vpool.to_text()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "variable_pool.tsv").write_text(vpool_text, encoding="utf-8")
@@ -214,15 +210,6 @@ def _cmd_pool_build(args) -> None:
     )
 
 
-def _write(writer, data, path: str) -> None:
-    """`writer(data, path)`, with a ValueError for what the data holds (a line
-    break it cannot write) raised as a DataFormatError naming `path`."""
-    try:
-        writer(data, path)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-
-
 def _read_parsed(path: str | None, ds: Dataset) -> list[str] | None:
     """The templates of a --parsed file, one per record of `ds`; None without one."""
     if path is None:
@@ -232,22 +219,27 @@ def _read_parsed(path: str | None, ds: Dataset) -> list[str] | None:
 
 def _cmd_mix(args) -> None:
     ds = load_structured(args.input)
-    pool = Path(args.pool)  # a pool directory or the outlier pool file itself
-    pool = OutlierPool.load(pool / "outlier_pool.csv" if pool.is_dir() else pool)
+    path = Path(args.pool)  # a pool directory or the outlier pool file itself
+    path = path / "outlier_pool.csv" if path.is_dir() else path
+    pool = OutlierPool.load(path)
+    if not pool:
+        raise DataFormatError(f"{path}: outlier pool holds no lines")
     cfg = MixConfig(
         strength=args.strength,
         seed=args.seed,
         exclude_source=not args.include_own_source,
     )
     mixed = mix(ds, pool, cfg, _read_parsed(args.parsed, ds))
-    _write(write_dataset, mixed, args.out)
+    write_dataset(mixed, args.out)
 
 
 def _cmd_fuzz(args) -> None:
     ds = load_structured(args.input)
     vpool = VariablePool.load(args.vpool)
+    if not vpool:
+        raise DataFormatError(f"{args.vpool}: variable pool holds no values")
     result = fuzz(ds, vpool, FuzzConfig(seed=args.seed), _read_parsed(args.parsed, ds))
-    _write(write_dataset, result.dataset, args.out)
+    write_dataset(result.dataset, args.out)
     if result.skipped_line_ids:
         print(
             f"skipped {len(result.skipped_line_ids)} unalignable records",
@@ -258,13 +250,13 @@ def _cmd_fuzz(args) -> None:
 def _cmd_parse(args) -> None:
     ds = _load(args.input, args.raw)
     result = parse(ds, _parser_config(args))
-    _write(write_parse_result, result, args.out)
+    write_parse_result(result, args.out)
 
 
 def _cmd_combine(args) -> None:
     datasets = [load_structured(p) for p in args.datasets]
     combined = build_combined_dataset(datasets, size=args.size, seed=args.seed)
-    _write(write_dataset, combined, args.out)
+    write_dataset(combined, args.out)
 
 
 def _cmd_evaluate(args) -> None:

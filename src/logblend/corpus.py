@@ -210,9 +210,9 @@ def write_columns(path: str | Path, columns: dict[str, Sequence]) -> None:
     `columns` maps each column's name to its values, in order. The bytes are
     those ``csv.writer`` writes: a header row of the names, then per row its
     fields as :func:`_csv_fields` gives them, joined by commas, each row
-    ending in CRLF. Columns of different lengths or a `Content` value holding
-    a CR or LF, which the reader rejects, raise ValueError before the file is
-    opened.
+    ending in CRLF. Before the file is opened, columns of different lengths
+    raise ValueError, and a `Content` value holding a CR or LF, which the
+    reader rejects, raises DataFormatError naming `path` and the line.
     """
     lengths = {name: len(column) for name, column in columns.items()}
     n = max(lengths.values())
@@ -220,7 +220,7 @@ def write_columns(path: str | Path, columns: dict[str, Sequence]) -> None:
         raise ValueError(f"columns of different lengths: {lengths}")
     broken = _line_break_at(columns.get("Content", ()))
     if broken is not None:
-        raise ValueError(f"line {broken + 1} content contains a line break")
+        raise DataFormatError(f"{path}: line {broken + 1} content contains a line break")
     fields = [
         _csv_fields(name, column)
         for name, column in {"LineId": _line_ids(n), **columns}.items()

@@ -13,7 +13,7 @@ class LogblendError(Exception):
 
 
 class DataFormatError(LogblendError):
-    """Input file does not conform to the expected tabular/raw format."""
+    """A file read, or data about to be written, does not fit its format."""
 
 
 class AlignmentError(LogblendError):

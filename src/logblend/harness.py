@@ -82,23 +82,29 @@ class SynthesisPlan:
     variable_pool: VariablePool | None = None
 
     def __post_init__(self) -> None:
-        # Each message starts with the field; the plan reader prefixes its key.
+        key = "plan.synthesis"  # each message names its key, as ExperimentPlan's do
         strength = self.mix_strength
         if strength is not None and not 0.0 <= strength <= 1.0:
-            raise LogblendError(f"mix_strength must be in [0, 1], got {strength}")
+            raise LogblendError(f"{key}.mix_strength must be in [0, 1], got {strength}")
         for name, allowed in (
             ("fuzz_mode", (None, MODE_LABELED, MODE_PARSED)),
             ("labels", (LABELS_GROUND_TRUTH, LABELS_PARSED)),
         ):
             value = getattr(self, name)
             if value not in allowed:
-                raise LogblendError(f"{name} must be one of {allowed}, got {value!r}")
+                raise LogblendError(f"{key}.{name} must be one of {allowed}, got {value!r}")
         if self.labels == LABELS_PARSED and strength is None:
-            raise LogblendError("labels 'parsed' needs mix_strength: only mixing reads it")
+            raise LogblendError(
+                f"{key}.labels 'parsed' needs mix_strength: only mixing reads it"
+            )
         if strength is not None and self.outlier_pool is None:
-            raise LogblendError("outlier_pool is missing: no outlier pool to mix from")
+            raise LogblendError(f"{key}.outlier_pool is missing: no outlier pool to mix from")
         if self.fuzz_mode is not None and self.variable_pool is None:
-            raise LogblendError("variable_pool is missing: no variable pool to fuzz from")
+            raise LogblendError(
+                f"{key}.variable_pool is missing: no variable pool to fuzz from"
+            )
+        if self.fuzz_mode is not None and not self.variable_pool:
+            raise LogblendError(f"{key}.variable_pool holds no values")
 
 
 #: The pool settings of a synthesis plan: a file name in a plan, a loaded pool
@@ -176,7 +182,9 @@ def _synthesis_summary(plan: SynthesisPlan | None) -> dict | None:
     return summary
 
 
-def _synthesize(ds: Dataset, plan: SynthesisPlan, seed: int) -> Dataset:
+def _synthesize(ds: Dataset, plan: SynthesisPlan | None, seed: int) -> Dataset:
+    if plan is None:
+        return ds
     data = ds
     if plan.mix_strength is not None:
         cfg = MixConfig(
@@ -230,9 +238,8 @@ def _run_dataset(
     read: dict = {}  # per external parser: its templates and error text, read once
     for run, seed in enumerate(seeds):
         mark = time.perf_counter()
-        data, error, truth = ds, None, ()
-        if plan.synthesis is not None:
-            data, error = _attempt(_synthesize, ds, plan.synthesis, seed)
+        data = None  # frees the last run's data before this run's is built
+        data, error = _attempt(_synthesize, ds, plan.synthesis, seed)
         timings[f"{ds.name}/{seed}/synthesis"] = time.perf_counter() - mark
         if data is None:
             stats_per_run.append(None)
@@ -241,9 +248,7 @@ def _run_dataset(
             stats = proxy_stats(data)
             stats_per_run.append(stats.as_dict())
             h_per_run.append(h_score(stats, plan.reference).h)
-            try:
-                truth = data.labels()
-            except LogblendError:
+            if None in data.ground_truths:
                 error = "LabelingError: dataset has no ground truth"
         for spec in plan.parsers:
             mark = time.perf_counter()
@@ -254,7 +259,7 @@ def _run_dataset(
                 predicted, cell["error"] = read.get(spec) or _attempt(parse, data, spec)
             if cell["error"] is None:
                 cell["metrics"], cell["error"] = _attempt(
-                    lambda: evaluate(predicted, truth).as_dict()
+                    lambda: evaluate(predicted, data.ground_truths).as_dict()
                 )
             runs[spec.name].append(cell)
             timings[f"{ds.name}/{seed}/{spec.name}"] = time.perf_counter() - mark
@@ -391,7 +396,9 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
     values a config rejects all raise LogblendError naming the key.
     """
 
-    def _resolve(p: str) -> Path:
+    def _resolve(key: str, p: str) -> Path:
+        if "\0" in p:  # no file can be named so; opening it raises ValueError
+            raise LogblendError(f"{key} holds a NUL character")
         # An absolute `p` replaces `base_dir` when joined.
         return Path(p) if base_dir is None else base_dir / p
 
@@ -410,7 +417,7 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
         kind = _typed(f"{key}.kind", _typed(key, entry, dict).get("kind"), kinds)
         if kind == "external":
             entry = _read(key, entry, {"kind": (str, MISSING), "path": (str, MISSING)})
-            parsers.append(ExternalParser(path=_resolve(entry["path"])))
+            parsers.append(ExternalParser(path=_resolve(f"{key}.path", entry["path"])))
         else:
             cls = PARSER_CONFIGS[kind]
             parsers.append(_config(key, cls, entry, kind=(str, MISSING)))
@@ -420,18 +427,15 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
         schema = _schema(SynthesisPlan, **dict.fromkeys(_POOLS, (str, None)))
         s = _read("plan.synthesis", doc["synthesis"], schema)
         for key, cls in _POOLS.items():
-            s[key] = cls.load(_resolve(s[key])) if s[key] else None
-        try:
-            synthesis = SynthesisPlan(**s)
-        except LogblendError as exc:
-            raise LogblendError(f"plan.synthesis.{exc}") from exc
+            s[key] = cls.load(_resolve(f"plan.synthesis.{key}", s[key])) if s[key] else None
+        synthesis = SynthesisPlan(**s)
 
     reference = INDUSTRY_REFERENCE
     if doc["reference"] is not None:
         reference = _config("plan.reference", ProxyStats, doc["reference"])
 
     return ExperimentPlan(
-        datasets=[_resolve(p) for p in doc["datasets"]],
+        datasets=[_resolve(f"plan.datasets[{i}]", p) for i, p in enumerate(doc["datasets"])],
         parsers=parsers,
         synthesis=synthesis,
         runs=doc["runs"],

@@ -43,11 +43,14 @@ class OutlierPool:
 
     def save(self, path: str | Path) -> None:
         """Write the pool. A line :meth:`load` would reject (a line break in its
-        content, an empty template) raises ValueError before the file is opened."""
+        content, an empty template) raises DataFormatError naming `path` before
+        the file is opened."""
         lines = self.lines
         for i, (content, template) in enumerate(zip(lines.contents(), lines.ground_truths), 1):
             if not (template or "").strip(" "):
-                raise ValueError(f"outlier pool entry {i} {content!r} has an empty template")
+                raise DataFormatError(
+                    f"{path}: outlier pool entry {i} {content!r} has an empty template"
+                )
         columns = lines.contents(), lines.ground_truths, lines.sources
         write_columns(path, dict(zip(_COLUMNS, columns)))
 
@@ -98,15 +101,15 @@ class VariablePool:
     def to_text(self) -> str:
         """The saved form: per value, the value, then its source tags, tab-separated.
 
-        Raises ValueError naming a value that would not read back: an empty
-        one, one with no tag, or a tab, CR or LF in it or a tag.
+        Raises DataFormatError naming a value that would not read back: an
+        empty one, one with no tag, or a tab, CR or LF in it or a tag.
         """
         lines = []
         for value, tags in self.sources.items():
             line = "\t".join((value, *tags))
             split = line.count("\t") != len(tags) or "\n" in line or "\r" in line
             if split or not value or not tags:
-                raise ValueError(
+                raise DataFormatError(
                     f"variable pool value {value!r} with sources {tags!r} would not "
                     "read back: it needs a value, a tag, and no tab, CR or LF"
                 )

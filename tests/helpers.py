@@ -374,22 +374,6 @@ def assert_well_formed(ds: Dataset) -> None:
             assert canonicalize_template(truth) == truth
 
 
-def small_labeled_dataset(name: str = "tiny") -> Dataset:
-    contents = [
-        "child worker 3 registered in slot 7",
-        "child worker 5 registered in slot 2",
-        "cache segment 9 flushed in 12 ms",
-        "scheduler heartbeat ok",
-    ]
-    templates = [
-        "child worker <*> registered in slot <*>",
-        "child worker <*> registered in slot <*>",
-        "cache segment <*> flushed in <*> ms",
-        "scheduler heartbeat ok",
-    ]
-    return Dataset(name, contents, templates, [name] * 4)
-
-
 def unlabeled(ds: Dataset) -> Dataset:
     """`ds` with its ground truth dropped."""
     return Dataset(ds.name, ds.contents(), [None] * len(ds), ds.sources)

@@ -24,7 +24,7 @@ from logblend.parsers import (
 )
 from logblend.pool import VariablePool
 
-from helpers import apacheish, source_datasets
+from helpers import apacheish, outlier_pool, source_datasets
 
 
 @pytest.fixture(scope="module")
@@ -170,27 +170,61 @@ def test_fuzz_writes_labeled_dataset(cli_workspace, tmp_path):
     assert fuzzed.sources == ("apacheish",) * 2000
 
 
-@pytest.mark.parametrize("command", ["mix", "fuzz", "combine", "parse"])
+@pytest.mark.parametrize("command", ["mix", "fuzz", "combine"])
 def test_output_the_writer_refuses_is_a_named_error(
     command, cli_workspace, tmp_path, capsys, monkeypatch
 ):
-    def refuse(data, path):
-        raise ValueError("line 1 content contains a line break")
-
-    writer = "write_parse_result" if command == "parse" else "write_dataset"
-    monkeypatch.setattr(cli, writer, refuse)
+    # No file loads into such a dataset; one row is too few for mixing to
+    # replace, and its template, holding no wildcard, is not refilled.
+    broken = Dataset("broken", ["a\nb"], ["a\nb"], ["broken"])
+    monkeypatch.setattr(cli, "load_structured", lambda path: broken)
     source, pools = str(cli_workspace / "apacheish.csv"), cli_workspace / "pools"
     argv = {
         "mix": ["--in", source, "--pool", str(pools), "--strength", "1.0"],
         "fuzz": ["--in", source, "--vpool", str(pools / "variable_pool.tsv")],
-        "combine": [source, str(cli_workspace / "dbsvc.csv"), "--size", "10"],
-        "parse": ["--in", source],
+        "combine": [source, str(cli_workspace / "dbsvc.csv"), "--size", "2"],
     }[command]
     out = tmp_path / "out.csv"
     assert main([command, *argv, "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"error: {out}: line 1 content contains a line break" in err
     assert not out.exists()
+
+
+def test_an_empty_pool_is_a_named_error(cli_workspace, tmp_path, capsys):
+    source = str(cli_workspace / "apacheish.csv")
+    vpool, opool = tmp_path / "empty.tsv", tmp_path / "empty.csv"
+    VariablePool().save(vpool)
+    outlier_pool(()).save(opool)
+    out = tmp_path / "out.csv"
+    for argv, named in (
+        (
+            ["fuzz", "--in", source, "--vpool", str(vpool)],
+            f"{vpool}: variable pool holds no values",
+        ),
+        (
+            ["mix", "--in", source, "--pool", str(opool), "--strength", "1.0"],
+            f"{opool}: outlier pool holds no lines",
+        ),
+    ):
+        assert main([*argv, "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
+
+
+def test_a_plan_that_fuzzes_from_an_empty_pool_exits_2_before_loading_data(
+    tmp_path, capsys
+):
+    VariablePool().save(tmp_path / "empty.tsv")
+    plan = {
+        "datasets": ["missing.csv"],
+        "parsers": [{"kind": "tree"}],
+        "synthesis": {"fuzz_mode": "labeled", "variable_pool": "empty.tsv"},
+    }
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    assert main(["benchmark", "--plan", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: plan.synthesis.variable_pool holds no values\n"
 
 
 def test_fuzz_counts_skipped_records_on_stderr(cli_workspace, tmp_path, capsys):
@@ -540,6 +574,15 @@ def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, caps
             {"datasets": [], "parsers": [{"kind": "tree"}], "runs": 2},
             "error: plan.datasets must name at least one dataset",
         ),
+        ({"datasets": ["a\0.csv"]}, "error: plan.datasets[0] holds a NUL character"),
+        (
+            {"parsers": [{"kind": "external", "path": "\0"}]},
+            "error: plan.parsers[0].path holds a NUL character",
+        ),
+        (
+            {"synthesis": {"fuzz_mode": "labeled", "variable_pool": "\0"}},
+            "error: plan.synthesis.variable_pool holds a NUL character",
+        ),
     ],
     ids=[
         "not-an-object",
@@ -569,6 +612,9 @@ def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, caps
         "parsed-labels-without-mixing",
         "datasets-missing",
         "datasets-empty",
+        "nul-in-dataset-path",
+        "nul-in-external-path",
+        "nul-in-pool-path",
     ],
 )
 def test_malformed_plan_exits_2_naming_the_key(

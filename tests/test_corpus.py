@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import sys
 import time
 
@@ -91,7 +92,7 @@ def test_each_whitespace_row_loads_matches_and_is_refilled(w, tmp_path):
     if w in "\n\r":
         # Content may not hold a line break: the writer refuses it, and the
         # reader rejects a file that holds one.
-        with pytest.raises(ValueError, match="^line 1 content"):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: line 1 content"):
             write_dataset(ds, path)
         row = f'1,"open{w}f1 done","{template}"'  # as csv.writer quotes them
         path.write_text(f"LineId,Content,EventTemplate\r\n{row}\r\n", "utf-8", newline="")

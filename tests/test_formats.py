@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from unittest import mock
 
 import pytest
@@ -171,11 +172,14 @@ def test_outlier_pool_round_trips(entries, tmp_path_factory):
 def test_writers_reject_a_line_break_in_content_and_write_nothing(brk, tmp_path):
     # The readers reject such a file, so the writers do not make one.
     ds = Dataset("ds", ["a", f"b{brk}c"], ["a", "b <*>"], ["ds", "ds"])
-    with pytest.raises(ValueError, match="^line 2 content contains a line break"):
-        write_dataset(ds, tmp_path / "ds.csv")
     entries = [("a", "a", "s"), (f"b{brk}c", "b <*>", "s")]
-    with pytest.raises(ValueError, match="^line 2 content contains a line break"):
-        outlier_pool(entries).save(tmp_path / "pool.csv")
+    for path, write in (
+        (tmp_path / "ds.csv", lambda path: write_dataset(ds, path)),
+        (tmp_path / "pool.csv", outlier_pool(entries).save),
+    ):
+        message = f"{path}: line 2 content contains a line break"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}"):
+            write(path)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -292,7 +292,7 @@ def test_unlabeled_data_without_synthesis_fails_every_cell(tmp_path):
     ],
 )
 def test_synthesis_plan_rejects_bad_values_when_built(settings, field):
-    with pytest.raises(LogblendError, match=f"^{field} must be"):
+    with pytest.raises(LogblendError, match=f"^plan.synthesis.{field} must be"):
         SynthesisPlan(**settings)
 
 
@@ -304,7 +304,7 @@ def test_synthesis_plan_rejects_bad_values_when_built(settings, field):
     ],
 )
 def test_synthesis_plan_rejects_a_missing_pool_when_built(settings, pool):
-    with pytest.raises(LogblendError, match=f"^{pool} is missing: no "):
+    with pytest.raises(LogblendError, match=f"^plan.synthesis.{pool} is missing: no "):
         SynthesisPlan(**settings)
 
 
@@ -337,7 +337,7 @@ def test_built_plan_is_checked_once_and_stays_as_checked(workspace):
         plan.parsers.append(TreeParserConfig())
     assert plan.datasets == (workspace / "apacheish.csv",)
     # A variant is a new plan, checked as it is built.
-    with pytest.raises(LogblendError, match="^fuzz_mode must be"):
+    with pytest.raises(LogblendError, match="^plan.synthesis.fuzz_mode must be"):
         replace(synthesis, fuzz_mode="bogus")
     with pytest.raises(LogblendError, match="^plan.runs must be >= 1"):
         replace(plan, runs=0)
@@ -382,7 +382,8 @@ def test_built_plan_pools_and_digests_cannot_be_changed(workspace):
 
 
 def test_synthesis_plan_rejects_parsed_labels_without_mixing():
-    with pytest.raises(LogblendError, match="^labels 'parsed' needs mix_strength"):
+    message = "^plan.synthesis.labels 'parsed' needs mix_strength"
+    with pytest.raises(LogblendError, match=message):
         SynthesisPlan(labels="parsed")
 
 

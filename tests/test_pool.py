@@ -8,7 +8,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logblend.corpus import Dataset
@@ -143,7 +143,8 @@ def test_outlier_pool_load_names_malformed_row(tmp_path, rows, match):
 def test_outlier_pool_save_rejects_an_empty_template_and_writes_nothing(tmp_path, template):
     entries = [("x 1", "x <*>", "a"), ("y 2", template, "b")]
     p = tmp_path / "outliers.csv"
-    with pytest.raises(ValueError, match="^outlier pool entry 2 'y 2' has an empty template"):
+    message = f"{p}: outlier pool entry 2 'y 2' has an empty template"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}"):
         outlier_pool(entries).save(p)
     assert not p.exists()
 
@@ -272,7 +273,7 @@ def test_variable_pool_load_names_malformed_line(tmp_path, text, match):
 def test_variable_pool_save_rejects_what_would_not_read_back(tmp_path, value, tags):
     p = tmp_path / "vars.tsv"
     vpool = VariablePool(sources={"ok": ("a",), value: tags})
-    with pytest.raises(ValueError, match=re.escape(f"value {value!r} with sources")):
+    with pytest.raises(DataFormatError, match=re.escape(f"value {value!r} with sources")):
         vpool.save(p)
     assert not p.exists()
 
@@ -289,6 +290,7 @@ _FIELD = st.text(
         _FIELD.filter(bool), st.lists(_FIELD, min_size=1, max_size=3).map(tuple), max_size=6
     )
 )
+@example(pool={})  # an empty pool saves as an empty file and loads back
 def test_variable_pool_round_trips_any_unicode(pool, tmp_path_factory):
     path = tmp_path_factory.mktemp("vpool") / "vars.tsv"
     VariablePool(sources=pool).save(path)
