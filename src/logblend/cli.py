@@ -210,13 +210,6 @@ def _cmd_pool_build(args) -> None:
     )
 
 
-def _read_parsed(path: str | None, ds: Dataset) -> list[str] | None:
-    """The templates of a --parsed file, one per record of `ds`; None without one."""
-    if path is None:
-        return None
-    return read_parse_result(path, expected_len=len(ds))
-
-
 def _cmd_mix(args) -> None:
     ds = load_structured(args.input)
     path = Path(args.pool)  # a pool directory or the outlier pool file itself
@@ -229,7 +222,8 @@ def _cmd_mix(args) -> None:
         seed=args.seed,
         exclude_source=not args.include_own_source,
     )
-    mixed = mix(ds, pool, cfg, _read_parsed(args.parsed, ds))
+    parsed = None if args.parsed is None else read_parse_result(args.parsed, dataset=ds)
+    mixed = mix(ds, pool, cfg, parsed)
     write_dataset(mixed, args.out)
 
 
@@ -238,7 +232,8 @@ def _cmd_fuzz(args) -> None:
     vpool = VariablePool.load(args.vpool)
     if not vpool:
         raise DataFormatError(f"{args.vpool}: variable pool holds no values")
-    result = fuzz(ds, vpool, FuzzConfig(seed=args.seed), _read_parsed(args.parsed, ds))
+    parsed = None if args.parsed is None else read_parse_result(args.parsed, dataset=ds)
+    result = fuzz(ds, vpool, FuzzConfig(seed=args.seed), parsed)
     write_dataset(result.dataset, args.out)
     if result.skipped_line_ids:
         print(
@@ -261,7 +256,7 @@ def _cmd_combine(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     truth_ds = load_structured(args.truth)
-    predicted = read_parse_result(args.predicted, expected_len=len(truth_ds))
+    predicted = read_parse_result(args.predicted, dataset=truth_ds)
     report = evaluate(predicted, truth_ds.labels())
     _emit(report.as_dict(), args.out)
 
@@ -277,9 +272,10 @@ def _cmd_benchmark(args) -> None:
             doc[key] = value
         return doc
 
+    text = read_text(plan_path)[0]
     try:
-        doc = json.loads(read_text(plan_path)[0], object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise DataFormatError(f"{plan_path}: {exc}") from exc
     except RecursionError:
         raise DataFormatError(f"{plan_path}: JSON nested too deeply to read") from None
@@ -305,13 +301,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_arg_parser().parse_args(argv)
         _COMMANDS[args.command](args)
         return EXIT_OK
     except (LogblendError, OSError) as exc:

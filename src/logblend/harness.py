@@ -99,6 +99,8 @@ class SynthesisPlan:
             )
         if strength is not None and self.outlier_pool is None:
             raise LogblendError(f"{key}.outlier_pool is missing: no outlier pool to mix from")
+        if strength is not None and not self.outlier_pool:
+            raise LogblendError(f"{key}.outlier_pool holds no lines")
         if self.fuzz_mode is not None and self.variable_pool is None:
             raise LogblendError(
                 f"{key}.variable_pool is missing: no variable pool to fuzz from"
@@ -110,6 +112,10 @@ class SynthesisPlan:
 #: The pool settings of a synthesis plan: a file name in a plan, a loaded pool
 #: in `SynthesisPlan`, and in the report the sha256 of that file.
 _POOLS = {"outlier_pool": OutlierPool, "variable_pool": VariablePool}
+
+
+#: The most runs a plan may ask for; the paper's plans use 10.
+MAX_RUNS = 10_000
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,8 @@ class ExperimentPlan:
         object.__setattr__(self, "parsers", tuple(self.parsers))
         if self.runs < 1:
             raise LogblendError(f"plan.runs must be >= 1, got {self.runs}")
+        if self.runs > MAX_RUNS:
+            raise LogblendError(f"plan.runs must be <= {MAX_RUNS}, got {self.runs}")
         check_reference(self.reference, "plan.reference")
         external = [isinstance(spec, ExternalParser) for spec in self.parsers]
         if any(external) and len(self.datasets) > 1:
@@ -254,7 +262,7 @@ def _run_dataset(
             mark = time.perf_counter()
             cell = {"run": run, "seed": seed, "metrics": None, "error": error}
             if error is None and isinstance(spec, ExternalParser) and spec not in read:
-                read[spec] = _attempt(read_parse_result, spec.path, expected_len=len(data))
+                read[spec] = _attempt(read_parse_result, spec.path, dataset=data)
             if error is None:
                 predicted, cell["error"] = read.get(spec) or _attempt(parse, data, spec)
             if cell["error"] is None:

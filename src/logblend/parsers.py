@@ -228,13 +228,18 @@ def write_parse_result(result: ParseResult, path: str | Path) -> None:
     write_columns(path, {"EventTemplate": result})
 
 
-def read_parse_result(path: str | Path, expected_len: int | None = None) -> ParseResult:
+def read_parse_result(path: str | Path, dataset: Dataset | None = None) -> ParseResult:
     """Read a parser-output file; how external parsers plug into the harness.
 
     Read by :func:`~logblend.corpus.read_columns`, which orders the templates
-    by `LineId` and canonicalizes them.
+    by `LineId` and canonicalizes them. Given the `dataset` whose records the
+    file labels, a file with another number of templates raises ShapeError
+    naming both the file and the dataset.
     """
     result = read_columns(path, ("EventTemplate",))[0]["EventTemplate"]
-    if expected_len is not None and len(result) != expected_len:
-        raise ShapeError(f"{path}: {len(result)} templates for {expected_len} records")
+    if dataset is not None and len(result) != len(dataset):
+        raise ShapeError(
+            f"{path}: {len(result)} templates for the {len(dataset)} records"
+            f" of dataset {dataset.name!r}"
+        )
     return result

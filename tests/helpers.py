@@ -9,6 +9,7 @@ data genuinely hard to parse.
 
 from __future__ import annotations
 
+import ast
 import random
 import re
 from collections import Counter, defaultdict
@@ -560,3 +561,16 @@ def text_mode_lines(path) -> list[str]:
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         return [line.rstrip("\n") for line in f]
+
+
+def absolute_imports(source: str) -> list[tuple[int, str]]:
+    """Each (line, module) that `source` imports by its full name: every name
+    of an ``import`` and the module of a ``from`` import that is not relative.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((node.lineno, node.module))
+    return found

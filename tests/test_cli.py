@@ -227,6 +227,51 @@ def test_a_plan_that_fuzzes_from_an_empty_pool_exits_2_before_loading_data(
     assert capsys.readouterr().err == "error: plan.synthesis.variable_pool holds no values\n"
 
 
+@pytest.mark.parametrize("strength", [0.0, 1.0])
+def test_a_plan_that_mixes_from_an_empty_pool_exits_2_before_loading_data(
+    tmp_path, capsys, strength
+):
+    outlier_pool(()).save(tmp_path / "empty.csv")
+    plan = {
+        "datasets": ["missing.csv"],
+        "parsers": [{"kind": "tree"}],
+        "synthesis": {"mix_strength": strength, "outlier_pool": "empty.csv"},
+    }
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    assert main(["benchmark", "--plan", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: plan.synthesis.outlier_pool holds no lines\n"
+
+
+def test_a_parser_output_one_row_short_names_its_dataset(cli_workspace, tmp_path, capsys):
+    dataset, pools = cli_workspace / "apacheish.csv", cli_workspace / "pools"
+    n = len(load_structured(dataset))
+    short = tmp_path / "short.csv"
+    write_parse_result(["a"] * (n - 1), short)
+    named = f"{short}: {n - 1} templates for the {n} records of dataset 'apacheish'"
+    out = str(tmp_path / "out.csv")
+    for argv in (
+        ["mix", "--in", str(dataset), "--pool", str(pools), "--strength", "1.0",
+         "--parsed", str(short), "--out", out],
+        ["fuzz", "--in", str(dataset), "--vpool", str(pools / "variable_pool.tsv"),
+         "--parsed", str(short), "--out", out],
+        ["evaluate", "--truth", str(dataset), "--predicted", str(short)],
+    ):
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {named}\n"
+    # In a plan the mismatch fails the external parser's cells, as any read does.
+    plan = {
+        "datasets": [str(dataset)],
+        "parsers": [{"kind": "external", "path": str(short)}],
+        "runs": 2,
+    }
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    assert main(["benchmark", "--plan", str(path)]) == EXIT_OK
+    parsers = json.loads(capsys.readouterr().out)["datasets"]["apacheish"]["parsers"]
+    assert parsers["external:short.csv"]["failures"] == [f"ShapeError: {named}"] * 2
+
+
 def test_fuzz_counts_skipped_records_on_stderr(cli_workspace, tmp_path, capsys):
     # Row 2's content does not match its template, so fuzz passes it through.
     source = tmp_path / "unaligned.csv"
@@ -471,6 +516,8 @@ def test_benchmark_runs_override_is_validated(cli_workspace, tmp_path, capsys):
     plan_path.write_text(json.dumps(plan), encoding="utf-8")
     assert main(["benchmark", "--plan", str(plan_path), "--runs", "0"]) == EXIT_DATA
     assert "runs must be >= 1" in capsys.readouterr().err
+    assert main(["benchmark", "--plan", str(plan_path), "--runs", "10001"]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: plan.runs must be <= 10000, got 10001\n"
 
 
 def test_exit_code_usage_error():
@@ -583,6 +630,7 @@ def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, caps
             {"synthesis": {"fuzz_mode": "labeled", "variable_pool": "\0"}},
             "error: plan.synthesis.variable_pool holds a NUL character",
         ),
+        ({"runs": 10**23}, f"error: plan.runs must be <= 10000, got {10**23}\n"),
     ],
     ids=[
         "not-an-object",
@@ -615,6 +663,7 @@ def test_parse_max_children_below_1_is_usage_error(cli_workspace, tmp_path, caps
         "nul-in-dataset-path",
         "nul-in-external-path",
         "nul-in-pool-path",
+        "runs-above-ceiling",
     ],
 )
 def test_malformed_plan_exits_2_naming_the_key(
@@ -696,6 +745,7 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         ("benchmark", '{"runs": ', "line 1 column 10"),
         ("benchmark", "[" * 200_000, "JSON nested too deeply to read"),
         ("benchmark", '{"runs": 1, "runs": 10}', "an object repeats the key 'runs'"),
+        ("benchmark", '{"runs": 1' + "0" * 4300 + "}", "Exceeds the limit (4300 digits)"),
     ],
     ids=[
         "pool-short-row",
@@ -719,6 +769,7 @@ def test_removed_flags_are_usage_errors(cli_workspace, tmp_path):
         "plan-truncated",
         "plan-nested-too-deeply",
         "plan-repeated-key",
+        "plan-int-past-digit-limit",
     ],
 )
 def test_malformed_pool_or_parser_output_exits_2(

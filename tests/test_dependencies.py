@@ -7,13 +7,14 @@ that imported one of them would pass every test and fail on a user's install.
 
 from __future__ import annotations
 
-import ast
 import re
 import sys
 import tomllib
 from pathlib import Path
 
 import logblend
+
+from helpers import absolute_imports
 
 
 def _declared() -> set[str]:
@@ -26,17 +27,10 @@ def _declared() -> set[str]:
 
 def _foreign_imports(source: str, allowed: set[str]) -> list[str]:
     """Each import in `source` of a top-level module not in `allowed`."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module or ""]
-        else:
-            continue
-        foreign = [name for name in names if name.split(".")[0] not in allowed]
-        found += [f"line {node.lineno}: {name}" for name in foreign]
-    return found
+    return [
+        f"line {line}: {module}" for line, module in absolute_imports(source)
+        if module.split(".")[0] not in allowed
+    ]
 
 
 def test_the_package_imports_only_the_stdlib_itself_and_its_dependencies():

@@ -190,19 +190,14 @@ def _names(err: str, name: str, root) -> bool:
     """Whether `err` names the workspace file `name`.
 
     A file is named by its path; a dataset also by the name its loader gives
-    it, and a pool by the plan key that names it. A dataset whose record
-    count no longer matches the parser output is reported on the parser
-    output, with both counts. A plan is also named by one of its keys, or by
-    the path a plan value gives in place of a workspace file.
+    it, and a pool by the plan key that names it. A plan is also named by one
+    of its keys, or by the path a plan value gives in place of a workspace
+    file.
     """
     stem = name.split(".")[0]
     named = (str(root / name), f"dataset {stem!r}", f"plan.synthesis.{stem} ")
     if any(text in err for text in named):
         return True
-    if name == "ds.csv":
-        parsed = re.escape(str(root / "parsed.csv"))
-        mismatch = re.fullmatch(rf"error: {parsed}: \d+ templates for \d+ records\n", err)
-        return mismatch is not None
     if name != "plan.json":
         return False
     if err.startswith("error: plan"):

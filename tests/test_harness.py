@@ -204,7 +204,10 @@ def test_failed_cells_are_reported_not_fatal(workspace, tmp_path, monkeypatch):
     doc = run_experiment(plan).to_dict()
     parsers = doc["datasets"]["apacheish"]["parsers"]
     records = doc["datasets"]["apacheish"]["records"]
-    error = f"ShapeError: {short}: 1 templates for {records} records"
+    error = (
+        f"ShapeError: {short}: 1 templates for the {records} records"
+        " of dataset 'apacheish'"
+    )
     assert parsers[f"external:{short.name}"]["failures"] == [error] * 3
     assert parsers["identity"]["mean"]["template_accuracy"] == 1.0
     # The external file is read once, not once per run.

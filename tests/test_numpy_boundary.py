@@ -7,25 +7,19 @@ that read the generator or pick matrix it returns.
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 
 import logblend
 
+from helpers import absolute_imports
+
 
 def _numpy_imports(source: str) -> list[str]:
     """Each place `source` imports numpy or one of its submodules."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
-            found.append(f"line {node.lineno}")
-    return found
+    return [
+        f"line {line}" for line, module in absolute_imports(source)
+        if module.split(".")[0] == "numpy"
+    ]
 
 
 def test_no_module_but_rng_imports_numpy():

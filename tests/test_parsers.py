@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -364,7 +365,7 @@ def test_parse_result_file_round_trip(tmp_path):
     result = parse(ds, TreeParserConfig())
     p = tmp_path / "parsed.csv"
     write_parse_result(result, p)
-    assert read_parse_result(p, expected_len=len(ds)) == result
+    assert read_parse_result(p, dataset=ds) == result
 
 
 def test_parse_result_reorders_by_line_id(tmp_path):
@@ -378,8 +379,10 @@ def test_parse_result_reorders_by_line_id(tmp_path):
 def test_parse_result_length_check(tmp_path):
     p = tmp_path / "short.csv"
     p.write_text("LineId,EventTemplate\n1,a\n", encoding="utf-8")
-    with pytest.raises(ShapeError):
-        read_parse_result(p, expected_len=2)
+    ds = Dataset("two", ["a", "b"], ["a", "b"], ["two"] * 2)
+    message = f"{p}: 1 templates for the 2 records of dataset 'two'"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        read_parse_result(p, dataset=ds)
 
 
 def test_parse_result_rejects_duplicate_line_ids(tmp_path):
