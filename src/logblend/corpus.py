@@ -41,8 +41,11 @@ def canonicalize_template(text: str) -> str:
     whitespace canonicalization touches: a tab, NBSP or U+2028 in a template
     is a literal character that its content must hold too. Template files
     vary in incidental spacing; metric comparisons must not hinge on it.
-    Applied where templates are read, nowhere else.
+    Applied where templates are read, nowhere else. A template already
+    canonical is returned as the same object.
     """
+    if "  " not in text and text[:1] != " " and text[-1:] != " ":
+        return text
     return " ".join(_tokens(text))
 
 
@@ -246,7 +249,8 @@ def read_columns(
       the column is absent); it is not itself returned;
     * a `Content` field holds no line break;
     * each distinct `EventTemplate` field is canonicalized at most once, and
-      equal templates come back as one object (:func:`_canonical_templates`).
+      equal templates come back as one object (:func:`_canonical_templates`);
+      equal `Source` fields come back as one object as well (:func:`_shared`).
 
     A violation, bad quoting or a ragged row raises DataFormatError naming
     the file and the row (the line it starts on); a byte that is not UTF-8,
@@ -281,6 +285,8 @@ def read_columns(
         raise DataFormatError(f"{path}: row {row_nums[broken]} content contains a line break")
     if "EventTemplate" in columns:
         columns["EventTemplate"] = _canonical_templates(columns["EventTemplate"])
+    if "Source" in columns:
+        columns["Source"] = _shared(columns["Source"])
     if "LineId" in index:
         ids = fields[index["LineId"]]
         if ids != _line_ids(len(ids)):
@@ -306,6 +312,14 @@ def _canonical_templates(fields: list[str]) -> list[str]:
         for text in shared:
             form = canonicalize_template(text)
             shared[text] = canonical.setdefault(form, form)
+    return _shared(fields, shared)
+
+
+def _shared(fields: list[str], shared: dict[str, str] | None = None) -> list[str]:
+    """Per field, `shared[field]`; by default the first field equal to it, so
+    that a column holds one string object per distinct value."""
+    if shared is None:
+        shared = dict(zip(fields, fields))
     return list(map(shared.__getitem__, fields))
 
 

@@ -72,7 +72,8 @@ class OutlierPool:
 class VariablePool:
     """Deduplicated variable values with the datasets each was seen in.
 
-    `sources` maps each value, in order, to its source tags. `skipped` maps
+    `sources` maps each value, in order, to its source tags, held as one
+    tuple per distinct tag set, however the pool was made. `skipped` maps
     dataset name to the line ids (row position + 1) whose content could not
     be aligned against its template during extraction; those lines
     contribute nothing but the build does not fail.
@@ -86,7 +87,11 @@ class VariablePool:
     values: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sources = {value: tuple(tags) for value, tags in self.sources.items()}
+        tag_sets: dict[tuple[str, ...], tuple[str, ...]] = {}  # one tuple per tag set
+        sources = {
+            value: tag_sets.setdefault(t := tuple(tags), t)
+            for value, tags in self.sources.items()
+        }
         object.__setattr__(self, "sources", MappingProxyType(sources))
         object.__setattr__(self, "values", tuple(sources))
         skipped = {name: tuple(ids) for name, ids in self.skipped.items()}
@@ -128,20 +133,24 @@ class VariablePool:
         is not UTF-8 raises DataFormatError naming the file and line.
         """
         sources: dict[str, tuple[str, ...]] = {}
+        tag_sets: dict[str, tuple[str, ...]] = {}  # tag text: its tags, split once
         lines, digest = read_lines(path)
         for line_num, line in enumerate(lines, start=1):
             if not line:
                 continue
-            value, *tags = line.split("\t")
+            value, tab, tag_text = line.partition("\t")
             if not value:
                 raise DataFormatError(f"{path}: line {line_num} has an empty value")
-            if not tags:
+            if not tab:
                 raise DataFormatError(f"{path}: line {line_num} has no source tag")
             if value in sources:
                 raise DataFormatError(
                     f"{path}: line {line_num} repeats the value {value!r}"
                 )
-            sources[value] = tuple(tags)
+            tags = tag_sets.get(tag_text)
+            if tags is None:
+                tags = tag_sets[tag_text] = tuple(tag_text.split("\t"))
+            sources[value] = tags
         return cls(sources=sources, sha256=digest)
 
 

@@ -69,6 +69,14 @@ def test_canonicalize_idempotent(text):
     assert canonicalize_template(once) == once
 
 
+@given(st.text(alphabet=" \tabc<*>", max_size=40))
+@example(text="a b <*>")
+@example(text="")
+def test_canonicalize_returns_a_canonical_template_itself(text):
+    once = canonicalize_template(text)
+    assert canonicalize_template(once) is once
+
+
 #: Every code point that ``str.split()`` treats as whitespace.
 WHITESPACE = (
     "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
@@ -321,6 +329,22 @@ def test_source_column_round_trips_for_mixed_provenance(tmp_path):
     assert "Source" in p.read_text(encoding="utf-8").splitlines()[0]
     again = load_structured(p, name="m")
     assert again.sources == ("m", "other")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "LineId,Content,EventTemplate,Source\n2,b,b,yy\n1,a,a,xx\n3,c,c,xx\n4,d,,yy\n",
+        'LineId,Content,EventTemplate,Source\n2,b,b,"yy"\n1,a,a,xx\n3,c,c,xx\n4,d,,yy\n',
+    ],
+    ids=["bulk-split", "csv-reader"],
+)
+def test_load_structured_holds_one_source_object_per_distinct_value(tmp_path, text):
+    p = tmp_path / "m.csv"
+    p.write_text(text, encoding="utf-8")
+    sources = load_structured(p).sources
+    assert sources == ("xx", "yy", "xx", "yy")
+    assert sources[0] is sources[2] and sources[1] is sources[3]
 
 
 # --- raw load ---------------------------------------------------------------

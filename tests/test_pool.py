@@ -117,6 +117,14 @@ def test_outlier_pool_load_canonicalizes_templates(tmp_path):
     assert pool_rows(OutlierPool.load(p)) == (("x 1", "x <*>", "a"),)
 
 
+def test_outlier_pool_load_holds_one_source_object_per_distinct_value(tmp_path):
+    pool, _ = standard_pools()
+    p = tmp_path / "outliers.csv"
+    pool.save(p)
+    sources = OutlierPool.load(p).lines.sources
+    assert len(set(map(id, sources))) == len(set(sources)) < len(sources)
+
+
 @pytest.mark.parametrize(
     "rows, match",
     [
@@ -266,6 +274,21 @@ def test_variable_pool_load_names_malformed_line(tmp_path, text, match):
 
 
 @pytest.mark.parametrize(
+    "text, sources",
+    [
+        ("v\t\n", {"v": ("",)}),
+        ("v\t\t\n", {"v": ("", "")}),
+        ("v\ta\t\tb\nw\ta\t\tb\n", {"v": ("a", "", "b"), "w": ("a", "", "b")}),
+    ],
+    ids=["one-empty-tag", "two-empty-tags", "empty-tag-between"],
+)
+def test_variable_pool_load_splits_tags_at_every_tab(tmp_path, text, sources):
+    p = tmp_path / "vars.tsv"
+    p.write_text(text, encoding="utf-8")
+    assert VariablePool.load(p).sources == sources
+
+
+@pytest.mark.parametrize(
     "value, tags",
     [("7", ()), ("", ("a",)), ("7\t8", ("a",)), ("7", ("a\rb",)), ("7\n", ("a",))],
     ids=["no-source", "empty-value", "tab-in-value", "cr-in-tag", "lf-in-value"],
@@ -344,3 +367,22 @@ def test_replacing_variable_pool_sources_updates_values():
     assert again.sources["c"] == ("y",)
     assert again.skipped == {"d": (3,)}
     assert pool.values == ("a",)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda built, path: built,
+        lambda built, path: replace(built, sources={**built.sources, "x": ["a", "b"]}),
+        lambda built, path: VariablePool.load(path),
+        lambda built, path: pickle.loads(pickle.dumps(VariablePool.load(path))),
+        lambda built, path: copy.deepcopy(VariablePool.load(path)),
+    ],
+    ids=["built", "replaced", "loaded", "pickled", "deep-copied"],
+)
+def test_variable_pool_values_with_equal_tags_hold_one_tuple(make, tmp_path):
+    built = build_variable_pool(source_datasets(200)[:2])
+    path = tmp_path / "vars.tsv"
+    built.save(path)
+    tags = make(built, path).sources.values()
+    assert len(set(map(id, tags))) == len(set(tags)) < len(tags)
