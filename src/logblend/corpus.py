@@ -12,10 +12,12 @@ which canonicalizes templates once, where they are read; every other function
 expects canonical templates and compares them as given. Both work a column at
 a time and give what the ``csv`` module gives: the writer quotes only the
 fields of a column that holds a comma, quote, CR or LF; the reader splits a
-quote-free file in bulk and reads a quoted one with ``csv.reader``, with the
-same rules either way. The string work is done in whole-text passes: lines
-are split at CRLF first and again only where a bare CR or LF is left, and
-one scan of the distinct templates tells whether any needs canonicalizing.
+quote-free file whose lines are all non-empty and as wide as its header with
+one split of the whole text, and reads every other file with ``csv.reader``,
+with the same rules either way. The string work is done in whole-text
+passes: lines are split at CRLF first and again only where a bare CR or LF
+is left, and one scan of the distinct templates tells whether any needs
+canonicalizing.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from hashlib import sha256
+from itertools import repeat
 from pathlib import Path
 
 from .errors import AlignmentError, DataFormatError, LabelingError, ShapeError
@@ -256,30 +259,25 @@ def read_columns(
     the file and the row (the line it starts on); a byte that is not UTF-8,
     naming the file and the line.
 
-    Text with no ``"`` is split in bulk by :func:`_split_rows`.
-    Other text, and text in which that split finds a row it leaves to
-    ``csv.reader`` to name, is read by :func:`_read_rows`. Both paths give
-    the same columns and the same errors.
+    Text with no ``"`` is split in bulk by :func:`_split_rows` unless it is
+    empty or holds an empty line, a line not as wide as the header or one
+    longer than ``csv.field_size_limit()``. That text and text with a ``"``
+    are read by :func:`_read_rows`. Both give the same columns and errors.
     """
     path = Path(path)
     text, digest = read_text(path)
+    names = (*required, *optional)
     split = None if '"' in text else _split_rows(text)
-    header, row_nums, rows = split or _read_rows(path, text)
+    header, row_nums, fields = split or _read_rows(path, text, (*names, "LineId"))
     if header is None:
         raise DataFormatError(f"{path}: empty file, expected a header row")
-    index = {col: idx for idx, col in enumerate(header)}
     for col in required:
-        if col not in index:
+        if col not in fields:
             raise DataFormatError(f"{path}: missing column {col!r}")
-    for col in (*required, *optional, "LineId"):
+    for col in (*names, "LineId"):
         if header.count(col) > 1:
             raise DataFormatError(f"{path}: header repeats column {col!r}")
-    fields = list(zip(*rows)) or [()] * len(header)
-    columns = {
-        col: list(fields[index[col]])
-        for col in (*required, *optional)
-        if col in index and col != "LineId"
-    }
+    columns = {col: fields[col] for col in names if col in fields and col != "LineId"}
     broken = _line_break_at(columns.get("Content", ()))
     if broken is not None:
         raise DataFormatError(f"{path}: row {row_nums[broken]} content contains a line break")
@@ -287,9 +285,9 @@ def read_columns(
         columns["EventTemplate"] = _canonical_templates(columns["EventTemplate"])
     if "Source" in columns:
         columns["Source"] = _shared(columns["Source"])
-    if "LineId" in index:
-        ids = fields[index["LineId"]]
-        if ids != _line_ids(len(ids)):
+    if "LineId" in fields:
+        ids = fields["LineId"]
+        if tuple(ids) != _line_ids(len(ids)):  # like types: a list never equals a tuple
             order = _line_id_order(path, row_nums, ids)
             columns = {col: [column[i] for i in order] for col, column in columns.items()}
     return columns, digest
@@ -323,33 +321,36 @@ def _shared(fields: list[str], shared: dict[str, str] | None = None) -> list[str
     return list(map(shared.__getitem__, fields))
 
 
-def _split_rows(text: str) -> tuple[list[str], Sequence[int], list[list[str]]] | None:
-    """The header, and the line number and fields of each non-empty row, that
-    :func:`_read_rows` reads from `text`, which holds no ``"``.
+def _split_rows(text: str) -> tuple[list[str], range, dict[str, list[str]]] | None:
+    """The header, the line number of each row, and each column by its name,
+    that :func:`_read_rows` reads from `text`, which holds no ``"``.
 
-    Lines end as :func:`_split_lines` says and fields at each comma. None
-    where ``csv.reader`` is to read it and name what is wrong: an empty file
-    or header line, a non-empty row not as wide as the header, or a line
-    longer than ``csv.field_size_limit()``.
+    Lines end as :func:`_split_lines` says. When every line holds as many
+    commas as the header, the lines are joined by commas and split once, and
+    column i is every width-th field of that split from row 1 on. None where
+    ``csv.reader`` is to read it and name what is wrong, if anything: an
+    empty file, an empty line (which it skips), a line not as wide as the
+    header, or a line longer than ``csv.field_size_limit()``.
     """
     lines = _split_lines(text)
-    if not lines or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
+    if not lines or "" in lines or max(map(len, lines)) > csv.field_size_limit():
         return None
-    row_nums: Sequence[int] = range(2, len(lines) + 1)
-    if "" in lines:  # csv.reader gives an empty line as an empty row, skipped
-        row_nums = [num for num, line in enumerate(lines, 1) if line][1:]
-        lines = list(filter(None, lines))
-    header, *rows = [line.split(",") for line in lines]
-    if not set(map(len, rows)) <= {len(header)}:
+    commas = lines[0].count(",")
+    if set(map(str.count, lines, repeat(","))) != {commas}:
         return None
-    return header, row_nums, rows
+    flat = ",".join(lines).split(",")
+    width = commas + 1
+    header = flat[:width]
+    columns = {name: flat[i + width :: width] for i, name in enumerate(header)}
+    return header, range(2, len(lines) + 1), columns
 
 
 def _read_rows(
-    path: Path, text: str
-) -> tuple[list[str] | None, list[int], list[list[str]]]:
-    """The header (None for an empty file), and the line number and fields of
-    each non-empty row, as ``csv.reader(strict=True)`` reads `text`.
+    path: Path, text: str, names: tuple[str, ...]
+) -> tuple[list[str] | None, list[int], dict[str, list[str]]]:
+    """The header (None for an empty file), the line number of each non-empty
+    row, and each of the columns `names` that the header has, by its name,
+    as ``csv.reader(strict=True)`` reads `text`.
 
     Bad quoting, a field over ``csv.field_size_limit()`` or a non-empty row
     not as wide as the header raises DataFormatError naming the row.
@@ -373,7 +374,8 @@ def _read_rows(
             rows.append(row)
     except csv.Error as exc:
         raise DataFormatError(f"{path}: row {next_row}: {exc}") from exc
-    return header, row_nums, rows
+    wanted = [(i, name) for i, name in enumerate(header or ()) if name in names]
+    return header, row_nums, {name: [row[i] for row in rows] for i, name in wanted}
 
 
 def _line_break_at(texts: Sequence[str]) -> int | None:
@@ -462,17 +464,15 @@ def _pattern(template: str) -> re.Pattern:
 
     A wildcard followed by literal text ends at that text's first occurrence
     after the wildcard's first character: a later one only leaves less room
-    for the wildcards after it. So each wildcard but the last is captured in a
-    lookahead up to that occurrence, which the regex engine never backtracks
-    into, and then consumed with the piece; a line that does not align fails
-    without trying every split.
+    for the wildcards after it. So each wildcard but the last is matched with
+    the piece after it in an atomic group, ``(?>(.+?)piece)``, which the regex
+    engine never backtracks into; a line that does not align fails without
+    trying every split.
     """
     head, *rest = map(re.escape, template.split(WILDCARD))
     if not rest:
         return re.compile(head)
-    middle = "".join(
-        f"(?=(?P<w{i}>.+?){piece})(?P=w{i}){piece}" for i, piece in enumerate(rest[:-1])
-    )
+    middle = "".join(f"(?>(.+?){piece})" for piece in rest[:-1])
     return re.compile(f"{head}{middle}(.+?){rest[-1]}")
 
 

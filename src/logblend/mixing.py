@@ -81,9 +81,8 @@ def mix(
     if cfg.exclude_source:
         candidates = [i for i, source in enumerate(lines.sources) if source != ds.name]
     if not candidates:
-        raise EmptyPoolError(
-            f"outlier pool is empty after excluding source {ds.name!r}"
-        )
+        excluded = f" after excluding source {ds.name!r}" if len(lines) else ""
+        raise EmptyPoolError(f"outlier pool is empty{excluded}")
     targets = replacement_targets(labels, k)
     picks = generator(cfg.seed).integers(0, len(candidates), size=k)
     contents, truths, sources = map(list, (ds.contents(), ds.ground_truths, ds.sources))

@@ -502,7 +502,7 @@ def test_extract_equals_the_backtracking_alignment(tc):
 
 def test_a_line_that_does_not_align_is_skipped_fast():
     # Backtracking over every split of 40 tokens among 30 wildcards would
-    # not finish; the lookahead pattern fails at once.
+    # not finish; the atomic-group pattern fails at once.
     template = " ".join(["<*>"] * 30) + " done"
     good = " ".join(["v"] * 30) + " done"
     bad = " ".join(["v"] * 40) + " failed"

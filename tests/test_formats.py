@@ -376,6 +376,60 @@ def test_only_a_file_holding_a_quote_is_read_by_csv_reader(tmp_path):
             assert bool(calls) == by_csv, text
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "LineId,Content,EventTemplate\r\n1,a,b\r\n\r\n2,c,d\r\n",
+        "\r\nLineId,Content,EventTemplate\r\n1,a,b\r\n",
+        "LineId,Content,EventTemplate\r\n1,a,b\r\n2,c\r\n",
+        "",
+    ],
+    ids=["blank-line-between-rows", "blank-line-before-header", "ragged-row", "empty"],
+)
+def test_csv_reader_reads_a_quote_free_file_with_a_blank_line_ragged_row_or_no_line(
+    text, tmp_path
+):
+    path = tmp_path / "ds.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(corpus, "_read_rows", wraps=corpus._read_rows) as read_rows:
+        _read_or_error(path)
+    assert read_rows.called
+
+
+def test_a_written_file_is_read_in_bulk_with_its_line_ids_checked_at_once(tmp_path):
+    path = tmp_path / "ds.csv"
+    contents = ["a b", "", "c\td <*>", "e"]
+    write_columns(path, {"Content": contents, "EventTemplate": ["t", "", "t <*>", "t"]})
+    with (
+        mock.patch.object(corpus, "_read_rows", wraps=corpus._read_rows) as read_rows,
+        mock.patch.object(corpus, "_line_id_order", wraps=corpus._line_id_order) as order,
+    ):
+        columns, _ = read_columns(path, ("Content", "EventTemplate"))
+    assert columns["Content"] == contents
+    assert not read_rows.called
+    assert not order.called
+
+
+@pytest.mark.parametrize(
+    "text, required",
+    [
+        ("EventTemplate\r\na  <*>\r\n0\r\n <*>\tb\r\n", ("EventTemplate",)),
+        ("LineId,Content,EventTemplate\r\n", ("Content", "EventTemplate")),
+    ],
+    ids=["one-column-no-line-id", "header-only"],
+)
+def test_a_one_column_or_header_only_file_reads_in_bulk_as_csv_reader_reads_it(
+    text, required, tmp_path
+):
+    path = tmp_path / "ds.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(corpus, "_split_rows", lambda text: None):
+        want = read_columns(path, required)
+    with mock.patch.object(corpus, "_read_rows", wraps=corpus._read_rows) as read_rows:
+        assert read_columns(path, required) == want
+    assert not read_rows.called
+
+
 @pytest.mark.parametrize("first", ["ab,t", '"ab",t'], ids=["quote-free", "quoted"])
 def test_a_field_over_the_csv_size_limit_names_its_row_on_either_path(first, tmp_path):
     path = tmp_path / "ds.csv"

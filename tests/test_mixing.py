@@ -130,6 +130,24 @@ def test_empty_pool_after_exclusion():
         mix(ds, pool, MixConfig(strength=0.5, seed=0))
 
 
+@pytest.mark.parametrize(
+    "rows, exclude_source, message",
+    [
+        ([], False, "outlier pool is empty"),
+        ([], True, "outlier pool is empty"),
+        ([("x", "x", "solo")], True, "outlier pool is empty after excluding source 'solo'"),
+    ],
+    ids=["empty", "empty-with-exclusion", "emptied-by-exclusion"],
+)
+def test_an_empty_pool_names_exclusion_only_when_it_emptied_the_pool(
+    rows, exclude_source, message
+):
+    cfg = MixConfig(strength=0.5, seed=0, exclude_source=exclude_source)
+    with pytest.raises(EmptyPoolError) as exc:
+        mix(_uniform_ds("solo", 10), outlier_pool(rows), cfg)
+    assert str(exc.value) == message
+
+
 def test_mix_determinism_and_seed_sensitivity(tmp_path):
     ds = apacheish()
     opool, _ = standard_pools()
