@@ -60,6 +60,13 @@ def _tokens(content: str) -> tuple[str, ...]:
     return tuple(tokens)
 
 
+def distinct_tokens(contents: Iterable[str]) -> set[str]:
+    """The distinct :func:`_tokens` of `contents`, from one split of them all."""
+    tokens = set(" ".join(contents).split(" "))
+    tokens.discard("")
+    return tokens
+
+
 @dataclass(frozen=True, init=False)
 class Dataset:
     """A named dataset stored as three equally long columns.
@@ -262,7 +269,9 @@ def read_columns(
     Text with no ``"`` is split in bulk by :func:`_split_rows` unless it is
     empty or holds an empty line, a line not as wide as the header or one
     longer than ``csv.field_size_limit()``. That text and text with a ``"``
-    are read by :func:`_read_rows`. Both give the same columns and errors.
+    are read by :func:`_read_rows`, and only its `Content` fields are scanned
+    for a line break, since the bulk split breaks the text at every CR and
+    LF. Both give the same columns and errors.
     """
     path = Path(path)
     text, digest = read_text(path)
@@ -278,7 +287,7 @@ def read_columns(
         if header.count(col) > 1:
             raise DataFormatError(f"{path}: header repeats column {col!r}")
     columns = {col: fields[col] for col in names if col in fields and col != "LineId"}
-    broken = _line_break_at(columns.get("Content", ()))
+    broken = None if split else _line_break_at(columns.get("Content", ()))
     if broken is not None:
         raise DataFormatError(f"{path}: row {row_nums[broken]} content contains a line break")
     if "EventTemplate" in columns:
@@ -338,11 +347,15 @@ def _split_rows(text: str) -> tuple[list[str], range, dict[str, list[str]]] | No
     commas = lines[0].count(",")
     if set(map(str.count, lines, repeat(","))) != {commas}:
         return None
-    flat = ",".join(lines).split(",")
+    row_nums = range(2, len(lines) + 1)
+    joined = ",".join(lines)
+    del lines  # each line copies its part of the text; none is needed now
+    flat = joined.split(",")
+    del joined
     width = commas + 1
     header = flat[:width]
     columns = {name: flat[i + width :: width] for i, name in enumerate(header)}
-    return header, range(2, len(lines) + 1), columns
+    return header, row_nums, columns
 
 
 def _read_rows(

@@ -246,7 +246,7 @@ def _run_dataset(
     read: dict = {}  # per external parser: its templates and error text, read once
     for run, seed in enumerate(seeds):
         mark = time.perf_counter()
-        data = None  # frees the last run's data before this run's is built
+        data = truths = None  # frees the last run's data before this run's is built
         data, error = _attempt(_synthesize, ds, plan.synthesis, seed)
         timings[f"{ds.name}/{seed}/synthesis"] = time.perf_counter() - mark
         if data is None:
@@ -256,8 +256,7 @@ def _run_dataset(
             stats = proxy_stats(data)
             stats_per_run.append(stats.as_dict())
             h_per_run.append(h_score(stats, plan.reference).h)
-            if None in data.ground_truths:
-                error = "LabelingError: dataset has no ground truth"
+            truths, error = _attempt(data.labels)
         for spec in plan.parsers:
             mark = time.perf_counter()
             cell = {"run": run, "seed": seed, "metrics": None, "error": error}
@@ -267,7 +266,7 @@ def _run_dataset(
                 predicted, cell["error"] = read.get(spec) or _attempt(parse, data, spec)
             if cell["error"] is None:
                 cell["metrics"], cell["error"] = _attempt(
-                    lambda: evaluate(predicted, data.ground_truths).as_dict()
+                    lambda: evaluate(predicted, truths).as_dict()
                 )
             runs[spec.name].append(cell)
             timings[f"{ds.name}/{seed}/{spec.name}"] = time.perf_counter() - mark

@@ -1,11 +1,12 @@
 """Dataset heterogeneity estimation from three proxy statistics.
 
-The proxies are the number of unique whitespace-delimited words, unique
-characters, and unique line lengths in a dataset. Each is normalized by a
-reference corpus (an industry log sample by default), capped at 1.0, and
-combined with 40/20/40 weights into a single score H in (0, 1]. The unique
-character count gets half the weight of the other two because its normalized
-spread across datasets is roughly half as large.
+The proxies are the number of unique words, unique characters and unique
+line lengths in a dataset; words and characters come from corpus's distinct
+U+0020 tokens and ``str.split``. Each is normalized by a reference corpus (an
+industry log sample by default), capped at 1.0, and combined with 40/20/40
+weights into a single score H in (0, 1]. The unique character count gets half
+the weight of the other two because its normalized spread across datasets is
+roughly half as large.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import stdev
 
-from .corpus import Dataset
+from .corpus import Dataset, distinct_tokens
 from .errors import EmptyDatasetError, InsufficientDataError, InvalidReferenceError
 
 #: Weights of (unique words, unique characters, unique line lengths).
@@ -71,35 +72,21 @@ class HeterogeneityScore:
         }
 
 
-#: The 29 code points ``str.split()`` splits on, the characters no word holds.
-WHITESPACE = (
-    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
-    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
-)
-
-
 def proxy_stats(ds: Dataset) -> ProxyStats:
     """Count unique words, characters, and line lengths over all contents.
 
-    A word is a maximal run of non-whitespace characters; characters include
-    spaces (contents carry no line terminators); line length is the
-    code-point count of the content.
-
-    Every character that is not whitespace belongs to a word, so the unique
-    characters are those of the distinct words plus each whitespace character
-    found in the contents; the words are split from one space-joined text.
+    Words and characters come from corpus's distinct U+0020 tokens
+    (:func:`~logblend.corpus.distinct_tokens`): the words are those tokens
+    cut by ``str.split``, and the characters are the tokens' characters plus
+    the space where some content holds one. A line's length is the
+    code-point count of its content.
     """
     if not len(ds):
         raise EmptyDatasetError(f"dataset {ds.name!r} is empty")
     contents = ds.contents()
-    # The joining space ends a word, so no two contents' words merge. It is
-    # not itself a character of the contents, so the space is looked for in
-    # the contents joined without it.
-    text = " ".join(contents)
-    words = set(text.split())
-    nuc = len(set("".join(words)))
-    nuc += sum(c in text for c in WHITESPACE if c != " ")
-    nuc += " " in "".join(contents)
+    tokens = distinct_tokens(contents)
+    words = set(" ".join(tokens).split())
+    nuc = len(set("".join(tokens))) + (" " in "".join(contents))
     lengths = set(map(len, contents))
     return ProxyStats(nuw=len(words), nuc=nuc, nuldl=len(lengths))
 

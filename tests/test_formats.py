@@ -183,6 +183,24 @@ def test_writers_reject_a_line_break_in_content_and_write_nothing(brk, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+def test_only_rows_csv_reader_reads_are_scanned_for_a_line_break(brk, tmp_path):
+    # The bulk split breaks a quote-free text at every CR and LF, so no field
+    # it gives can hold one; a quoted field read by csv.reader can.
+    path = tmp_path / "ds.csv"
+    write_dataset(Dataset("ds", ["a b", "c"], ["a <*>", "c"], ["ds", "ds"]), path)
+    write_parse_result(["a <*>", "c"], tmp_path / "parsed.csv")
+    with mock.patch.object(corpus, "_line_break_at", wraps=corpus._line_break_at) as scan:
+        load_structured(path)
+        read_parse_result(tmp_path / "parsed.csv")
+        assert not scan.called
+        path.write_text(f'Content,EventTemplate\na,a\n"b{brk}c",b <*>\n', encoding="utf-8")
+        message = f"{path}: row 3 content contains a line break"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            load_structured(path)
+        assert scan.called
+
+
 @settings(max_examples=100, deadline=None)
 @given(templates=st.lists(_TEMPLATE, max_size=6))
 def test_parse_result_round_trips(templates, tmp_path_factory):

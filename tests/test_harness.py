@@ -280,8 +280,12 @@ def test_unlabeled_data_without_synthesis_fails_every_cell(tmp_path):
     )
     ds_doc = run_experiment(plan).to_dict()["datasets"]["apacheish"]
     assert ds_doc["proxy_stats_per_run"] == [proxy_stats(unlabeled).as_dict()]
+    # The cell's error is the one Dataset.labels() raises: it names the
+    # dataset and previews the unlabeled line ids.
+    ids = ", ".join(map(str, range(1, 11)))
     assert ds_doc["parsers"]["tree"]["failures"] == [
-        "LabelingError: dataset has no ground truth"
+        "LabelingError: dataset 'apacheish' has records without ground truth "
+        f"(line ids: {ids}, ... ({len(ds)} total))"
     ]
 
 

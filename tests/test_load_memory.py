@@ -17,8 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: The loading process's peak RSS over the file's size, both in bytes. On the
 #: 19.1 MB, 198K-row file below, a reader that split each row into a list of
-#: its own peaked at 9.7x (185.0 MB) and the flat split at 8.4x (159.7 MB).
-MAX_RSS_PER_FILE_BYTE = 9.0
+#: its own peaked at 9.7x (185.0 MB), the flat split at 8.4x (159.7 MB), and
+#: the flat split that frees the lines before splitting at 7.5x (142.5 MB).
+MAX_RSS_PER_FILE_BYTE = 8.0
 
 # The peak is VmHWM, that of the process's own address space: its ru_maxrss
 # also counts the peak of the process it was started from, which here is

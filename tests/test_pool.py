@@ -6,11 +6,13 @@ import copy
 import pickle
 import re
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logblend import corpus
 from logblend.corpus import Dataset
 from logblend.errors import DataFormatError, LabelingError
 from logblend.pool import (
@@ -145,6 +147,20 @@ def test_outlier_pool_load_names_malformed_row(tmp_path, rows, match):
     with pytest.raises(DataFormatError, match=match) as exc:
         OutlierPool.load(p)
     assert str(p) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "rows, scanned",
+    [("1,x 1,x <*>,a\n2,x 2,x <*>,a\n", False), ('1,x 1,x <*>,a\n2,"x, 2",x <*>,a\n', True)],
+    ids=["quote-free", "quoted"],
+)
+def test_only_a_pool_read_by_csv_reader_is_scanned_for_a_line_break(tmp_path, rows, scanned):
+    # The bulk split has broken a quote-free file at every CR and LF already.
+    p = tmp_path / "outliers.csv"
+    p.write_text("LineId,Content,EventTemplate,Source\n" + rows, encoding="utf-8")
+    with mock.patch.object(corpus, "_line_break_at", wraps=corpus._line_break_at) as scan:
+        assert len(OutlierPool.load(p).lines) == 2
+    assert scan.called == scanned
 
 
 @pytest.mark.parametrize("template", ["", "  "], ids=["empty", "spaces"])
