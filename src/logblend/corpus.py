@@ -323,7 +323,7 @@ def _canonical_templates(fields: list[str]) -> list[str]:
 
 
 def _shared(fields: list[str], shared: dict[str, str] | None = None) -> list[str]:
-    """Per field, `shared[field]`; by default the first field equal to it, so
+    """Per field, `shared[field]`; by default the last field equal to it, so
     that a column holds one string object per distinct value."""
     if shared is None:
         shared = dict(zip(fields, fields))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul
+from operator import eq, mul
 
 from ._kernels import distances
 from .errors import EmptyDatasetError, ShapeError
@@ -74,8 +74,7 @@ def template_accuracy(predicted: ParseResult, truth: ParseResult) -> float:
     _check_lengths(predicted, truth)
     if not truth:
         return 1.0
-    correct = sum(1 for p, t in zip(predicted, truth) if p == t)
-    return correct / len(truth)
+    return sum(map(eq, predicted, truth)) / len(truth)
 
 
 def mean_edit_distance(predicted: ParseResult, truth: ParseResult) -> float:

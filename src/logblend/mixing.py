@@ -4,7 +4,8 @@ The user knob runs from 0 to 1 and maps linearly onto replacing 0% to 25% of
 the dataset: the rows with the most frequent templates are overwritten in
 place by lines sampled from the outlier pool, so every other row keeps its
 position and the dataset its size, and results remain comparable across
-strengths.
+strengths. Rows are taken in descending template frequency, then round (one
+line of each template of that frequency), then first occurrence.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, islice
 
 from ._rng import generator
 from .corpus import Dataset
@@ -39,26 +40,19 @@ def replacement_count(strength: float, size: int) -> int:
 
 
 def replacement_targets(labels: Sequence[str], k: int) -> list[int]:
-    """Row positions of the k lines with the most frequent templates.
+    """Row positions of the k lines with the most frequent templates, in
+    descending frequency, then round, then first occurrence.
 
-    Templates are ranked by descending frequency; lines of one template
-    are taken in ascending row order; templates of equal frequency are
-    drained round-robin so none is exhausted before its peers.
+    A round takes the next line, in row order, of each template of one
+    frequency, so no template is exhausted before its peers.
     """
     by_template: dict[str, list[int]] = {}
     for idx, label in enumerate(labels):
         by_template.setdefault(label, []).append(idx)
-    # Descending frequency, ties broken by first occurrence.
-    ordered = sorted(by_template.values(), key=lambda idxs: (-len(idxs), idxs[0]))
-    targets: list[int] = []
-    for freq, peer_group in groupby(ordered, key=len):
-        peers = list(peer_group)
-        for round_no in range(freq):
-            for idxs in peers:
-                if len(targets) == k:
-                    return targets
-                targets.append(idxs[round_no])
-    return targets
+    # Stable: templates of equal frequency keep their first-occurrence order.
+    ordered = sorted(by_template.values(), key=len, reverse=True)
+    rounds = chain.from_iterable(zip(*peers) for _, peers in groupby(ordered, key=len))
+    return list(islice(chain.from_iterable(rounds), k))
 
 
 def mix(

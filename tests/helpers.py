@@ -15,6 +15,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -381,8 +382,8 @@ def unlabeled(ds: Dataset) -> Dataset:
 
 
 # Per-record reference implementations: the straightforward loops that the
-# edit-distance kernel, the tree parser, the column-wise token-frequency
-# parser, `proxy_stats` and `fuzz` must equal.
+# edit-distance kernel, mixing's replacement order, the tree parser, the
+# column-wise token-frequency parser, `proxy_stats` and `fuzz` must equal.
 
 
 def dp_edit_distance(a: str, b: str) -> int:
@@ -402,6 +403,25 @@ def dp_edit_distance(a: str, b: str) -> int:
                 table[i - 1][j - 1] + cost,
             )
     return table[m][n]
+
+
+def reference_replacement_targets(labels: list[str], k: int) -> list[int]:
+    """The oracle for `logblend.mixing.replacement_targets`: one round at a
+    time over each tier of equally frequent templates."""
+    by_template: dict[str, list[int]] = {}
+    for idx, label in enumerate(labels):
+        by_template.setdefault(label, []).append(idx)
+    # Descending frequency, ties broken by first occurrence.
+    ordered = sorted(by_template.values(), key=lambda idxs: (-len(idxs), idxs[0]))
+    targets: list[int] = []
+    for freq, peer_group in groupby(ordered, key=len):
+        peers = list(peer_group)
+        for round_no in range(freq):
+            for idxs in peers:
+                if len(targets) == k:
+                    return targets
+                targets.append(idxs[round_no])
+    return targets
 
 
 class _RefGroup:

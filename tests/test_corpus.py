@@ -77,12 +77,8 @@ def test_canonicalize_returns_a_canonical_template_itself(text):
     assert canonicalize_template(once) is once
 
 
-#: Every code point that ``str.split()`` treats as whitespace.
-WHITESPACE = (
-    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
-    "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
-    "\u2028\u2029\u202f\u205f\u3000"
-)
+#: Every whitespace code point, the ones ``str.split()`` splits on (checked below).
+WHITESPACE = "".join(filter(str.isspace, map(chr, range(sys.maxunicode + 1))))
 
 
 def test_whitespace_is_what_str_split_splits_on():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logblend.corpus import Dataset, write_dataset
 from logblend.errors import EmptyPoolError
@@ -20,6 +22,7 @@ from helpers import (
     dataset_rows,
     outlier_pool,
     pool_rows,
+    reference_replacement_targets,
     standard_pools,
 )
 
@@ -70,6 +73,13 @@ def test_targets_single_template_is_ascending_line_order():
 def test_targets_descending_frequency_first():
     labels = ["rare", "big", "big", "big", "mid", "mid"]
     assert replacement_targets(labels, 4) == [1, 2, 3, 4]
+
+
+@given(st.lists(st.sampled_from("ABCD"), max_size=40))
+def test_targets_equal_the_round_by_round_reference(labels):
+    # Four labels at most, so templates of equal frequency are common.
+    for k in range(len(labels) + 3):
+        assert replacement_targets(labels, k) == reference_replacement_targets(labels, k)
 
 
 # --- mix ----------------------------------------------------------------------
