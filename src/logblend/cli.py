@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .corpus import Dataset, load_raw, load_structured, read_text, write_dataset
@@ -176,7 +176,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def _cmd_stats(args) -> None:
     ds = _load(args.input, args.raw)
-    _emit(proxy_stats(ds).as_dict(), args.out)
+    _emit(asdict(proxy_stats(ds)), args.out)
 
 
 def _cmd_heterogeneity(args) -> None:

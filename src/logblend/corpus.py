@@ -72,9 +72,11 @@ class Dataset:
     """A named dataset stored as three equally long columns.
 
     Row i holds a line's content, its canonical ground-truth template (None
-    where unlabeled) and its source tag; its line id is i + 1. The token
-    table of :attr:`tokens` is kept beside the three columns, not among the
-    fields, so it takes no part in equality or the repr.
+    where unlabeled) and its source tag; its line id is i + 1. An empty
+    template means unlabeled, in memory as in a file: a ``""`` ground truth
+    is held as None. The token table of :attr:`tokens` is kept beside the
+    three columns, not among the fields, so it takes no part in equality or
+    the repr.
     """
 
     name: str
@@ -89,7 +91,10 @@ class Dataset:
         ground_truths: Iterable[str | None],
         sources: Iterable[str],
     ) -> None:
-        columns = tuple(contents), tuple(ground_truths), tuple(sources)
+        truths = tuple(ground_truths)
+        if "" in truths:  # one scan in C; usually none is empty
+            truths = tuple(template or None for template in truths)
+        columns = tuple(contents), truths, tuple(sources)
         n, m, k = map(len, columns)
         if not n == m == k:
             message = f"{n} contents, {m} ground truths and {k} sources"
@@ -434,12 +439,11 @@ def load_structured(path: str | Path, name: str | None = None) -> Dataset:
 
     Read by :func:`read_columns`, so rows are in `LineId` order when the
     file has that column. An optional `Source` column overrides the
-    per-line source tag; an empty `EventTemplate` field means unlabeled.
+    per-line source tag.
     """
     name = Path(path).stem if name is None else name
     columns, _ = read_columns(path, ("Content", "EventTemplate"), ("Source",))
-    contents = columns["Content"]
-    truths = [template or None for template in columns["EventTemplate"]]
+    contents, truths = columns["Content"], columns["EventTemplate"]
     return Dataset(name, contents, truths, columns.get("Source") or (name,) * len(contents))
 
 
@@ -456,7 +460,7 @@ def load_raw(path: str | Path, name: str | None = None) -> Dataset:
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write a dataset in the structured format; round-trips exactly.
+    """Write a dataset in the structured format; round-trips canonical templates exactly.
 
     A `Source` column is written only when some line's source differs from
     the file's stem, the name :func:`load_structured` gives the dataset it

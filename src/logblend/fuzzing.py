@@ -46,12 +46,12 @@ def fuzz(
     """Replace every variable of every line with pool samples.
 
     Each line is aligned with its entry of `parsed` when that is given (one
-    template per line), and with its ground truth otherwise. Randomness
-    is derived from (seed, row position): row i draws the stream of line
-    id i + 1. Lines whose template has no wildcard
-    pass through unchanged; lines that fail alignment (possible when parser
-    templates are wrong) also pass through and are listed in the result's
-    skip report.
+    template per line), and with its ground truth otherwise. Randomness is
+    derived from (seed, row position): row i draws the stream of line id
+    i + 1. Lines whose template has no wildcard pass through unchanged;
+    lines that fail alignment (possible when parser templates are wrong)
+    also pass through, keep their ground truth and are listed in the
+    result's skip report. Every other line is labeled with its template.
     """
     if not vpool.values:
         raise EmptyPoolError("variable pool is empty")
@@ -61,7 +61,6 @@ def fuzz(
     for i, template in enumerate(templates):
         rows_of[template].append(i)
     contents = ds.contents()
-    truths = list(ds.ground_truths)
     skipped: list[int] = []
     # Per template with a wildcard, its pieces around the wildcards and the
     # positions of the lines refilled.
@@ -76,9 +75,10 @@ def fuzz(
                 rows = list(compress(rows, aligned))
             if rows:
                 refills.append((pieces, rows))
-        for i in rows:
-            truths[i] = template or None
     skipped.sort()
+    truths = list(templates)
+    for line_id in skipped:
+        truths[line_id - 1] = ds.ground_truths[line_id - 1]
 
     # One pick matrix for all refilled lines, a template's rows after
     # another's, read as one list of picks per slot.

@@ -254,7 +254,7 @@ def _run_dataset(
             h_per_run.append(None)
         else:
             stats = proxy_stats(data)
-            stats_per_run.append(stats.as_dict())
+            stats_per_run.append(asdict(stats))
             h_per_run.append(h_score(stats, plan.reference).h)
             truths, error = _attempt(data.labels)
         for spec in plan.parsers:

@@ -11,7 +11,7 @@ roughly half as large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from statistics import stdev
 
 from .corpus import Dataset, distinct_tokens
@@ -33,10 +33,7 @@ class ProxyStats:
     nuldl: int
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.nuw, self.nuc, self.nuldl)
-
-    def as_dict(self) -> dict[str, int]:
-        return {"nuw": self.nuw, "nuc": self.nuc, "nuldl": self.nuldl}
+        return astuple(self)
 
 
 def check_reference(ref: ProxyStats, key: str = "reference") -> tuple[int, int, int]:

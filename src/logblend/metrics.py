@@ -17,7 +17,7 @@ are compared exactly as given.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from operator import eq, mul
 
@@ -35,11 +35,7 @@ class MetricReport:
     mean_edit_distance: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "grouping_accuracy": self.grouping_accuracy,
-            "template_accuracy": self.template_accuracy,
-            "mean_edit_distance": self.mean_edit_distance,
-        }
+        return asdict(self)
 
 
 def _check_lengths(predicted: ParseResult, truth: ParseResult) -> None:

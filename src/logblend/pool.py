@@ -73,14 +73,16 @@ class VariablePool:
     """Deduplicated variable values with the datasets each was seen in.
 
     `sources` maps each value, in order, to its source tags, held as one
-    tuple per distinct tag set, however the pool was made. `skipped` maps
-    dataset name to the line ids (row position + 1) whose content could not
-    be aligned against its template during extraction; those lines
-    contribute nothing but the build does not fail.
+    tuple per distinct tag set, however the pool was made. `skipped`, the
+    build's skip report, maps dataset name to the line ids whose content did
+    not align with its template; those lines add no values, and the build
+    goes on. It is not part of the pool's value: not saved, not compared.
     """
 
     sources: MappingProxyType[str, tuple[str, ...]] = field(default_factory=dict)
-    skipped: MappingProxyType[str, tuple[int, ...]] = field(default_factory=dict)
+    skipped: MappingProxyType[str, tuple[int, ...]] = field(
+        default_factory=dict, compare=False
+    )
     #: sha256 of the file the pool was loaded from; None for a built pool.
     sha256: str | None = field(default=None, compare=False)
     #: The values in order, ``tuple(sources)``.

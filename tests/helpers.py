@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import random
 import re
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +38,9 @@ from logblend.pool import (
     build_variable_pool,
 )
 
+
+#: Every whitespace code point, in code point order: those ``str.isspace`` holds.
+WHITESPACE = "".join(filter(str.isspace, map(chr, range(sys.maxunicode + 1))))
 
 # Published per-dataset stat triples (unique words, chars, line lengths) for
 # the nine public 2K benchmark sets plus the combined and industry sets.

@@ -40,6 +40,7 @@ from logblend.pool import (
 )
 
 from helpers import (
+    WHITESPACE,
     apacheish,
     backtracking_alignment,
     fill_template,
@@ -75,10 +76,6 @@ def test_canonicalize_idempotent(text):
 def test_canonicalize_returns_a_canonical_template_itself(text):
     once = canonicalize_template(text)
     assert canonicalize_template(once) is once
-
-
-#: Every whitespace code point, the ones ``str.split()`` splits on (checked below).
-WHITESPACE = "".join(filter(str.isspace, map(chr, range(sys.maxunicode + 1))))
 
 
 def test_whitespace_is_what_str_split_splits_on():
@@ -583,6 +580,15 @@ def test_labeling_error_previews_the_first_ten_line_ids():
         ds.labels()
     assert exc.value.line_ids == list(range(1, 13))
     assert "(line ids: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ... (12 total))" in str(exc.value)
+
+
+def test_an_empty_ground_truth_is_held_as_unlabeled():
+    ds = Dataset("f", ["a 1", "b", "c"], ["a <*>", "", "c"], ["f"] * 3)
+    assert ds.ground_truths == ("a <*>", None, "c")
+    assert ds == Dataset("f", ds.contents(), ["a <*>", None, "c"], ds.sources)
+    with pytest.raises(LabelingError) as exc:
+        ds.labels()
+    assert exc.value.line_ids == [2]
 
 
 # --- parser templates in place of labels -------------------------------------

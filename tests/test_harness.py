@@ -8,7 +8,7 @@ import json
 import shutil
 import weakref
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -279,7 +279,7 @@ def test_unlabeled_data_without_synthesis_fails_every_cell(tmp_path):
         datasets=[tmp_path / "apacheish.csv"], parsers=[TreeParserConfig()], runs=1
     )
     ds_doc = run_experiment(plan).to_dict()["datasets"]["apacheish"]
-    assert ds_doc["proxy_stats_per_run"] == [proxy_stats(unlabeled).as_dict()]
+    assert ds_doc["proxy_stats_per_run"] == [asdict(proxy_stats(unlabeled))]
     # The cell's error is the one Dataset.labels() raises: it names the
     # dataset and previews the unlabeled line ids.
     ids = ", ".join(map(str, range(1, 11)))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,7 @@ from logblend.heterogeneity import (
     proxy_stats,
 )
 
-from helpers import PUBLISHED_STATS, apacheish, reference_proxy_stats
+from helpers import PUBLISHED_STATS, WHITESPACE, apacheish, reference_proxy_stats
 
 def _ds(contents: list[str]) -> Dataset:
     return Dataset("t", contents, [None] * len(contents), ["t"] * len(contents))
@@ -60,8 +59,7 @@ def test_proxy_stats_permutation_invariant():
 
 
 #: Every character ``str.split()`` splits on, and a few that a word holds.
-_ALPHABET = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
-_ALPHABET += "ab<*>\u00e9"
+_ALPHABET = WHITESPACE + "ab<*>\u00e9"
 #: Contents drawn mostly from whitespace and a few letters, or from any text.
 _CONTENT = st.one_of(
     st.text(alphabet=_ALPHABET, max_size=12),

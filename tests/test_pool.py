@@ -217,7 +217,7 @@ def test_variable_pool_merges_sources_for_shared_value():
     assert pool.sources["10.0.0.1"] == ("a", "b")
 
 
-def test_variable_pool_skip_report_counts_misaligned_records():
+def test_variable_pool_skip_report_counts_misaligned_records(tmp_path):
     ds = _labeled(
         "t",
         [
@@ -228,6 +228,11 @@ def test_variable_pool_skip_report_counts_misaligned_records():
     pool = build_variable_pool([ds])
     assert pool.values == ("1",)
     assert pool.skipped == {"t": (2,)}
+    # The report is the build's: it is not saved, and a pool equals its file.
+    pool.save(tmp_path / "vars.tsv")
+    loaded = VariablePool.load(tmp_path / "vars.tsv")
+    assert loaded.skipped == {}
+    assert loaded == pool
 
 
 def test_variable_pool_requires_labels_and_names_the_unlabeled_lines():
