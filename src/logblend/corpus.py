@@ -156,8 +156,8 @@ def read_text(path: str | Path) -> tuple[str, str]:
     try:
         return raw.decode("utf-8"), sha256(raw).hexdigest()
     except UnicodeDecodeError as exc:
-        head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        line = head.count(b"\n") + 1
+        # The bytes before the bad one decode; the "x" starts the bad byte's line.
+        line = len(_split_lines(raw[: exc.start].decode("utf-8") + "x"))
         byte = raw[exc.start]
         raise DataFormatError(
             f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8"
@@ -200,7 +200,8 @@ def _needs_quotes(text: str) -> bool:
 
 @functools.lru_cache(maxsize=4)  # the files of a run mostly share a row count
 def _line_ids(n: int) -> tuple[str, ...]:
-    """The `LineId` fields of n rows in order: ``"1"`` to ``str(n)``."""
+    """The `LineId` fields of n rows in order, ``"1"`` to ``str(n)``: the ids
+    the writer writes, among which the reader looks up each id it reads."""
     return tuple(map(str, range(1, n + 1)))
 
 
@@ -261,7 +262,8 @@ def read_columns(
     * empty rows are skipped, and every other row has the header's fields;
     * a `LineId` column, whenever the header has it, holds 1..n in ASCII
       digits in any order, and rows come back in that order (file order when
-      the column is absent); it is not itself returned;
+      the column is absent); it is not itself returned. Without its leading
+      zeros, an id is looked up among the writer's ids, never converted;
     * a `Content` field holds no line break;
     * each distinct `EventTemplate` field is canonicalized at most once, and
       equal templates come back as one object (:func:`_canonical_templates`);
@@ -407,30 +409,30 @@ def _line_break_at(texts: Sequence[str]) -> int | None:
 def _line_id_order(path: Path, row_nums: Sequence[int], ids: Sequence[str]) -> list[int]:
     """Row positions in `LineId` order; the ids must be 1..n, each once.
 
-    Leading zeros are allowed. An id with more significant digits than n is
-    past the end without being converted, since ``int()`` refuses a string
-    of more than ``sys.get_int_max_str_digits()`` digits.
+    Leading zeros are allowed. Once they are dropped, an id is looked up among
+    the ids the writer writes, :func:`_line_ids`; it is never converted to an
+    integer.
     """
     n = len(ids)
-    most_digits = len(str(n))
+    position = dict(zip(_line_ids(n), range(n)))
     order = [-1] * n
     for pos, (row_num, text) in enumerate(zip(row_nums, ids)):
         if not (text.isascii() and text.isdigit()):
             raise DataFormatError(f"{path}: row {row_num} has non-integer LineId {text!r}")
         digits = text.lstrip("0") or "0"
-        line_id = int(digits) if len(digits) <= most_digits else n + 1
-        if not 1 <= line_id <= n:
+        line = position.get(digits)
+        if line is None:
             raise DataFormatError(
                 f"{path}: row {row_num} has LineId {digits}; LineId values must "
                 f"be contiguous from 1, here 1..{n}"
             )
-        first = order[line_id - 1]
+        first = order[line]
         if first >= 0:
             raise DataFormatError(
                 f"{path}: row {row_num} repeats LineId {digits} of row "
                 f"{row_nums[first]}; LineId values must be contiguous from 1"
             )
-        order[line_id - 1] = pos
+        order[line] = pos
     return order
 
 
@@ -447,15 +449,15 @@ def load_structured(path: str | Path, name: str | None = None) -> Dataset:
     return Dataset(name, contents, truths, columns.get("Source") or (name,) * len(contents))
 
 
-def load_raw(path: str | Path, name: str | None = None) -> Dataset:
+def load_raw(path: str | Path) -> Dataset:
     """Load a newline-delimited text file, one message per line.
 
-    Blank lines are skipped; the rest are the dataset's rows in file order.
-    Lines carry no ground truth. A byte that is not UTF-8 raises
-    DataFormatError naming the file and the line.
+    Blank lines are skipped; the rest are the dataset's rows in file order,
+    named after the file's stem, with no ground truth. A byte that is not
+    UTF-8 raises DataFormatError naming the file and the line.
     """
-    name = Path(path).stem if name is None else name
-    contents = [line for line in read_lines(Path(path))[0] if line.strip()]
+    name = Path(path).stem
+    contents = [line for line in read_lines(path)[0] if line.strip()]
     return Dataset(name, contents, (None,) * len(contents), (name,) * len(contents))
 
 

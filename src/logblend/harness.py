@@ -441,11 +441,6 @@ def plan_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentPlan:
     if doc["reference"] is not None:
         reference = _config("plan.reference", ProxyStats, doc["reference"])
 
-    return ExperimentPlan(
-        datasets=[_resolve(f"plan.datasets[{i}]", p) for i, p in enumerate(doc["datasets"])],
-        parsers=parsers,
-        synthesis=synthesis,
-        runs=doc["runs"],
-        base_seed=doc["base_seed"],
-        reference=reference,
-    )
+    datasets = [_resolve(f"plan.datasets[{i}]", p) for i, p in enumerate(doc["datasets"])]
+    built = dict(datasets=datasets, parsers=parsers, synthesis=synthesis, reference=reference)
+    return ExperimentPlan(**(doc | built))

@@ -102,9 +102,7 @@ def _leaf(fanout: dict[tuple, set[str]], tokens: Sequence[str], levels: int,
     for key in tokens[:levels]:
         if _DIGIT.search(key):
             key = WILDCARD
-        keys = fanout.get(path)
-        if keys is None:
-            keys = fanout[path] = set()
+        keys = fanout.setdefault(path, set())
         if key not in keys and key != WILDCARD and (
             len(keys) + (WILDCARD not in keys) >= max_children
         ):

@@ -14,9 +14,11 @@ import random
 import re
 import sys
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from logblend.corpus import (
     canonicalize_template,
     extract_variables,
 )
-from logblend.errors import AlignmentError
+from logblend.errors import AlignmentError, DataFormatError
 from logblend.fuzzing import FuzzResult
 from logblend.heterogeneity import ProxyStats
 from logblend.parsers import TreeParserConfig
@@ -426,6 +428,39 @@ def reference_replacement_targets(labels: list[str], k: int) -> list[int]:
                     return targets
                 targets.append(idxs[round_no])
     return targets
+
+
+def reference_line_id_order(
+    path: Path, row_nums: Sequence[int], ids: Sequence[str]
+) -> list[int]:
+    """The oracle for `logblend.corpus._line_id_order`: each id converted with
+    ``int()``, with the same messages.
+
+    Leading zeros are allowed. An id with more significant digits than n is
+    past the end without being converted, since ``int()`` refuses a string
+    of more than ``sys.get_int_max_str_digits()`` digits.
+    """
+    n = len(ids)
+    most_digits = len(str(n))
+    order = [-1] * n
+    for pos, (row_num, text) in enumerate(zip(row_nums, ids)):
+        if not (text.isascii() and text.isdigit()):
+            raise DataFormatError(f"{path}: row {row_num} has non-integer LineId {text!r}")
+        digits = text.lstrip("0") or "0"
+        line_id = int(digits) if len(digits) <= most_digits else n + 1
+        if not 1 <= line_id <= n:
+            raise DataFormatError(
+                f"{path}: row {row_num} has LineId {digits}; LineId values must "
+                f"be contiguous from 1, here 1..{n}"
+            )
+        first = order[line_id - 1]
+        if first >= 0:
+            raise DataFormatError(
+                f"{path}: row {row_num} repeats LineId {digits} of row "
+                f"{row_nums[first]}; LineId values must be contiguous from 1"
+            )
+        order[line_id - 1] = pos
+    return order
 
 
 class _RefGroup:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -24,7 +25,7 @@ from logblend.errors import DataFormatError
 from logblend.parsers import read_parse_result, write_parse_result
 from logblend.pool import OutlierPool
 
-from helpers import dataset_rows, outlier_pool, pool_rows
+from helpers import dataset_rows, outlier_pool, pool_rows, reference_line_id_order
 
 # Commas, quotes, tabs, wildcards, non-ASCII whitespace, NUL, astral and
 # combining characters, plus any other code point except surrogates.
@@ -309,6 +310,58 @@ def test_line_id_gap_or_duplicate_names_the_file_and_row(fmt, line_ids, match, t
     with pytest.raises(DataFormatError, match=match) as exc:
         _FORMATS[fmt][2](path)
     assert str(path) in str(exc.value)
+
+
+#: Leading zeros an id is written with: none, a few, or more than the digits
+#: ``int()`` converts.
+_ZEROS = st.sampled_from([0, 0, 1, 2, sys.get_int_max_str_digits()])
+
+
+@st.composite
+def _padded_line_ids(draw) -> tuple[list[str], list[str]]:
+    """The ids 1..n (n <= 30) in any order, each written with leading zeros;
+    and those ids with one replaced by a gap, a zero, a non-digit or a repeat."""
+
+    def padded(line_id: int) -> str:
+        return "0" * draw(_ZEROS) + str(line_id)
+
+    n = draw(st.integers(1, 30))
+    values = draw(st.permutations(range(1, n + 1)))
+    ids = list(map(padded, values))
+    at = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["gap", "zero", "non-digit"] + ["repeat"] * (n > 1)))
+    if kind == "gap":
+        bad = padded(n + draw(st.integers(1, 3)))
+    elif kind == "zero":
+        bad = "0" * draw(st.integers(1, 3))
+    elif kind == "non-digit":
+        bad = draw(st.sampled_from(["", "x1", "+1", " 1", "1_0", "1.0", "\u0661"]))
+    else:
+        other = draw(st.integers(0, n - 2))
+        bad = padded(values[other + (other >= at)])
+    return ids, ids[:at] + [bad] + ids[at + 1 :]
+
+
+@settings(max_examples=100, deadline=None)
+@given(line_ids=_padded_line_ids())
+def test_line_ids_are_ordered_and_refused_as_by_int_conversion(line_ids, tmp_path_factory):
+    # The reader looks each id up among the ids the writer writes; the oracle
+    # converts it with int(). Both order the rows alike and refuse a bad id
+    # with the same message.
+    ids, bad_ids = line_ids
+    path = tmp_path_factory.mktemp("ids") / "parsed.csv"
+    row_nums = range(2, len(ids) + 2)
+    templates = [f"t{pos}" for pos in range(len(ids))]
+    _plain_csv(path, ("LineId", "EventTemplate"), zip(ids, templates))
+    order = reference_line_id_order(path, row_nums, ids)
+    assert read_parse_result(path) == [templates[pos] for pos in order]
+
+    _plain_csv(path, ("LineId", "EventTemplate"), zip(bad_ids, templates))
+    with pytest.raises(DataFormatError) as want:
+        reference_line_id_order(path, row_nums, bad_ids)
+    with pytest.raises(DataFormatError) as got:
+        read_parse_result(path)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("fmt", _FORMATS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
 import json
@@ -500,14 +501,41 @@ def test_a_plan_runs_each_dataset_alone_and_merges_them_in_order(workspace, tmp_
     assert list(timings) == keys + ["total"]
 
 
-#: The names perfbench's layer wraps replace, by the module that binds them.
-_WRAPPED_NAMES = {
-    harness: (
-        "load_structured", "mix", "fuzz", "proxy_stats", "parse",
-        "read_parse_result", "evaluate",
-    ),
-    metrics: ("grouping_accuracy", "template_accuracy", "mean_edit_distance"),
-}
+_MODULES = {"harness": harness, "metrics": metrics}
+
+
+def _layer_wraps() -> set[str]:
+    """``module.name`` of each name perfbench/layers.py wraps in `harness` or
+    `metrics`, read from its ``w(module, "name", ...)`` calls without importing it."""
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    wraps = set()
+    for node in ast.walk(ast.parse(layers.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "w"
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id in _MODULES
+        ):
+            wraps.add(f"{node.args[0].id}.{node.args[1].value}")
+    return wraps
+
+
+#: Wraps of names the program no longer binds, which ROADMAP item 1a drops;
+#: until then a traced run reports their metrics as missing.
+_STALE_WRAPS = {"harness.mix_with_parser_labels", "harness.dataset_h", "metrics.levenshtein"}
+_LAYER_WRAPS = _layer_wraps()
+#: The names perfbench's layer wraps replace, as ``module.name``.
+_WRAPPED_NAMES = _LAYER_WRAPS - _STALE_WRAPS
+
+
+def test_each_stale_layer_wrap_is_still_made_and_names_nothing():
+    # Once perfbench drops one of these wraps, or the program binds the name
+    # again, this fails and _STALE_WRAPS is to be brought up to date.
+    for wrap in sorted(_STALE_WRAPS):
+        module, name = wrap.split(".")
+        assert wrap in _LAYER_WRAPS
+        assert not hasattr(_MODULES[module], name), wrap
 
 
 def test_every_name_a_layer_wrap_replaces_is_still_called(workspace, tmp_path, monkeypatch):
@@ -515,15 +543,15 @@ def test_every_name_a_layer_wrap_replaces_is_still_called(workspace, tmp_path, m
     # call time; a name the program stops calling leaves a metric that
     # measures nothing, which no other test would notice.
     calls: Counter = Counter()
-    for module, names in _WRAPPED_NAMES.items():
-        for name in names:
-            key = f"{module.__name__}.{name}"
+    for key in _WRAPPED_NAMES:
+        module_name, name = key.split(".")
+        module = _MODULES[module_name]
 
-            def counting(*args, _real=getattr(module, name), _key=key, **kwargs):
-                calls[_key] += 1
-                return _real(*args, **kwargs)
+        def counting(*args, _real=getattr(module, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, name, counting)
     echo = tmp_path / "echo.csv"
     write_parse_result(list(load_structured(workspace / "apacheish.csv").contents()), echo)
     plan = ExperimentPlan(
@@ -535,8 +563,7 @@ def test_every_name_a_layer_wrap_replaces_is_still_called(workspace, tmp_path, m
     doc = run_experiment(plan).to_dict()
     (cell,) = doc["datasets"]["apacheish"]["parsers"][f"external:{echo.name}"]["runs"]
     assert cell["error"] is None
-    wrapped = {f"{m.__name__}.{name}" for m, names in _WRAPPED_NAMES.items() for name in names}
-    assert set(calls) == wrapped
+    assert set(calls) == _WRAPPED_NAMES
 
 
 def test_timings_recorded_but_excluded_by_default(workspace):
